@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,6 +49,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(raw: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(raw: str) -> float:
+    """argparse type: a finite float above 0."""
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {raw}")
+    return value
+
+
 def _emit_error(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
@@ -80,39 +97,39 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="sample trajectories to CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--horizon", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate", help="Monte Carlo comparison of stopping rules")
     p.add_argument("--config", required=True)
     p.add_argument("--rules", default="optimal,fixed,threshold")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--horizon", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--json-out", default=None)
-    p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--kmax", type=_count, default=10)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--variant", choices=("expected", "literal"), default="expected")
 
     p = sub.add_parser("value-iterate", help="continuation values at probe states")
     p.add_argument("--config", required=True)
-    p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--probe", type=int, default=32)
+    p.add_argument("--kmax", type=_count, default=10)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--probe", type=_count, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("oracle", help="exact joint table and optimal value")
     p.add_argument("--config", required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_count, required=True)
     p.add_argument("--dump", default=None)
 
     p = sub.add_parser("crosscheck", help="run the filter/oracle identity battery")
     p.add_argument("--config", required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_count, required=True)
     p.add_argument("--seed", type=int, default=7)
     return parser
 

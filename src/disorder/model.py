@@ -140,6 +140,9 @@ def validate(spec: ModelSpec) -> list[str]:
         if kernels.shape[1:] != (e, e):
             report.append(f"{name} kernels must have shape (*, {e}, {e})")
             continue
+        if not np.all(np.isfinite(kernels)):
+            report.append(f"{name} kernel has non-finite entries")
+            continue
         if np.any(kernels < 0):
             report.append(f"{name} kernel has negative entries")
         sums = kernels.sum(axis=2)
@@ -209,6 +212,10 @@ def spec_from_dict(payload: dict) -> ModelSpec:
     missing = sorted(set(CONFIG_KEYS) - set(payload))
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
+    for key in ("alphabet_size", "d", "x0"):
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return ModelSpec(
             alphabet_size=int(payload["alphabet_size"]),

@@ -8,8 +8,17 @@ level: s_0 integrates the stop payoff one step ahead, and for k >= 1
 where w' drops the oldest symbol of w, stop(w', y) is the one-step-ahead
 stop payoff weighted by the pre-change transition density, and the delta
 argument is composed entrywise with c(y)[i, j] = p[i, j] * f0_i(x_last, y).
-The gamma grid passes through unchanged, and s_k is positively homogeneous
-in delta, which lets the evaluator memoise on direction rather than scale.
+The gamma grid enters only through u = p o (1 - gamma) o delta, and every
+term is linear in u, so s_k is the maximum of finitely many linear functions
+
+    s_k(w, gamma, delta) = max_{g in Gamma_k(w')} g . u
+
+(the alpha-vector form of POMDP value functions).  Gamma_0(w') holds the
+one-step coefficients; Gamma_k(w') is the cross-sum over y of
+{c_y} u {D_y o g : g in Gamma_{k-1}(w' + (y,))} with c_y the stop payoff
+coefficients times f0(x_last, y) and D_y = p o f0(x_last, y).  ValueTable
+builds these sets on demand, prunes dominated vectors and keeps them for
+its lifetime, so one table serves every state of a spec.
 
 s_k increases pointwise in k; its limit s* defines the stopping region
 { h >= s* }.  The rule runner never stops before d + 1, applies a boundary
@@ -20,7 +29,7 @@ k with |s_k - s_{k-1}| below tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +39,13 @@ from .model import ModelSpec
 from .payoff import detection_coeff_matrix, stop_payoff, stop_payoff_boundary
 from .posterior import PosteriorState, predictive, state_init, state_step
 
-# Hard cap on recursion nodes per evaluator, a guard against runaway configs.
-NODE_BUDGET = 5_000_000
+# Hard cap on candidate vectors formed in cross-sums per table, a guard
+# against runaway configs.
+CANDIDATE_BUDGET = 2_000_000
 
-_DELTA_DECIMALS = 12
+# Relative rounding bound of the two-term orientation test in _envelope:
+# eight float64 machine epsilons.
+_EPS8 = 8.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -70,61 +82,140 @@ class ValueIterResult:
     history: tuple[float, ...]
 
 
-class _Evaluator:
-    """Memoised evaluator of s_k for one spec and one gamma grid.
+def _prune(vecs: np.ndarray) -> np.ndarray:
+    """Remove vectors that cannot raise max(vecs @ u) for any u >= 0.
 
-    The memo key is (k, window, direction of delta); scale factors multiply
-    back out by homogeneity.  Confine one evaluator per worker, the memo is
-    not synchronised.
+    A vector goes only when it is proven dominated: pointwise by another one
+    (of equal copies one stays) or, in two dimensions, by the segment between
+    its neighbours on the upper envelope.  Whatever survives, the maximum of
+    the dot products is unchanged.
+    """
+    n, m = vecs.shape
+    if n == 1:
+        return vecs
+    if m == 1:
+        return vecs.max(axis=0, keepdims=True)
+    if m == 2:
+        return _envelope(vecs)
+    if n == 2:
+        a, b = vecs
+        if (a >= b).all():
+            return vecs[:1]
+        return vecs[1:] if (b >= a).all() else vecs
+    ge = (vecs[:, None, :] >= vecs[None, :, :]).all(axis=2)
+    # i beats j when i >= j pointwise and either i > j somewhere or i < j
+    beaten = ge & (~ge.T | np.tri(n, k=-1, dtype=bool).T)
+    return vecs[~beaten.any(axis=0)]
+
+
+def _envelope(vecs: np.ndarray) -> np.ndarray:
+    # Upper-right convex chain of points in the plane.  Sorted by the first
+    # coordinate, descending, a point survives pointwise dominance when its
+    # second coordinate beats every point before it.
+    stair: list[list[float]] = []
+    for g in sorted(vecs.tolist(), key=lambda g: (-g[0], -g[1])):
+        if not stair or g[1] > stair[-1][1]:
+            stair.append(g)
+    # Walk the staircase by ascending first coordinate and pop a middle point
+    # only when it lies below the chord of its neighbours by more than the
+    # rounding error of the test.
+    hull: list[list[float]] = []
+    for c in reversed(stair):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            t1 = (c[0] - a[0]) * (b[1] - a[1])
+            t2 = (c[1] - a[1]) * (b[0] - a[0])
+            if t1 - t2 >= -_EPS8 * (abs(t1) + abs(t2)):
+                break
+            hull.pop()
+        hull.append(c)
+    return np.array(hull)
+
+
+def _base_coeff(spec: ModelSpec, tail: Window) -> np.ndarray:
+    # One-step-ahead payoff coefficients integrated over the next symbol:
+    # 1 - p^d + q (1 + sum_{t=1..d} L_t/(p^t L_0)) / p over the d+1 tail.
+    q = 1.0 - spec.p
+    chain = likelihood_ratio_chain(spec, tail, spec.d)
+    return 1.0 - spec.p**spec.d + q * (1.0 + chain) / spec.p
+
+
+class ValueTable:
+    """Alpha-vector sets Gamma_k of the continuation values for one spec.
+
+    s_k at a state is max(Gamma_k(w') @ u) with u = p o (1 - gamma) o delta
+    and w' the last d + 1 symbols of the window.  Each set is built when it
+    is first asked for and kept for the table's lifetime.  `budget` caps the
+    candidate vectors formed in cross-sums over that lifetime.  Confine one
+    table per worker, it is not synchronised.
     """
 
-    def __init__(self, spec: ModelSpec, gamma: np.ndarray, budget: int = NODE_BUDGET):
+    def __init__(self, spec: ModelSpec, budget: int = CANDIDATE_BUDGET):
         self.spec = spec
-        self.weight = spec.p * (1.0 - np.asarray(gamma, dtype=np.float64))
-        self.memo: dict = {}
-        self.nodes = 0
         self.budget = budget
+        self.formed = 0
+        self._sets: dict[tuple[int, Window], np.ndarray] = {}
+        self._branches: dict[Window, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    def _base_coeff(self, tail: Window) -> np.ndarray:
-        # One-step-ahead payoff coefficients integrated over the next symbol:
-        # 1 - p^d + q (1 + sum_{t=1..d} L_t/(p^t L_0)) / p over the d+1 tail.
-        spec = self.spec
-        q = 1.0 - spec.p
-        chain = likelihood_ratio_chain(spec, tail, spec.d)
-        return 1.0 - spec.p**spec.d + q * (1.0 + chain) / spec.p
-
-    def value(self, k: int, window: Window, delta: np.ndarray) -> float:
-        spec = self.spec
-        if len(window) != spec.d + 2:
-            raise ValueError(f"window must have length {spec.d + 2}")
+    def weight(self, gamma: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """The flattened u = p o (1 - gamma) o delta that the sets act on."""
+        gamma = np.asarray(gamma, dtype=np.float64)
         delta = np.asarray(delta, dtype=np.float64)
-        scale = float(delta.sum())
-        if scale <= 0.0:
-            return 0.0
-        direction = np.round(delta / scale, _DELTA_DECIMALS) + 0.0
-        key = (k, window, direction.tobytes())
-        hit = self.memo.get(key)
+        return (self.spec.p * (1.0 - gamma) * delta).ravel()
+
+    def value(self, k: int, window: Window, u: np.ndarray) -> float:
+        """s_k at window `window` and weight `u` (see `weight`)."""
+        if len(window) != self.spec.d + 2:
+            raise ValueError(f"window must have length {self.spec.d + 2}")
+        return float(np.max(self.vectors(k, tuple(window[1:])) @ u))
+
+    def vectors(self, k: int, tail: Window) -> np.ndarray:
+        """Gamma_k for the d + 1 trailing symbols `tail`, one vector per row."""
+        key = (k, tail)
+        hit = self._sets.get(key)
         if hit is not None:
-            return scale * hit
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetError(f"value iteration exceeded {self.budget} nodes")
-        dn = delta / scale
+            return hit
         if k == 0:
-            val = float(np.sum(self._base_coeff(window[1:]) * self.weight * dn))
+            out = _base_coeff(self.spec, tail).reshape(1, -1)
         else:
-            tail = window[1:]
-            x_last = window[-1]
-            total = 0.0
-            for y in range(spec.alphabet_size):
-                w2 = tail + (y,)
-                f0 = spec.pre_kernels[:, x_last, y][:, None]
-                stop = float(np.sum(detection_coeff_matrix(spec, w2) * f0 * self.weight * dn))
-                cont = self.value(k - 1, w2, spec.p * f0 * dn)
-                total += max(stop, cont)
-            val = total
-        self.memo[key] = val
-        return scale * val
+            out = None
+            for y, (stop, gain) in enumerate(self._branch(tail)):
+                cont = self.vectors(k - 1, tail[1:] + (y,)) * gain
+                opts = _prune(np.concatenate((stop, cont)))
+                out = opts if out is None else self._cross_sum(out, opts)
+        self._sets[key] = out
+        return out
+
+    def _branch(self, tail: Window) -> list[tuple[np.ndarray, np.ndarray]]:
+        # Per next symbol y: the stop coefficients c_y and the gain D_y.
+        hit = self._branches.get(tail)
+        if hit is not None:
+            return hit
+        spec = self.spec
+        out = []
+        for y in range(spec.alphabet_size):
+            f0 = spec.pre_kernels[:, tail[-1], y][:, None]
+            stop = detection_coeff_matrix(spec, tail + (y,)) * f0
+            out.append((stop.reshape(1, -1), (spec.p * f0).ravel()))
+        self._branches[tail] = out
+        return out
+
+    def _cross_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        self.formed += len(a) * len(b)
+        if self.formed > self.budget:
+            raise BudgetError(f"value iteration exceeded {self.budget} candidate vectors")
+        if len(a) == 1 or len(b) == 1:
+            # a translate of a pruned set is pruned
+            return a + b
+        return _prune((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
+
+
+def _table_for(spec: ModelSpec, table: ValueTable | None) -> ValueTable:
+    if table is None:
+        return ValueTable(spec)
+    if table.spec is not spec:
+        raise ValueError("value table belongs to a different spec")
+    return table
 
 
 def continuation_value(
@@ -133,12 +224,13 @@ def continuation_value(
     window: Window,
     gamma: np.ndarray,
     delta: np.ndarray,
-    budget: int = NODE_BUDGET,
+    budget: int = CANDIDATE_BUDGET,
 ) -> float:
     """Evaluate s_k at one state; k = 0 is the closed one-step form."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _Evaluator(spec, gamma, budget).value(k, tuple(window), delta)
+    table = ValueTable(spec, budget)
+    return table.value(k, tuple(window), table.weight(gamma, delta))
 
 
 def value_iterate(
@@ -147,28 +239,40 @@ def value_iterate(
     gamma: np.ndarray,
     delta: np.ndarray,
     cfg: ValueIterConfig,
+    *,
+    table: ValueTable | None = None,
 ) -> ValueIterResult:
     """Iterate s_k at one state until the pointwise Cauchy gap drops below tol.
 
     Returns s_K at the first K <= k_max with |s_K - s_{K-1}| <= tol, or s_kmax
-    with converged=False when the gap never closes.
+    with converged=False when the gap never closes.  `table` shares the
+    alpha-vector sets across calls; without one the call builds its own.
     """
-    ev = _Evaluator(spec, gamma)
+    table = _table_for(spec, table)
     window = tuple(window)
-    history = [ev.value(0, window, delta)]
+    u = table.weight(gamma, delta)
+    history = [table.value(0, window, u)]
     for k in range(1, cfg.k_max + 1):
-        history.append(ev.value(k, window, delta))
+        history.append(table.value(k, window, u))
         if abs(history[-1] - history[-2]) <= cfg.tol:
             return ValueIterResult(history[-1], k, True, tuple(history))
     return ValueIterResult(history[-1], cfg.k_max, False, tuple(history))
 
 
-def stop_decision(spec: ModelSpec, state: PosteriorState, cfg: ValueIterConfig) -> StopDecision:
+def stop_decision(
+    spec: ModelSpec,
+    state: PosteriorState,
+    cfg: ValueIterConfig,
+    *,
+    table: ValueTable | None = None,
+) -> StopDecision:
     """Membership test of the state in the stopping region, ties stop."""
     if state.n < spec.d + 2:
         raise ValueError("region test applies from time d + 2 on")
     h = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
-    res = value_iterate(spec, state.window, state.change_prob, state.pair_prob, cfg)
+    res = value_iterate(
+        spec, state.window, state.change_prob, state.pair_prob, cfg, table=table
+    )
     return StopDecision(
         stop=h >= res.value,
         stop_value=h,
@@ -179,7 +283,11 @@ def stop_decision(spec: ModelSpec, state: PosteriorState, cfg: ValueIterConfig) 
 
 
 def boundary_decision(
-    spec: ModelSpec, state: PosteriorState, cfg: ValueIterConfig
+    spec: ModelSpec,
+    state: PosteriorState,
+    cfg: ValueIterConfig,
+    *,
+    table: ValueTable | None = None,
 ) -> StopDecision:
     """Stop-or-continue comparison at the earliest admissible time d + 1.
 
@@ -188,6 +296,7 @@ def boundary_decision(
     """
     if state.n != spec.d + 1:
         raise ValueError("boundary comparison applies exactly at time d + 1")
+    table = _table_for(spec, table)
     h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
     pred = predictive(spec, state)
     total = 0.0
@@ -199,7 +308,9 @@ def boundary_decision(
             continue
         nxt = state_step(spec, state, y)
         h_next = stop_payoff(spec, nxt.window, nxt.change_prob, nxt.pair_prob)
-        res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg)
+        res = value_iterate(
+            spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, table=table
+        )
         k_used = max(k_used, res.k_used)
         converged = converged and res.converged
         total += w * max(h_next, res.value)
@@ -210,6 +321,20 @@ def boundary_decision(
         k_used=k_used,
         converged=converged,
     )
+
+
+def _literal_boundary_decision(
+    spec: ModelSpec,
+    state: PosteriorState,
+    nxt: PosteriorState,
+    cfg: ValueIterConfig,
+    table: ValueTable,
+) -> StopDecision:
+    # The "literal" reading at d + 1: the boundary payoff at `state` against
+    # the continuation value at the realised next state `nxt`.
+    h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+    res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, table=table)
+    return StopDecision(h >= res.value, h, res.value, res.k_used, res.converged)
 
 
 @dataclass(frozen=True)
@@ -253,6 +378,7 @@ def rule_runner(
     observations = tuple(observations)
     if not observations or observations[0] != spec.x0:
         raise ValueError(f"stream must start at x0={spec.x0}")
+    table = ValueTable(spec)
     state = state_init(spec)
     trace: list[DecisionRecord] = []
     horizon = len(observations) - 1
@@ -262,33 +388,15 @@ def rule_runner(
         state = state_step(spec, state, observations[n])
         if state.n < spec.d + 1:
             continue
-        if state.n == spec.d + 1:
-            if variant == "expected":
-                dec = boundary_decision(spec, state, cfg)
-                trace.append(
-                    DecisionRecord(
-                        state.n, dec.stop_value, dec.continue_value,
-                        dec.stop, dec.k_used, dec.converged,
-                    )
-                )
-                if dec.stop:
-                    return RuleRun(state.n, False, tuple(trace), state)
-            else:
-                if n + 1 > horizon:
-                    break
-                h_bound = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
-                nxt = state_step(spec, state, observations[n + 1])
-                res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg)
-                stopped = h_bound >= res.value
-                trace.append(
-                    DecisionRecord(
-                        state.n, h_bound, res.value, stopped, res.k_used, res.converged
-                    )
-                )
-                if stopped:
-                    return RuleRun(state.n, False, tuple(trace), state)
-            continue
-        dec = stop_decision(spec, state, cfg)
+        if state.n > spec.d + 1:
+            dec = stop_decision(spec, state, cfg, table=table)
+        elif variant == "expected":
+            dec = boundary_decision(spec, state, cfg, table=table)
+        elif n + 1 > horizon:
+            break
+        else:
+            nxt = state_step(spec, state, observations[n + 1])
+            dec = _literal_boundary_decision(spec, state, nxt, cfg, table)
         trace.append(
             DecisionRecord(
                 state.n, dec.stop_value, dec.continue_value,
@@ -304,7 +412,8 @@ class OptimalStoppingRule:
     """Prefix-cached adapter of the rule for simulation and exact evaluation.
 
     Decisions depend on the observed prefix only, so repeated evaluation over
-    many trajectories reuses one decision per distinct prefix.
+    many trajectories reuses one decision per distinct prefix.  The rule
+    keeps each StopDecision it makes and one ValueTable for its lifetime.
     """
 
     def __init__(self, spec: ModelSpec, cfg: ValueIterConfig, variant: str = "expected"):
@@ -313,8 +422,9 @@ class OptimalStoppingRule:
         self.spec = spec
         self.cfg = cfg
         self.variant = variant
+        self._table = ValueTable(spec)
         self._states: dict[Window, PosteriorState] = {}
-        self._decisions: dict[Window, bool] = {}
+        self._decisions: dict[tuple, StopDecision] = {}
 
     def _state_at(self, prefix: Window) -> PosteriorState:
         hit = self._states.get(prefix)
@@ -328,41 +438,31 @@ class OptimalStoppingRule:
         return state
 
     def _decide(self, prefix: Window) -> bool:
+        n = len(prefix) - 1
+        d = self.spec.d
+        # In the literal reading the d + 1 prefix cannot be decided yet; the
+        # caller resolves it one symbol later via _decide_literal_boundary.
+        if n < d + 1 or (n == d + 1 and self.variant == "literal"):
+            return False
         hit = self._decisions.get(prefix)
-        if hit is not None:
-            return hit
-        spec, cfg = self.spec, self.cfg
-        state = self._state_at(prefix)
-        n = state.n
-        if n < spec.d + 1:
-            out = False
-        elif n == spec.d + 1:
-            # In the literal reading this prefix cannot be decided yet; the
-            # caller resolves it one symbol later via _decide_literal_boundary.
-            if self.variant == "literal":
-                out = False
-            else:
-                out = boundary_decision(spec, state, cfg).stop
-        else:
-            out = stop_decision(spec, state, cfg).stop
-        self._decisions[prefix] = out
-        return out
+        if hit is None:
+            decide = boundary_decision if n == d + 1 else stop_decision
+            hit = decide(self.spec, self._state_at(prefix), self.cfg, table=self._table)
+            self._decisions[prefix] = hit
+        return hit.stop
 
     def _decide_literal_boundary(self, prefix: Window) -> bool:
         # prefix has length d + 3; compares the boundary payoff at d + 1
         # against the continuation value at the realised d + 2 state.
         key = ("literal",) + prefix
         hit = self._decisions.get(key)
-        if hit is not None:
-            return hit
-        spec, cfg = self.spec, self.cfg
-        prev = self._state_at(prefix[:-1])
-        h_bound = stop_payoff_boundary(spec, prev.change_prob, prev.pair_prob)
-        nxt = self._state_at(prefix)
-        res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg)
-        out = h_bound >= res.value
-        self._decisions[key] = out
-        return out
+        if hit is None:
+            hit = _literal_boundary_decision(
+                self.spec, self._state_at(prefix[:-1]), self._state_at(prefix),
+                self.cfg, self._table,
+            )
+            self._decisions[key] = hit
+        return hit.stop
 
     def stop_time(self, observations: Window) -> int | None:
         """First stop along the path, or None when the rule never fires."""

@@ -68,6 +68,37 @@ class TestUsageErrors:
     def test_missing_required_flag(self, m2_config):
         assert main(["simulate", "--config", m2_config, "--n", "5"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["value-iterate", "--kmax", "0"],
+            ["value-iterate", "--tol", "-1"],
+            ["value-iterate", "--tol", "0"],
+            ["value-iterate", "--tol", "nan"],
+            ["value-iterate", "--probe", "0"],
+            ["evaluate", "--n", "0", "--horizon", "4", "--seed", "1", "--out", "r.csv"],
+            ["evaluate", "--n", "5", "--horizon", "0", "--seed", "1", "--out", "r.csv"],
+            ["evaluate", "--n", "5", "--horizon", "4", "--seed", "1", "--out", "r.csv",
+             "--kmax", "0"],
+            ["evaluate", "--n", "5", "--horizon", "4", "--seed", "1", "--out", "r.csv",
+             "--tol", "-1e-3"],
+            ["simulate", "--n", "5", "--horizon", "0", "--seed", "1", "--out", "s.csv"],
+            ["simulate", "--n", "-2", "--horizon", "4", "--seed", "1", "--out", "s.csv"],
+            ["oracle", "--horizon", "0"],
+            ["crosscheck", "--horizon", "-1"],
+        ],
+    )
+    def test_out_of_range_argument(self, argv, m2_config, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "outputs"
+        monkeypatch.setenv("DISORDER_OUT_DIR", str(out_dir))
+        assert main(argv[:1] + ["--config", m2_config] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "usage"
+        assert "Traceback" not in captured.err + captured.out
+        assert not out_dir.exists()
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes(self, m2_config, tmp_path):

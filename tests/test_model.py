@@ -85,6 +85,17 @@ class TestValidate:
         )
         assert any("support" in item for item in validate(spec))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("families", [("pre_kernels",), ("pre_kernels", "post_kernels")])
+    def test_non_finite_kernel_rejected(self, m3, families, entry):
+        # in every candidate of both families the support patterns stay equal
+        payload = spec_to_dict(m3)
+        for family in families:
+            for kernel in payload[family]:
+                kernel[1][0] = entry
+        report = validate(spec_from_dict(payload))
+        assert any("non-finite" in item for item in report)
+
     def test_pure_function(self, m3):
         assert validate(m3) == validate(m3) == []
 
@@ -193,6 +204,31 @@ class TestConfigIO:
         del payload["pi"]
         with pytest.raises(ConfigError, match="missing config keys: pi"):
             spec_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("d", 1.7),
+            ("d", 1.0),
+            ("d", "1"),
+            ("d", None),
+            ("x0", True),
+            ("x0", 0.0),
+            ("alphabet_size", 2.5),
+            ("alphabet_size", False),
+            ("alphabet_size", [2]),
+        ],
+    )
+    def test_non_integer_scalar_rejected(self, m1, key, value):
+        payload = spec_to_dict(m1)
+        payload[key] = value
+        with pytest.raises(ConfigError, match=key):
+            spec_from_dict(payload)
+
+    def test_numpy_integer_scalars_accepted(self, m1):
+        payload = spec_to_dict(m1)
+        payload.update(alphabet_size=np.int64(2), d=np.int32(1), x0=np.int64(0))
+        assert spec_to_dict(spec_from_dict(payload)) == spec_to_dict(make_m1(d=1))
 
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disorder import (
     BudgetError,
@@ -16,10 +19,13 @@ from disorder import (
     state_step,
     stop_decision,
     stop_payoff,
+    stop_payoff_boundary,
     value_iterate,
 )
+from disorder.likelihood import likelihood_ratio_chain
+from disorder.payoff import detection_coeff_matrix
 from disorder.simulate import TrajectorySampler, mix_seed
-from disorder.stopping import boundary_decision
+from disorder.stopping import ValueTable, boundary_decision
 
 from conftest import make_m1, make_m2, make_m3, make_m4, random_spec
 
@@ -36,6 +42,129 @@ def random_state_inputs(spec, rng):
     gamma = rng.uniform(0, 1, (spec.l0, spec.l1))
     delta = rng.uniform(0, 1, (spec.l0, spec.l1))
     return window, gamma, delta
+
+
+def reference_continuation(spec, k, window, gamma, delta):
+    """s_k by the plain scalar recursion of its definition, without a memo."""
+    weight = spec.p * (1.0 - gamma)
+    tail = tuple(window[1:])
+    if k == 0:
+        q = 1.0 - spec.p
+        chain = likelihood_ratio_chain(spec, tail, spec.d)
+        coeff = 1.0 - spec.p**spec.d + q * (1.0 + chain) / spec.p
+        return float(np.sum(coeff * weight * delta))
+    total = 0.0
+    for y in range(spec.alphabet_size):
+        nxt = tail + (y,)
+        f0 = spec.pre_kernels[:, window[-1], y][:, None]
+        stop = float(np.sum(detection_coeff_matrix(spec, nxt) * f0 * weight * delta))
+        cont = reference_continuation(spec, k - 1, nxt, gamma, spec.p * f0 * delta)
+        total += max(stop, cont)
+    return total
+
+
+def reference_value(spec, state, cfg):
+    """s_K of value iteration run on the reference recursion."""
+    args = (state.window, state.change_prob, state.pair_prob)
+    prev = reference_continuation(spec, 0, *args)
+    for k in range(1, cfg.k_max + 1):
+        cur = reference_continuation(spec, k, *args)
+        if abs(cur - prev) <= cfg.tol:
+            break
+        prev = cur
+    return cur
+
+
+def reference_stops(spec, cfg, horizon):
+    """Prefixes at which the reference rule stops, over the full path tree."""
+    stops = {}
+
+    def stops_at(state):
+        if state.n > spec.d + 1:
+            h = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
+            return h >= reference_value(spec, state, cfg)
+        pred = predictive(spec, state)
+        total = 0.0
+        for y in range(spec.alphabet_size):
+            if pred[y] == 0.0:
+                continue
+            nxt = state_step(spec, state, y)
+            h_next = stop_payoff(spec, nxt.window, nxt.change_prob, nxt.pair_prob)
+            total += float(pred[y]) * max(h_next, reference_value(spec, nxt, cfg))
+        return stop_payoff_boundary(spec, state.change_prob, state.pair_prob) >= total
+
+    def walk(state, prefix):
+        if state.n >= spec.d + 1 and stops_at(state):
+            stops[prefix] = state.n
+        elif state.n < horizon:
+            for y in range(spec.alphabet_size):
+                walk(state_step(spec, state, y), prefix + (y,))
+
+    walk(state_init(spec), (spec.x0,))
+    return stops
+
+
+REFERENCE_SPECS = {
+    "m2": make_m2(0),
+    "m3": make_m3(0),
+    "m4": make_m4(0),
+    "m3_d1": make_m3(1),
+    "m4_d1": make_m4(1),
+}
+
+
+class TestValueTable:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(REFERENCE_SPECS)), k=st.integers(0, 6), data=st.data())
+    def test_matches_reference_recursion(self, name, k, data):
+        spec = REFERENCE_SPECS[name]
+        symbols = st.integers(0, spec.alphabet_size - 1)
+        window = tuple(data.draw(st.lists(symbols, min_size=spec.d + 2, max_size=spec.d + 2)))
+        grid = st.lists(st.floats(0.0, 1.0), min_size=spec.l0 * spec.l1, max_size=spec.l0 * spec.l1)
+        gamma = np.reshape(data.draw(grid), (spec.l0, spec.l1))
+        delta = np.reshape(data.draw(grid), (spec.l0, spec.l1))
+        table = ValueTable(spec)
+        got = table.value(k, window, table.weight(gamma, delta))
+        assert abs(got - reference_continuation(spec, k, window, gamma, delta)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, k_max, horizon", [(make_m4(0), 4, 5), (make_m3(1), 5, 9)], ids=["m4", "m3_d1"]
+    )
+    def test_rule_stops_like_reference(self, spec, k_max, horizon):
+        cfg = ValueIterConfig(k_max=k_max)
+        stops = reference_stops(spec, cfg, horizon)
+        rule = OptimalStoppingRule(spec, cfg)
+        for tail in itertools.product(range(spec.alphabet_size), repeat=horizon):
+            path = (spec.x0,) + tail
+            expected = next(
+                (stops[path[:n + 1]] for n in range(horizon + 1) if path[:n + 1] in stops), None
+            )
+            assert rule.stop_time(path) == expected
+
+    def test_decisions_keep_iteration_flags(self):
+        spec = make_m3(1)
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=5))
+        for tail in itertools.product(range(2), repeat=6):
+            rule.stop_time((0,) + tail)
+        decisions = list(rule._decisions.values())
+        assert decisions and all(isinstance(dec, StopDecision) for dec in decisions)
+        assert {dec.k_used for dec in decisions} <= set(range(6))
+        assert any(dec.converged for dec in decisions)
+        assert any(not dec.converged for dec in decisions)
+
+    def test_shared_table_gives_same_values(self, m4):
+        rng = np.random.default_rng(3)
+        table = ValueTable(m4)
+        for _ in range(10):
+            window, gamma, delta = random_state_inputs(m4, rng)
+            for k in range(4):
+                fresh = continuation_value(m4, k, window, gamma, delta)
+                assert table.value(k, window, table.weight(gamma, delta)) == fresh
+
+    def test_table_of_other_spec_rejected(self, m2, m3):
+        state = filter_through(m2, (0, 1, 0))
+        with pytest.raises(ValueError):
+            stop_decision(m2, state, ValueIterConfig(), table=ValueTable(m3))
 
 
 class TestBaseLevel:
@@ -153,8 +282,8 @@ class TestRecursion:
 
 class TestValueIterate:
     def test_history_is_monotone_and_converges(self, m2):
-        # single-pair grids recycle one delta direction, so the memo keeps
-        # deep iteration linear and the 1e-8 gap is reachable
+        # on a single-pair grid every Gamma_k keeps one vector, so deep
+        # iteration stays cheap and the 1e-8 gap is reachable
         cfg = ValueIterConfig(k_max=60, tol=1e-8)
         state = filter_through(m2, (0, 1, 0))
         res = value_iterate(m2, state.window, state.change_prob, state.pair_prob, cfg)
