@@ -9,7 +9,7 @@ optimally through value iteration.  An enumeration oracle and a seeded Monte
 Carlo harness verify every recursion at desk scale.
 """
 
-from .errors import BudgetError, ConfigError, DisorderError, SupportError
+from .errors import BudgetError, ConfigError, DisorderError, RuleError, SupportError
 from .model import (
     LatentState,
     ModelSpec,
@@ -25,15 +25,9 @@ from .model import (
     validate,
 )
 from .likelihood import (
-    likelihood_product,
-    mixture_marginal,
-    mixture_marginal_origin,
     path_probability,
     split_likelihoods,
-    window_changed,
-    window_changed_origin,
-    window_marginal,
-    window_marginal_origin,
+    window_mixture,
 )
 from .posterior import (
     PosteriorState,
@@ -41,8 +35,6 @@ from .posterior import (
     change_from_origin,
     change_lagged,
     change_multistep,
-    change_step,
-    pair_step,
     predictive,
     state_init,
     state_step,

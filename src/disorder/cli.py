@@ -1,10 +1,18 @@
 """Command-line interface.
 
 Subcommands: validate, simulate, evaluate, value-iterate, oracle, crosscheck.
-Exit codes: 0 success / all checks pass, 1 usage error, 2 validation failure,
-3 invariant failure.  Errors are echoed as one JSON record per line on
-stderr.  Relative output paths honour the DISORDER_OUT_DIR environment
-variable when set.
+Exit codes and the "error" kind of the JSON record:
+
+    0  success / all checks pass
+    1  usage error ("usage"), or another runtime failure ("runtime")
+    2  validation failure ("validation", "config")
+    3  invariant failure ("invariant")
+    4  resource budget exceeded ("budget"): an oracle table or a value
+       iteration table outgrew its budget, also when a rule hit it during
+       `evaluate`
+
+Errors are echoed as one JSON record per line on stderr.  Relative output
+paths honour the DISORDER_OUT_DIR environment variable when set.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from . import crosscheck as crosscheck_mod
 from . import oracle as oracle_mod
-from .errors import ConfigError, DisorderError
+from .errors import BudgetError, ConfigError, DisorderError, RuleError
 from .model import load_spec, validate
 from .posterior import state_init, state_step
 from .simulate import (
@@ -38,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
+EXIT_BUDGET = 4
 
 
 class UsageError(Exception):
@@ -206,11 +215,11 @@ def _cmd_value_iterate(args) -> int:
     spec = _load_valid_spec(args.config)
     if spec is None:
         return EXIT_VALIDATION
-    cfg = ValueIterConfig(k_max=args.kmax, tol=args.tol, probe_points=args.probe)
+    cfg = ValueIterConfig(k_max=args.kmax, tol=args.tol)
     sampler = TrajectorySampler(spec, spec.d + 3)
     lines = ["probe,k,s_k"]
     all_converged = True
-    for idx in range(cfg.probe_points):
+    for idx in range(args.probe):
         traj = sampler.sample(mix_seed(args.seed, idx))
         state = state_init(spec)
         for sym in traj.observations[1:]:
@@ -286,6 +295,10 @@ def main(argv=None) -> int:
         _emit_error("config", str(exc))
         return EXIT_VALIDATION
     except DisorderError as exc:
+        cause = exc.__cause__ if isinstance(exc, RuleError) else exc
+        if isinstance(cause, BudgetError):
+            _emit_error("budget", str(exc))
+            return EXIT_BUDGET
         _emit_error("runtime", str(exc))
         return EXIT_USAGE
 

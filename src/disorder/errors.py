@@ -15,3 +15,16 @@ class SupportError(DisorderError):
 
 class BudgetError(DisorderError):
     """An enumeration or recursion exceeded its configured resource budget."""
+
+
+class RuleError(DisorderError):
+    """A stopping rule failed during Monte Carlo evaluation.
+
+    Carries the rule name and the seed of the trajectory it failed on; the
+    rule's own exception is chained as the cause.
+    """
+
+    def __init__(self, rule: str, seed: int, cause: BaseException):
+        super().__init__(f"rule {rule!r} failed on trajectory seed {seed}: {cause}")
+        self.rule = rule
+        self.seed = seed

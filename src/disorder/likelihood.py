@@ -1,26 +1,27 @@
-"""Windowed likelihood machinery.
+"""Windowed likelihood machinery on the kernel-pair grid.
 
 A window is an ordered tuple of symbols (x_k, ..., x_n).  The building block
 is the split likelihood L_m: the product of transition densities along the
 window where the last m transitions use the post-change kernel and all
-earlier ones use the pre-change kernel (empty products are 1).
+earlier ones use the pre-change kernel (empty products are 1).  Every
+function here returns one value per kernel pair, as an (l0, l1) grid.
 
 Mixing split likelihoods over the position of the change under the geometric
-hazard gives the marginal window density.  Two variants exist because the
-hazard looks different seen from inside the sequence and seen from time 0:
+hazard gives the marginal window density.  The hazard looks different seen
+from inside the sequence and seen from time 0, so window_mixture has two
+forms, for a window of l + 2 symbols:
 
-    window_marginal(l, w, alpha)
-        = (1-alpha) * [q * sum_{k=0..l} p^(l-k) L_{k+1} + p^(l+1) L_0]
-          + alpha * L_{l+1}
-    window_marginal_origin(l, w, alpha)
-        = (1-alpha) * [q * sum_{k=1..l} p^(l-k) L_k + p^l L_0]
-          + alpha * L_{l+1}
+    in sequence:  (1-alpha) * [q * sum_{k=0..l} p^(l-k) L_{k+1} + p^(l+1) L_0]
+                  + alpha * L_{l+1}
+    from time 0:  (1-alpha) * [q * sum_{k=1..l} p^(l-k) L_k + p^l L_0]
+                  + alpha * L_{l+1}
 
 where `alpha` is the probability that the change happened at or before the
-window anchor.  The `changed` variants drop the no-change-by-the-end term and
-therefore carry the joint weight of {window and change by the end}.  Windows
-are positional: any tuple of length l + 2 is acceptable regardless of where
-it sits in absolute time.
+window anchor.  Dropping the no-change-by-the-end term (p^(l+1) L_0, or
+p^l L_0 from time 0) gives the joint weight of {window and change by the
+end}.  Windows are positional: any
+tuple of length l + 2 is acceptable regardless of where it sits in absolute
+time.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from .model import ModelSpec
 
 Window = tuple[int, ...]
 
-# Below this, single transition factors are multiplied in log space to dodge
-# underflow; irrelevant for short windows, cheap insurance for long paths.
-_UNDERFLOW = 1e-300
-
 _DENOM_FLOOR = 1e-300
 
 
@@ -49,141 +46,54 @@ def _check_window(spec: ModelSpec, window: Window) -> None:
             raise ValueError(f"symbol {s} outside alphabet")
 
 
-def split_likelihoods(spec: ModelSpec, i: int, j: int, window: Window) -> np.ndarray:
-    """All split likelihoods L_0 .. L_T over `window`, T = len(window) - 1.
+def _powers(p: np.ndarray, e: int) -> np.ndarray:
+    # Python's float pow entry by entry; numpy's array power can differ from
+    # it in the last bit.
+    return np.array([x**e for x in p.ravel().tolist()]).reshape(p.shape)
 
-    Entry m uses the post-change kernel for the last m transitions and the
-    pre-change kernel for the rest.
+
+def split_likelihoods(spec: ModelSpec, window: Window) -> np.ndarray:
+    """All split likelihoods L_0 .. L_T over `window`, shape (l0, l1, T + 1).
+
+    Entry [i, j, m] uses post-change kernel j for the last m transitions and
+    pre-change kernel i for the rest, T = len(window) - 1.
     """
     _check_window(spec, window)
+    src, dst = list(window[:-1]), list(window[1:])
+    f0 = spec.pre_kernels[:, src, dst]
+    f1 = spec.post_kernels[:, src, dst]
+    # prefix[:, r]: pre factors of the first r transitions; suffix[:, r]:
+    # post factors of the transitions after r.  L_m = prefix * suffix at T - m.
+    prefix = np.concatenate((np.ones((spec.l0, 1)), np.cumprod(f0, axis=1)), axis=1)
+    suffix = np.concatenate((np.cumprod(f1[:, ::-1], axis=1)[:, ::-1], np.ones((spec.l1, 1))), axis=1)
+    return prefix[:, None, ::-1] * suffix[None, :, ::-1]
+
+
+def window_mixture(
+    spec: ModelSpec, window: Window, alpha, origin: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair (changed, total) window densities, each an (l0, l1) grid.
+
+    `total` mixes the split likelihoods over the change position; `changed`
+    keeps only the terms where the change has happened by the window's end.
+    `alpha` (scalar or grid) is the change mass at the window anchor, and
+    `origin` selects the hazard form of a window anchored at time 0.
+    """
+    if len(window) < 2:
+        raise ValueError("window must contain at least two symbols")
+    splits = split_likelihoods(spec, window)
     t = len(window) - 1
-    pre = spec.pre_kernels[i]
-    post = spec.post_kernels[j]
-    f0 = [float(pre[window[r - 1], window[r]]) for r in range(1, t + 1)]
-    f1 = [float(post[window[r - 1], window[r]]) for r in range(1, t + 1)]
-    out = np.empty(t + 1)
-    if any(0.0 < f < _UNDERFLOW for f in f0 + f1):
-        lo0 = [math.log(f) if f > 0.0 else -math.inf for f in f0]
-        lo1 = [math.log(f) if f > 0.0 else -math.inf for f in f1]
-        for m in range(t + 1):
-            s = math.fsum(lo0[: t - m]) + math.fsum(lo1[t - m :])
-            out[m] = math.exp(s) if s > -math.inf else 0.0
-        return out
-    # prefix products of pre factors, suffix products of post factors
-    prefix = np.empty(t + 1)
-    suffix = np.empty(t + 1)
-    prefix[0] = 1.0
-    suffix[t] = 1.0
-    for r in range(1, t + 1):
-        prefix[r] = prefix[r - 1] * f0[r - 1]
-    for r in range(t - 1, -1, -1):
-        suffix[r] = suffix[r + 1] * f1[r]
-    for m in range(t + 1):
-        out[m] = prefix[t - m] * suffix[t - m]
-    return out
-
-
-def likelihood_product(spec: ModelSpec, i: int, j: int, n_post: int, window: Window) -> float:
-    """Split likelihood with exactly `n_post` trailing post-change transitions."""
-    _check_window(spec, window)
-    if not 0 <= n_post <= len(window) - 1:
-        raise ValueError(f"n_post must lie in [0, {len(window) - 1}], got {n_post}")
-    return float(split_likelihoods(spec, i, j, window)[n_post])
-
-
-def _require_length(window: Window, l: int) -> None:
-    if len(window) != l + 2:
-        raise ValueError(f"window must have length {l + 2}, got {len(window)}")
-
-
-def window_marginal(spec: ModelSpec, i: int, j: int, l: int, window: Window, alpha: float) -> float:
-    """Marginal window density with an in-sequence anchor of change mass alpha."""
-    _require_length(window, l)
-    splits = split_likelihoods(spec, i, j, window)
-    p = float(spec.p[i, j])
+    h = t - 1 if origin else t
+    p = spec.p
     q = 1.0 - p
-    geo = 0.0
-    for k in range(l + 1):
-        geo = geo * p + splits[k + 1]
-    return (1.0 - alpha) * (q * geo + p ** (l + 1) * splits[0]) + alpha * splits[l + 1]
-
-
-def window_marginal_origin(
-    spec: ModelSpec, i: int, j: int, l: int, window: Window, alpha: float
-) -> float:
-    """Marginal window density anchored at time 0 (first-step hazard form)."""
-    _require_length(window, l)
-    splits = split_likelihoods(spec, i, j, window)
-    p = float(spec.p[i, j])
-    q = 1.0 - p
-    geo = 0.0
-    for k in range(1, l + 1):
-        geo = geo * p + splits[k]
-    return (1.0 - alpha) * (q * geo + p**l * splits[0]) + alpha * splits[l + 1]
-
-
-def window_changed(spec: ModelSpec, i: int, j: int, l: int, window: Window, alpha: float) -> float:
-    """Joint weight of the window and the change occurring by its end.
-
-    Equals window_marginal minus the still-unchanged term
-    (1-alpha) p^(l+1) L_0, computed directly from the summands.
-    """
-    _require_length(window, l)
-    splits = split_likelihoods(spec, i, j, window)
-    p = float(spec.p[i, j])
-    q = 1.0 - p
-    geo = 0.0
-    for k in range(l + 1):
-        geo = geo * p + splits[k + 1]
-    return (1.0 - alpha) * q * geo + alpha * splits[l + 1]
-
-
-def window_changed_origin(
-    spec: ModelSpec, i: int, j: int, l: int, window: Window, alpha: float
-) -> float:
-    """Origin-anchored variant of window_changed."""
-    _require_length(window, l)
-    splits = split_likelihoods(spec, i, j, window)
-    p = float(spec.p[i, j])
-    q = 1.0 - p
-    geo = 0.0
-    for k in range(1, l + 1):
-        geo = geo * p + splits[k]
-    return (1.0 - alpha) * q * geo + alpha * splits[l + 1]
-
-
-def mixture_marginal(
-    spec: ModelSpec, l: int, window: Window, gamma: np.ndarray, delta: np.ndarray
-) -> float:
-    """Pair mixture sum_ij gamma[i,j] * window_marginal(l, window, delta[i,j])."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if gamma.shape != (spec.l0, spec.l1) or delta.shape != (spec.l0, spec.l1):
-        raise ValueError("gamma and delta must match the pair grid shape")
-    if np.any(gamma < 0):
-        raise ValueError("gamma entries must be non-negative")
-    terms = [
-        gamma[i, j] * window_marginal(spec, i, j, l, window, float(delta[i, j]))
-        for i, j in spec.pairs()
-    ]
-    return math.fsum(terms)
-
-
-def mixture_marginal_origin(
-    spec: ModelSpec, l: int, window: Window, gamma: np.ndarray, delta: np.ndarray
-) -> float:
-    """Origin-anchored pair mixture (the law of a path from time 0)."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if gamma.shape != (spec.l0, spec.l1) or delta.shape != (spec.l0, spec.l1):
-        raise ValueError("gamma and delta must match the pair grid shape")
-    if np.any(gamma < 0):
-        raise ValueError("gamma entries must be non-negative")
-    terms = [
-        gamma[i, j] * window_marginal_origin(spec, i, j, l, window, float(delta[i, j]))
-        for i, j in spec.pairs()
-    ]
-    return math.fsum(terms)
+    geo = np.zeros_like(p)
+    for k in range(1, h + 1):
+        geo = geo * p + splits[..., k]
+    rest = 1.0 - alpha
+    top = alpha * splits[..., t]
+    changed = rest * q * geo + top
+    total = rest * (q * geo + _powers(p, h) * splits[..., 0]) + top
+    return changed, total
 
 
 def path_probability(spec: ModelSpec, observations: Window) -> float:
@@ -193,8 +103,8 @@ def path_probability(spec: ModelSpec, observations: Window) -> float:
         raise ValueError("need at least one transition after the initial symbol")
     if observations[0] != spec.x0:
         raise ValueError(f"path must start at x0={spec.x0}")
-    n = len(observations) - 1
-    return mixture_marginal_origin(spec, n - 1, observations, spec.b, spec.pi)
+    _, total = window_mixture(spec, observations, spec.pi, origin=True)
+    return math.fsum((spec.b * total).ravel().tolist())
 
 
 def likelihood_ratio_chain(spec: ModelSpec, window: Window, m_max: int) -> np.ndarray:

@@ -227,7 +227,7 @@ def spec_from_dict(payload: dict) -> ModelSpec:
             d=int(payload["d"]),
             x0=int(payload["x0"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
 
 

@@ -7,8 +7,9 @@ The filter state after n observations is
 where `window` holds the last min(n, d+1) + 1 symbols, change_prob[i, j] is
 P(change happened by n | pair (i, j), data) and pair_prob[i, j] is
 P(pair (i, j) | data).  The state evolves by a one-step Bayes update per
-observation; multi-step, back-shift and lagged variants expose the same
-posterior through window marginals and are used to cross-check the recursion.
+observation, computed for the whole pair grid at once; multi-step,
+back-shift and lagged variants expose the same posterior through window
+mixtures and are used to cross-check the recursion.
 
 Zero-probability observations (outside the common kernel support) raise
 SupportError rather than being renormalised away; under the model assumptions
@@ -17,25 +18,14 @@ they cannot occur, so they signal a model violation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SupportError
-from .likelihood import (
-    Window,
-    likelihood_ratio_chain,
-    mixture_marginal,
-    mixture_marginal_origin,
-    split_likelihoods,
-    window_changed,
-    window_changed_origin,
-    window_marginal,
-    window_marginal_origin,
-)
+from .likelihood import _DENOM_FLOOR, Window, likelihood_ratio_chain, window_mixture
 from .model import ModelSpec
-
-_DENOM_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -48,94 +38,75 @@ class PosteriorState:
     pair_prob: np.ndarray
 
 
-def change_step(
-    spec: ModelSpec, i: int, j: int, prev: float, x_prev: int, x_next: int, n: int
-) -> float:
-    """One-step update of P(change by n | pair, data).
-
-    The first step uses the initial hazard pi; later steps use the geometric
-    hazard q = 1 - p applied to the previous posterior.
-    """
-    if not 0.0 <= prev <= 1.0:
-        raise ValueError("previous posterior must lie in [0, 1]")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    f0 = float(spec.pre_kernels[i, x_prev, x_next])
-    f1 = float(spec.post_kernels[j, x_prev, x_next])
-    p = float(spec.p[i, j])
-    if n == 1:
-        pi = float(spec.pi[i, j])
-        num = f1 * pi
-        den = num + f0 * (1.0 - pi)
-    else:
-        q = 1.0 - p
-        num = f1 * (q + p * prev)
-        den = num + f0 * p * (1.0 - prev)
-    if den < _DENOM_FLOOR:
-        raise SupportError(f"observation {x_next} outside common support after {x_prev}")
-    return num / den
+def _transition_mixture(spec: ModelSpec, state: PosteriorState, f0, f1) -> np.ndarray:
+    # Per-pair density of the next transition given the state: window_mixture
+    # at l = 0 in closed form.  f0 and f1 hold the pre and post densities of
+    # the transition, broadcast against the pair grid; a leading axis of next
+    # symbols gives every next symbol in one pass.
+    if state.n == 0:
+        a = spec.pi
+        return (1.0 - a) * f0 + a * f1
+    a = state.change_prob
+    return (1.0 - a) * ((1.0 - spec.p) * f1 + spec.p * f0) + a * f1
 
 
-def change_multistep(
-    spec: ModelSpec, i: int, j: int, l: int, window: Window, anchor: float
-) -> float:
-    """Posterior after l + 1 steps given the posterior at the window start.
+def _grid_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
+    # num / den per pair, NaN where the pair's denominator vanishes; a window
+    # dead for every pair is a SupportError.
+    dead = np.abs(den) < _DENOM_FLOOR
+    if dead.all():
+        raise SupportError(what)
+    return np.where(dead, np.nan, num / np.where(dead, 1.0, den))
+
+
+def _check_unit(name: str, value) -> None:
+    value = np.asarray(value)
+    if np.any((value < 0.0) | (value > 1.0)):
+        raise ValueError(f"{name} posterior must lie in [0, 1]")
+
+
+def change_multistep(spec: ModelSpec, window: Window, anchor) -> np.ndarray:
+    """Posterior grid after len(window) - 1 steps from the posterior at the window start.
 
     Valid when the anchor sits strictly inside the sequence (time >= 1); the
-    anchored-at-origin case is change_from_origin.
+    anchored-at-origin case is change_from_origin.  `anchor` is a scalar or
+    an (l0, l1) grid.
     """
-    if not 0.0 <= anchor <= 1.0:
-        raise ValueError("anchor posterior must lie in [0, 1]")
-    den = window_marginal(spec, i, j, l, window, anchor)
-    if den < _DENOM_FLOOR:
-        raise SupportError("window has zero probability under the common support")
-    return window_changed(spec, i, j, l, window, anchor) / den
+    _check_unit("anchor", anchor)
+    changed, total = window_mixture(spec, window, anchor)
+    return _grid_ratio(changed, total, "window has zero probability under the common support")
 
 
-def change_from_origin(spec: ModelSpec, i: int, j: int, window: Window) -> float:
-    """Posterior after len(window) - 1 steps starting from time 0.
+def change_from_origin(spec: ModelSpec, window: Window) -> np.ndarray:
+    """Posterior grid after len(window) - 1 steps starting from time 0.
 
     The window must start at the fixed initial symbol; the initial hazard
-    pi[i, j] replaces an anchor posterior.
+    pi replaces an anchor posterior.
     """
-    l = len(window) - 2
-    if l < 0:
-        raise ValueError("window must contain at least two symbols")
-    pi = float(spec.pi[i, j])
-    den = window_marginal_origin(spec, i, j, l, window, pi)
-    if den < _DENOM_FLOOR:
-        raise SupportError("window has zero probability under the common support")
-    return window_changed_origin(spec, i, j, l, window, pi) / den
+    changed, total = window_mixture(spec, window, spec.pi, origin=True)
+    return _grid_ratio(changed, total, "window has zero probability under the common support")
 
 
-def change_backshift(spec: ModelSpec, i: int, j: int, window: Window, current: float) -> float:
-    """Recover the posterior d + 1 steps back from the current one.
+def change_backshift(spec: ModelSpec, window: Window, current) -> np.ndarray:
+    """Recover the posterior grid d + 1 steps back from the current one.
 
     Inverts the (d+1)-step forward map on the same window; `window` must have
-    length d + 2 and `current` is the posterior at its last symbol.
+    length d + 2 and `current` is the posterior at its last symbol.  The
+    forward map is a ratio of two functions affine in the anchor, read off
+    window_mixture at anchors 0 and 1.
     """
     if len(window) != spec.d + 2:
         raise ValueError(f"window must have length {spec.d + 2}")
-    if not 0.0 <= current <= 1.0:
-        raise ValueError("current posterior must lie in [0, 1]")
-    splits = split_likelihoods(spec, i, j, window)
-    p = float(spec.p[i, j])
-    q = 1.0 - p
-    geo = 0.0
-    for k in range(spec.d + 1):
-        geo = geo * p + splits[k + 1]
-    g = q * geo
-    tail = p ** (spec.d + 1) * splits[0]
-    top = splits[spec.d + 1]
-    num = (1.0 - current) * g - current * tail
-    den = (1.0 - current) * (g - top) - current * tail
-    if abs(den) < _DENOM_FLOOR:
-        raise SupportError("degenerate window: back-shift denominator vanished")
-    return num / den
+    _check_unit("current", current)
+    changed, total = window_mixture(spec, window, 0.0)
+    _, top = window_mixture(spec, window, 1.0)
+    num = changed - current * total
+    den = num - (1.0 - current) * top
+    return _grid_ratio(num, den, "degenerate window: back-shift denominator vanished")
 
 
-def change_lagged(spec: ModelSpec, i: int, j: int, k: int, window: Window, current: float) -> float:
-    """P(change happened at least k + 1 steps before now | pair, data).
+def change_lagged(spec: ModelSpec, k: int, window: Window, current) -> np.ndarray:
+    """Grid of P(change happened at least k + 1 steps before now | pair, data).
 
     Expressed through the current posterior and the likelihood ratios of the
     last k + 1 transitions; `window` must supply at least k + 1 transitions
@@ -146,43 +117,8 @@ def change_lagged(spec: ModelSpec, i: int, j: int, k: int, window: Window, curre
         raise ValueError("lag must be non-negative")
     if len(window) < k + 2:
         raise ValueError(f"window must supply at least {k + 1} transitions")
-    p = float(spec.p[i, j])
-    q = 1.0 - p
     chain = likelihood_ratio_chain(spec, window, k + 1)
-    return 1.0 - (1.0 - current) * (1.0 + q * float(chain[i, j]))
-
-
-def pair_step(
-    spec: ModelSpec,
-    x_prev: int,
-    x_next: int,
-    prev_pair: np.ndarray,
-    prev_change: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """One-step update of the posterior over kernel pairs.
-
-    Both posteriors are read from the same pre-update snapshot; the first
-    step reweights the prior b by the origin-anchored window density.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    w = (x_prev, x_next)
-    num = np.empty((spec.l0, spec.l1))
-    if n == 1:
-        for i, j in spec.pairs():
-            num[i, j] = spec.b[i, j] * window_marginal_origin(
-                spec, i, j, 0, w, float(spec.pi[i, j])
-            )
-    else:
-        for i, j in spec.pairs():
-            num[i, j] = prev_pair[i, j] * window_marginal(
-                spec, i, j, 0, w, float(prev_change[i, j])
-            )
-    total = float(num.sum())
-    if total < _DENOM_FLOOR:
-        raise SupportError(f"observation {x_next} outside common support after {x_prev}")
-    return num / total
+    return 1.0 - (1.0 - current) * (1.0 + (1.0 - spec.p) * chain)
 
 
 def state_init(spec: ModelSpec) -> PosteriorState:
@@ -196,31 +132,38 @@ def state_init(spec: ModelSpec) -> PosteriorState:
 
 
 def state_step(spec: ModelSpec, state: PosteriorState, x_next: int) -> PosteriorState:
-    """Advance the filter by one observation, trimming the window to d + 2."""
+    """Advance the filter by one observation, trimming the window to d + 2.
+
+    The first step uses the initial hazard pi; later steps use the geometric
+    hazard q = 1 - p applied to the previous change posterior.  Both grids
+    are read from the same pre-update state.
+    """
     if not 0 <= x_next < spec.alphabet_size:
         raise ValueError(f"symbol {x_next} outside alphabet")
-    n = state.n + 1
     x_prev = state.window[-1]
-    change = np.empty((spec.l0, spec.l1))
-    for i, j in spec.pairs():
-        change[i, j] = change_step(
-            spec, i, j, float(state.change_prob[i, j]), x_prev, x_next, n
-        )
-    pair = pair_step(spec, x_prev, x_next, state.pair_prob, state.change_prob, n)
-    window = state.window + (x_next,)
-    if len(window) > spec.d + 2:
-        window = window[-(spec.d + 2) :]
-    return PosteriorState(n=n, window=window, change_prob=change, pair_prob=pair)
+    f0 = spec.pre_kernels[:, x_prev, x_next][:, None]
+    f1 = spec.post_kernels[:, x_prev, x_next]
+    if state.n == 0:
+        num = f1 * spec.pi
+        den = num + f0 * (1.0 - spec.pi)
+    else:
+        prev = state.change_prob
+        num = f1 * ((1.0 - spec.p) + spec.p * prev)
+        den = num + f0 * spec.p * (1.0 - prev)
+    if np.any(den < _DENOM_FLOOR):
+        raise SupportError(f"observation {x_next} outside common support after {x_prev}")
+    pair = state.pair_prob * _transition_mixture(spec, state, f0, f1)
+    total = float(pair.sum())
+    if total < _DENOM_FLOOR:
+        raise SupportError(f"observation {x_next} outside common support after {x_prev}")
+    window = (state.window + (x_next,))[-(spec.d + 2) :]
+    return PosteriorState(state.n + 1, window, num / den, pair / total)
 
 
 def predictive(spec: ModelSpec, state: PosteriorState) -> np.ndarray:
     """One-step predictive distribution of the next symbol given the state."""
     x = state.window[-1]
-    out = np.empty(spec.alphabet_size)
-    if state.n == 0:
-        for y in range(spec.alphabet_size):
-            out[y] = mixture_marginal_origin(spec, 0, (x, y), spec.b, spec.pi)
-    else:
-        for y in range(spec.alphabet_size):
-            out[y] = mixture_marginal(spec, 0, (x, y), state.pair_prob, state.change_prob)
-    return out
+    f0 = spec.pre_kernels[:, x, :].T[:, :, None]
+    f1 = spec.post_kernels[:, x, :].T[:, None, :]
+    terms = state.pair_prob * _transition_mixture(spec, state, f0, f1)
+    return np.array([math.fsum(row) for row in terms.reshape(spec.alphabet_size, -1).tolist()])

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from .errors import RuleError
 from .model import LatentState, ModelSpec, config_digest
 from .posterior import state_init, state_step
 
@@ -129,7 +130,11 @@ def monte_carlo_eval(
     horizon: int,
     base_seed: int,
 ) -> ExperimentReport:
-    """Estimate each rule's success probability on shared random trajectories."""
+    """Estimate each rule's success probability on shared random trajectories.
+
+    A rule that raises stops the evaluation with a RuleError naming the rule
+    and the trajectory seed, chained to the rule's exception.
+    """
     if n < 1:
         raise ValueError("need at least one trajectory")
     sampler = TrajectorySampler(spec, horizon)
@@ -142,7 +147,7 @@ def monte_carlo_eval(
             try:
                 tau = rule(traj.observations)
             except Exception as exc:
-                raise RuntimeError(f"rule {name!r} failed on trajectory seed {traj.seed}") from exc
+                raise RuleError(name, traj.seed, exc) from exc
             if tau is None:
                 tau = horizon
                 censored[name] += 1

@@ -50,11 +50,10 @@ _EPS8 = 8.0 * 2.0**-52
 
 @dataclass(frozen=True)
 class ValueIterConfig:
-    """Iteration cap, pointwise Cauchy tolerance and probe-state count."""
+    """Iteration cap and pointwise Cauchy tolerance."""
 
     k_max: int = 10
     tol: float = 1e-8
-    probe_points: int = 32
 
     def __post_init__(self):
         if self.k_max < 1:

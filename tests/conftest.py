@@ -9,7 +9,7 @@ with an asymmetric 2 x 1 grid and nonzero initial hazards.
 import numpy as np
 import pytest
 
-from disorder import ModelSpec, spec_from_dict
+from disorder import ModelSpec, PosteriorState, spec_from_dict, state_step
 
 
 def make_m1(d: int = 0) -> ModelSpec:
@@ -121,3 +121,14 @@ def random_spec(rng: np.random.Generator, alphabet: int = 2, l0: int = 2, l1: in
         d=d,
         x0=int(rng.integers(alphabet)),
     )
+
+
+def step_from(spec: ModelSpec, prev, x_prev: int, x_next: int) -> np.ndarray:
+    """Change posterior grid after one in-sequence filter step from `prev`.
+
+    `prev` (scalar or grid) is the change posterior at some time n >= 1 with
+    last symbol x_prev; the pair posterior does not enter the change update.
+    """
+    change = np.broadcast_to(np.asarray(prev, dtype=np.float64), (spec.l0, spec.l1))
+    state = PosteriorState(n=1, window=(x_prev,), change_prob=change, pair_prob=spec.b)
+    return state_step(spec, state, x_next).change_prob

@@ -20,16 +20,15 @@ from disorder import (
     build_joint,
     change_backshift,
     change_multistep,
-    change_step,
     change_time_pmf,
     continuation_value,
     criterion_probability,
     exact_optimal_rule,
     exact_posterior,
     exact_rule_value,
-    mixture_marginal,
     monte_carlo_eval,
     path_probability,
+    predictive,
     save_spec,
     state_init,
     state_step,
@@ -39,7 +38,7 @@ from disorder.oracle import change_cdf_given_pair
 from disorder.posterior import change_lagged
 from disorder.simulate import TrajectorySampler, mix_seed
 
-from conftest import make_m1, make_m2, make_m3, make_m4
+from conftest import make_m1, make_m2, make_m3, make_m4, step_from
 
 ALL_SPECS = {"M1": make_m1, "M2": make_m2, "M3": make_m3, "M4": make_m4}
 
@@ -101,11 +100,8 @@ def test_criterion_2_projection_identities():
                     worst_back = max(worst_back, float(np.max(np.abs(got))))
                 elif n >= k + 2:
                     got = change_cdf_given_pair(table, path, n - k - 1)
-                    for i, j in spec.pairs():
-                        expected = change_lagged(
-                            spec, i, j, k, path, float(state.change_prob[i, j])
-                        )
-                        worst_back = max(worst_back, abs(float(got[i, j]) - expected))
+                    expected = change_lagged(spec, k, path, state.change_prob)
+                    worst_back = max(worst_back, float(np.max(np.abs(got - expected))))
     assert worst_fwd <= 1e-10
     assert worst_back <= 1e-10
     print(
@@ -136,12 +132,11 @@ def test_criterion_4_structural_recursions():
             l = int(rng.integers(0, 3))
             window = tuple(rng.integers(0, spec.alphabet_size, size=l + 2).tolist())
             anchor = float(rng.uniform())
-            for i, j in spec.pairs():
-                chained = anchor
-                for r in range(1, l + 2):
-                    chained = change_step(spec, i, j, chained, window[r - 1], window[r], 2)
-                multi = change_multistep(spec, i, j, l, window, anchor)
-                worst_multi = max(worst_multi, abs(multi - chained))
+            chained = anchor
+            for r in range(1, l + 2):
+                chained = step_from(spec, chained, window[r - 1], window[r])
+            multi = change_multistep(spec, window, anchor)
+            worst_multi = max(worst_multi, float(np.max(np.abs(multi - chained))))
     assert worst_multi <= 1e-12
 
     # back-shift inversion
@@ -152,10 +147,9 @@ def test_criterion_4_structural_recursions():
             for _ in range(100):
                 window = tuple(rng.integers(0, spec.alphabet_size, size=d + 2).tolist())
                 anchor = float(rng.uniform())
-                for i, j in spec.pairs():
-                    forward = change_multistep(spec, i, j, d, window, anchor)
-                    back = change_backshift(spec, i, j, window, forward)
-                    worst_back = max(worst_back, abs(back - anchor))
+                forward = change_multistep(spec, window, anchor)
+                back = change_backshift(spec, window, forward)
+                worst_back = max(worst_back, float(np.max(np.abs(back - anchor))))
     assert worst_back <= 1e-9
 
     # continuation-value scaling along 1000 random filtered trajectories
@@ -171,9 +165,7 @@ def test_criterion_4_structural_recursions():
                 prev = state
                 x_prev, x_next = traj.observations[d + 1], traj.observations[d + 2]
                 state = state_step(spec, state, x_next)
-                norm = mixture_marginal(
-                    spec, 0, (x_prev, x_next), prev.pair_prob, prev.change_prob
-                )
+                norm = float(predictive(spec, prev)[x_next])
                 composed = (
                     spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
                 )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,9 @@ from disorder import save_spec, spec_to_dict
 from disorder.cli import main
 
 from conftest import make_m1, make_m2, make_m3
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -154,6 +158,44 @@ class TestEvaluateCommand:
         )
         assert code == 0
         assert (tmp_path / "outputs" / "rep.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("evaluate_m3.csv", ["--config", "configs/m3.json", "--rules", "fixed,threshold",
+                                 "--horizon", "16"]),
+            ("evaluate_m4.csv", ["--config", "configs/m4.json", "--rules", "optimal,fixed,threshold",
+                                 "--kmax", "4", "--horizon", "5"]),
+        ],
+    )
+    def test_matches_golden(self, golden, argv, tmp_path, monkeypatch, capsys):
+        # the golden reports were written by an earlier version of the
+        # package; the filter and the rules must reproduce them byte for byte
+        monkeypatch.chdir(ROOT)
+        out = tmp_path / "r.csv"
+        assert main(["evaluate", *argv, "--n", "200", "--seed", "11", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+class TestBudgetErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--config", "configs/m4.json", "--horizon", "16"],
+            ["evaluate", "--config", "configs/m4_d1.json", "--rules", "optimal", "--n", "3",
+             "--horizon", "6", "--kmax", "30", "--seed", "1", "--out", "r.csv"],
+        ],
+    )
+    def test_budget_record_and_exit_code(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setenv("DISORDER_OUT_DIR", str(tmp_path))
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "budget"
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestValueIterateCommand:

@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disorder import (
-    likelihood_product,
-    mixture_marginal,
-    mixture_marginal_origin,
+    PosteriorState,
     path_probability,
+    predictive,
     split_likelihoods,
-    window_changed,
-    window_changed_origin,
-    window_marginal,
-    window_marginal_origin,
+    window_mixture,
 )
 from disorder.likelihood import likelihood_ratio_chain
 
@@ -29,17 +25,13 @@ def all_paths(spec, n):
 
 class TestLikelihoodProduct:
     def test_single_point_window(self, m1):
-        assert likelihood_product(m1, 0, 0, 0, (0,)) == 1.0
+        assert split_likelihoods(m1, (0,))[0, 0, 0] == 1.0
 
     def test_pre_factor(self, m1):
-        assert likelihood_product(m1, 0, 0, 0, (0, 1)) == pytest.approx(0.2)
+        assert split_likelihoods(m1, (0, 1))[0, 0, 0] == pytest.approx(0.2)
 
     def test_post_factor(self, m1):
-        assert likelihood_product(m1, 0, 0, 1, (0, 1)) == pytest.approx(0.8)
-
-    def test_out_of_range_split(self, m1):
-        with pytest.raises(ValueError):
-            likelihood_product(m1, 0, 0, 2, (0, 1))
+        assert split_likelihoods(m1, (0, 1))[0, 0, 1] == pytest.approx(0.8)
 
     def test_full_split_uses_only_one_kernel(self, m3):
         window = (0, 1, 1, 0)
@@ -49,8 +41,9 @@ class TestLikelihoodProduct:
         post_only = math.prod(
             float(m3.post_kernels[0, window[r - 1], window[r]]) for r in range(1, 4)
         )
-        assert likelihood_product(m3, 1, 0, 0, window) == pytest.approx(pre_only, abs=1e-15)
-        assert likelihood_product(m3, 1, 0, 3, window) == pytest.approx(post_only, abs=1e-15)
+        splits = split_likelihoods(m3, window)
+        assert splits[1, 0, 0] == pytest.approx(pre_only, abs=1e-15)
+        assert splits[1, 0, 3] == pytest.approx(post_only, abs=1e-15)
 
     def test_interior_split_direct_product(self, m4):
         window = (0, 2, 1, 2)
@@ -58,24 +51,24 @@ class TestLikelihoodProduct:
         expected = float(m4.pre_kernels[i, 0, 2]) * float(m4.post_kernels[j, 2, 1]) * float(
             m4.post_kernels[j, 1, 2]
         )
-        assert likelihood_product(m4, i, j, m, window) == pytest.approx(expected, abs=1e-15)
+        assert split_likelihoods(m4, window)[i, j, m] == pytest.approx(expected, abs=1e-15)
 
 
 class TestWindowMarginals:
     def test_marginal_example(self, m1):
-        assert window_marginal(m1, 0, 0, 0, (0, 1), 0.0) == pytest.approx(0.32, abs=1e-15)
+        assert window_mixture(m1, (0, 1), 0.0)[1][0, 0] == pytest.approx(0.32, abs=1e-15)
 
     def test_alpha_one_collapses_to_full_split(self, m3):
         window = (0, 1, 0)
-        for i, j in m3.pairs():
-            full = likelihood_product(m3, i, j, 2, window)
-            assert window_marginal(m3, i, j, 1, window, 1.0) == pytest.approx(full)
-            assert window_marginal_origin(m3, i, j, 1, window, 1.0) == pytest.approx(full)
-            assert window_changed(m3, i, j, 1, window, 1.0) == pytest.approx(full)
+        full = split_likelihoods(m3, window)[..., 2]
+        changed, total = window_mixture(m3, window, 1.0)
+        assert total == pytest.approx(full)
+        assert window_mixture(m3, window, 1.0, origin=True)[1] == pytest.approx(full)
+        assert changed == pytest.approx(full)
 
     def test_origin_trivial_level(self, m1):
         # empty inner sum leaves only the all-pre term
-        assert window_marginal_origin(m1, 0, 0, 0, (0, 1), 0.0) == pytest.approx(0.2)
+        assert window_mixture(m1, (0, 1), 0.0, origin=True)[1][0, 0] == pytest.approx(0.2)
 
     def test_identical_kernels_telescope(self):
         spec = make_m1()
@@ -94,8 +87,8 @@ class TestWindowMarginals:
             l = int(rng.integers(0, 4))
             window = tuple(rng.integers(0, 2, size=l + 2).tolist())
             alpha = float(rng.uniform())
-            base = likelihood_product(same, 0, 0, 0, window)
-            assert window_marginal(same, 0, 0, l, window, alpha) == pytest.approx(
+            base = split_likelihoods(same, window)[0, 0, 0]
+            assert window_mixture(same, window, alpha)[1][0, 0] == pytest.approx(
                 base, abs=1e-14
             )
 
@@ -105,23 +98,21 @@ class TestWindowMarginals:
             l = int(rng.integers(0, 3))
             window = tuple(rng.integers(0, 2, size=l + 2).tolist())
             alpha = float(rng.uniform())
-            for i, j in m3.pairs():
-                p = float(m3.p[i, j])
-                l0 = likelihood_product(m3, i, j, 0, window)
-                psi = window_marginal(m3, i, j, l, window, alpha)
-                lam = window_changed(m3, i, j, l, window, alpha)
-                assert lam == pytest.approx(psi - (1 - alpha) * p ** (l + 1) * l0, abs=1e-14)
-                assert 0.0 <= lam <= psi + 1e-15
-                psi_t = window_marginal_origin(m3, i, j, l, window, alpha)
-                lam_t = window_changed_origin(m3, i, j, l, window, alpha)
-                assert lam_t == pytest.approx(psi_t - (1 - alpha) * p**l * l0, abs=1e-14)
+            p = m3.p
+            l0 = split_likelihoods(m3, window)[..., 0]
+            lam, psi = window_mixture(m3, window, alpha)
+            assert lam == pytest.approx(psi - (1 - alpha) * p ** (l + 1) * l0, abs=1e-14)
+            assert np.all((0.0 <= lam) & (lam <= psi + 1e-15))
+            lam_t, psi_t = window_mixture(m3, window, alpha, origin=True)
+            assert lam_t == pytest.approx(psi_t - (1 - alpha) * p**l * l0, abs=1e-14)
 
     def test_example_changed_value(self, m1):
-        assert window_changed(m1, 0, 0, 0, (0, 1), 0.0) == pytest.approx(0.16, abs=1e-15)
+        assert window_mixture(m1, (0, 1), 0.0)[0][0, 0] == pytest.approx(0.16, abs=1e-15)
 
     def test_length_mismatch_rejected(self, m1):
+        # a window needs at least one transition
         with pytest.raises(ValueError):
-            window_marginal(m1, 0, 0, 1, (0, 1), 0.0)
+            window_mixture(m1, (0,), 0.0)
 
     def test_naive_sum_agrees(self, m4):
         # term-by-term geometric sums, the slow road
@@ -130,24 +121,23 @@ class TestWindowMarginals:
             l = int(rng.integers(0, 4))
             window = tuple(rng.integers(0, 3, size=l + 2).tolist())
             alpha = float(rng.uniform())
+            grid = split_likelihoods(m4, window)
+            total = window_mixture(m4, window, alpha)[1]
+            total_t = window_mixture(m4, window, alpha, origin=True)[1]
             for i, j in m4.pairs():
                 p = float(m4.p[i, j])
                 q = 1 - p
-                splits = split_likelihoods(m4, i, j, window)
+                splits = grid[i, j]
                 psi = (1 - alpha) * (
                     q * sum(p ** (l - k) * splits[k + 1] for k in range(l + 1))
                     + p ** (l + 1) * splits[0]
                 ) + alpha * splits[l + 1]
-                assert window_marginal(m4, i, j, l, window, alpha) == pytest.approx(
-                    psi, abs=1e-14
-                )
+                assert total[i, j] == pytest.approx(psi, abs=1e-14)
                 psi_t = (1 - alpha) * (
                     q * sum(p ** (l - k) * splits[k] for k in range(1, l + 1))
                     + p**l * splits[0]
                 ) + alpha * splits[l + 1]
-                assert window_marginal_origin(m4, i, j, l, window, alpha) == pytest.approx(
-                    psi_t, abs=1e-14
-                )
+                assert total_t[i, j] == pytest.approx(psi_t, abs=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,11 +152,12 @@ def test_marginals_affine_in_alpha(seed, l, a0, a1):
     spec = random_spec(rng)
     window = tuple(rng.integers(0, spec.alphabet_size, size=l + 2).tolist())
     mid = 0.5 * (a0 + a1)
-    for fn in (window_marginal, window_marginal_origin, window_changed, window_changed_origin):
-        for i, j in spec.pairs():
-            f0, f1 = fn(spec, i, j, l, window, a0), fn(spec, i, j, l, window, a1)
-            fm = fn(spec, i, j, l, window, mid)
-            assert abs(fm - 0.5 * (f0 + f1)) <= 1e-12
+    for origin in (False, True):
+        f0 = window_mixture(spec, window, a0, origin)
+        f1 = window_mixture(spec, window, a1, origin)
+        fm = window_mixture(spec, window, mid, origin)
+        for lo, hi, m in zip(f0, f1, fm):  # changed, then total
+            assert np.max(np.abs(m - 0.5 * (lo + hi))) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,35 +172,26 @@ def test_mixture_affine_in_each_delta_entry(seed, entry):
     i, j = int(rng.integers(spec.l0)), int(rng.integers(spec.l1))
     lo, hi, mid = delta.copy(), delta.copy(), delta.copy()
     lo[i, j], hi[i, j], mid[i, j] = 0.0, entry, 0.5 * entry
-    f_lo = mixture_marginal(spec, k, window, gamma, lo)
-    f_hi = mixture_marginal(spec, k, window, gamma, hi)
-    f_mid = mixture_marginal(spec, k, window, gamma, mid)
+    def pair_mixture(delta):
+        return math.fsum((gamma * window_mixture(spec, window, delta)[1]).ravel())
+
+    f_lo, f_hi, f_mid = pair_mixture(lo), pair_mixture(hi), pair_mixture(mid)
     assert abs(f_mid - 0.5 * (f_lo + f_hi)) <= 1e-12
 
 
 class TestMixtures:
     def test_singleton_mixture_equals_marginal(self, m1):
-        got = mixture_marginal(m1, 0, (0, 1), np.array([[1.0]]), np.array([[0.0]]))
+        state = PosteriorState(n=1, window=(0,), change_prob=np.array([[0.0]]), pair_prob=np.array([[1.0]]))
+        got = predictive(m1, state)[1]
         assert got == pytest.approx(0.32, abs=1e-15)
-
-    def test_negative_gamma_rejected(self, m1):
-        with pytest.raises(ValueError):
-            mixture_marginal(m1, 0, (0, 1), np.array([[-0.1]]), np.array([[0.0]]))
-
-    def test_dimension_mismatch_rejected(self, m3):
-        with pytest.raises(ValueError):
-            mixture_marginal(m3, 0, (0, 1), np.ones((1, 1)), np.ones((2, 2)))
 
     def test_prior_mixture_is_pair_sum(self, m3):
         # mixing with (b, pi) must equal the sum of per-pair origin marginals
         for n in (1, 2, 3):
             for path in all_paths(m3, n):
-                direct = sum(
-                    float(m3.b[i, j])
-                    * window_marginal_origin(m3, i, j, n - 1, path, float(m3.pi[i, j]))
-                    for i, j in m3.pairs()
-                )
-                got = mixture_marginal_origin(m3, n - 1, path, m3.b, m3.pi)
+                total = window_mixture(m3, path, m3.pi, origin=True)[1]
+                direct = sum(float(m3.b[i, j]) * float(total[i, j]) for i, j in m3.pairs())
+                got = path_probability(m3, path)
                 assert got == pytest.approx(direct, abs=1e-14)
 
 
@@ -276,8 +258,8 @@ class TestPathProbability:
 
 class TestUnderflowGuard:
     def test_vanishing_factor_uses_log_space(self):
-        # a 1e-301 kernel entry forces the log-space branch; the row still
-        # sums to 1.0 exactly in float64
+        # a 1e-301 kernel entry: the prefix and suffix products keep it
+        # without a log-space detour; the row still sums to 1.0 exactly
         spec = make_m1()
         tiny = type(spec)(
             alphabet_size=2,
@@ -292,7 +274,7 @@ class TestUnderflowGuard:
         from disorder import validate
 
         assert validate(tiny) == []
-        got = split_likelihoods(tiny, 0, 0, (0, 1, 1))
+        got = split_likelihoods(tiny, (0, 1, 1))[0, 0]
         assert got[0] == pytest.approx(1e-301 * 0.5, rel=1e-12)
         assert got[2] == pytest.approx(1e-301 * 0.5, rel=1e-12)
 
@@ -301,8 +283,9 @@ class TestRatioChain:
     def test_matches_split_ratios(self, m4):
         window = (0, 1, 2, 0)
         chain = likelihood_ratio_chain(m4, window, 3)
+        grid = split_likelihoods(m4, window)
         for i, j in m4.pairs():
-            splits = split_likelihoods(m4, i, j, window)
+            splits = grid[i, j]
             p = float(m4.p[i, j])
             expected = sum(splits[t] / (p**t * splits[0]) for t in range(1, 4))
             assert chain[i, j] == pytest.approx(expected, abs=1e-12)

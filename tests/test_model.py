@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disorder import (
     ConfigError,
@@ -242,3 +244,46 @@ class TestConfigIO:
     def test_spec_arrays_immutable(self, m1):
         with pytest.raises(ValueError):
             m1.b[0, 0] = 0.5
+
+
+_FUZZ_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.text(max_size=4),
+    st.none(),
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=8,
+)
+
+
+def _replace_leaf(value, path, new):
+    # swap the leaf of a nested list reached by following `path`
+    if not isinstance(value, list) or not value:
+        return new
+    idx = path[0] % len(value)
+    return value[:idx] + [_replace_leaf(value[idx], path[1:] or [0], new)] + value[idx + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.sampled_from(sorted(spec_to_dict(make_m3()))),
+    whole=st.booleans(),
+    path=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    value=_FUZZ_VALUES,
+)
+def test_spec_from_dict_fuzz_gives_spec_or_config_error(key, whole, path, value):
+    # every field, replaced whole or in one nested entry, by non-finite,
+    # bool, float, string and other values: a spec or a ConfigError, never
+    # another exception
+    payload = spec_to_dict(make_m3())
+    payload[key] = value if whole else _replace_leaf(payload[key], path, value)
+    try:
+        spec = spec_from_dict(payload)
+    except ConfigError:
+        return
+    assert isinstance(validate(spec), list)

@@ -7,21 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disorder import (
+    PosteriorState,
     SupportError,
     change_backshift,
     change_from_origin,
     change_lagged,
     change_multistep,
-    change_step,
-    pair_step,
     path_probability,
     predictive,
+    split_likelihoods,
     state_init,
     state_step,
+    window_mixture,
 )
 from disorder import oracle
 
-from conftest import make_m1, make_m3, make_m4, random_spec
+import scalar_filter
+from conftest import make_m1, make_m3, make_m4, random_spec, step_from
 
 
 def filter_through(spec, path):
@@ -38,10 +40,10 @@ def all_paths(spec, n):
 
 class TestChangeStep:
     def test_first_step_zero_hazard(self, m1):
-        assert change_step(m1, 0, 0, 0.0, 0, 1, 1) == 0.0
+        assert state_step(m1, state_init(m1), 1).change_prob[0, 0] == 0.0
 
     def test_symmetric_update(self, m1):
-        assert change_step(m1, 0, 0, 0.0, 0, 1, 2) == pytest.approx(0.5, abs=1e-14)
+        assert step_from(m1, 0.0, 0, 1)[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_identical_kernels_no_information(self):
         spec = make_m1()
@@ -60,12 +62,14 @@ class TestChangeStep:
         for _ in range(20):
             prev = float(rng.uniform())
             x_prev, x_next = rng.integers(0, 2, size=2).tolist()
-            got = change_step(same, 0, 0, prev, x_prev, x_next, 2)
+            got = step_from(same, prev, x_prev, x_next)[0, 0]
             assert got == pytest.approx(q + (1 - q) * prev, abs=1e-14)
 
     def test_out_of_range_prev_rejected(self, m1):
+        # the one-step update from an arbitrary previous posterior is the
+        # level-zero multi-step update
         with pytest.raises(ValueError):
-            change_step(m1, 0, 0, 1.5, 0, 1, 2)
+            change_multistep(m1, (0, 1), 1.5)
 
     def test_support_error_on_dead_transition(self):
         spec = type(make_m1())(
@@ -79,17 +83,16 @@ class TestChangeStep:
             x0=0,
         )
         with pytest.raises(SupportError):
-            change_step(spec, 0, 0, 0.0, 0, 1, 2)
+            step_from(spec, 0.0, 0, 1)
 
 
 class TestMultiStep:
     def test_level_zero_reduces_to_one_step(self, m3):
-        for i, j in m3.pairs():
-            for x_prev, x_next in itertools.product(range(2), repeat=2):
-                for prev in (0.0, 0.3, 1.0):
-                    one = change_step(m3, i, j, prev, x_prev, x_next, 2)
-                    multi = change_multistep(m3, i, j, 0, (x_prev, x_next), prev)
-                    assert multi == pytest.approx(one, abs=1e-14)
+        for x_prev, x_next in itertools.product(range(2), repeat=2):
+            for prev in (0.0, 0.3, 1.0):
+                one = step_from(m3, prev, x_prev, x_next)
+                multi = change_multistep(m3, (x_prev, x_next), prev)
+                assert multi == pytest.approx(one, abs=1e-14)
 
     @pytest.mark.parametrize("make", [make_m1, make_m3, make_m4])
     def test_composition_of_one_steps(self, make):
@@ -98,25 +101,22 @@ class TestMultiStep:
         for _ in range(50):
             window = tuple(rng.integers(0, spec.alphabet_size, size=4).tolist())
             anchor = float(rng.uniform())
-            for i, j in spec.pairs():
-                chained = anchor
-                for r in range(1, 4):
-                    chained = change_step(spec, i, j, chained, window[r - 1], window[r], 2)
-                multi = change_multistep(spec, i, j, 2, window, anchor)
-                assert abs(multi - chained) <= 1e-12
+            chained = anchor
+            for r in range(1, 4):
+                chained = step_from(spec, chained, window[r - 1], window[r])
+            multi = change_multistep(spec, window, anchor)
+            assert np.max(np.abs(multi - chained)) <= 1e-12
 
     def test_anchor_one_stays_one(self, m3):
         rng = np.random.default_rng(8)
         window = tuple(rng.integers(0, 2, size=3).tolist())
-        for i, j in m3.pairs():
-            assert change_multistep(m3, i, j, 1, window, 1.0) == pytest.approx(1.0)
+        assert change_multistep(m3, window, 1.0) == pytest.approx(np.ones((2, 2)))
 
     def test_from_origin_equals_chained_filter(self, m4):
         for path in all_paths(m4, 3):
             state = filter_through(m4, path)
-            for i, j in m4.pairs():
-                got = change_from_origin(m4, i, j, path)
-                assert got == pytest.approx(float(state.change_prob[i, j]), abs=1e-12)
+            got = change_from_origin(m4, path)
+            assert got == pytest.approx(state.change_prob, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
@@ -126,23 +126,21 @@ class TestMultiStep:
         l = int(rng.integers(0, 3))
         window = tuple(rng.integers(0, spec.alphabet_size, size=l + 2).tolist())
         lo, hi = min(a, b), max(a, b)
-        for i, j in spec.pairs():
-            f_lo = change_multistep(spec, i, j, l, window, lo)
-            f_hi = change_multistep(spec, i, j, l, window, hi)
-            assert f_hi >= f_lo - 1e-12
+        f_lo = change_multistep(spec, window, lo)
+        f_hi = change_multistep(spec, window, hi)
+        assert np.all(f_hi >= f_lo - 1e-12)
 
 
 class TestBackshift:
     def test_inverts_example(self, m1):
-        assert change_backshift(m1, 0, 0, (0, 1), 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert change_backshift(m1, (0, 1), 0.5)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_certain_change_stays_certain(self, m3):
         spec = make_m3(d=1)
         rng = np.random.default_rng(4)
         for _ in range(10):
             window = tuple(rng.integers(0, 2, size=3).tolist())
-            for i, j in spec.pairs():
-                assert change_backshift(spec, i, j, window, 1.0) == pytest.approx(1.0)
+            assert change_backshift(spec, window, 1.0) == pytest.approx(np.ones((2, 2)))
 
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_round_trip(self, d):
@@ -151,20 +149,20 @@ class TestBackshift:
         for _ in range(100):
             window = tuple(rng.integers(0, 2, size=d + 2).tolist())
             anchor = float(rng.uniform(0.0, 1.0))
-            for i, j in spec.pairs():
-                forward = change_multistep(spec, i, j, d, window, anchor)
-                assert change_backshift(spec, i, j, window, forward) == pytest.approx(
-                    anchor, abs=1e-9
-                )
+            forward = change_multistep(spec, window, anchor)
+            assert change_backshift(spec, window, forward) == pytest.approx(
+                np.full((2, 2), anchor), abs=1e-9
+            )
 
     def test_window_length_enforced(self, m1):
         with pytest.raises(ValueError):
-            change_backshift(m1, 0, 0, (0, 1, 0), 0.5)
+            change_backshift(m1, (0, 1, 0), 0.5)
 
 
 class TestPairStep:
     def test_singleton_grid_stays_one(self, m1):
-        out = pair_step(m1, 0, 1, np.array([[1.0]]), np.array([[0.3]]), 2)
+        state = PosteriorState(n=1, window=(0,), change_prob=np.array([[0.3]]), pair_prob=np.array([[1.0]]))
+        out = state_step(m1, state, 1).pair_prob
         assert out == pytest.approx(np.array([[1.0]]))
 
     def test_rows_sum_to_one(self, m3):
@@ -173,7 +171,8 @@ class TestPairStep:
             raw = rng.uniform(0.1, 1, size=(2, 2))
             prev_pair = raw / raw.sum()
             prev_change = rng.uniform(0, 1, size=(2, 2))
-            out = pair_step(m3, 0, 1, prev_pair, prev_change, n)
+            state = PosteriorState(n=n - 1, window=(0,), change_prob=prev_change, pair_prob=prev_pair)
+            out = state_step(m3, state, 1).pair_prob
             assert float(out.sum()) == pytest.approx(1.0, abs=1e-12)
             assert np.all(out >= 0)
 
@@ -227,11 +226,8 @@ class TestLagged:
                 state = filter_through(spec, path)
                 for k in range(0, min(3, n - 2) + 1):
                     got_oracle = oracle.change_cdf_given_pair(table, path, n - k - 1)
-                    for i, j in spec.pairs():
-                        expected = change_lagged(
-                            spec, i, j, k, path, float(state.change_prob[i, j])
-                        )
-                        assert abs(float(got_oracle[i, j]) - expected) <= 1e-10
+                    expected = change_lagged(spec, k, path, state.change_prob)
+                    assert np.max(np.abs(got_oracle - expected)) <= 1e-10
 
     def test_boundary_time_is_zero(self, m3):
         table = oracle.build_joint(m3, 4)
@@ -243,7 +239,7 @@ class TestLagged:
 
     def test_window_too_short_rejected(self, m1):
         with pytest.raises(ValueError):
-            change_lagged(m1, 0, 0, 2, (0, 1), 0.5)
+            change_lagged(m1, 2, (0, 1), 0.5)
 
 
 class TestPredictive:
@@ -289,3 +285,45 @@ class TestPredictive:
             assert float(pred[y]) == pytest.approx(
                 path_probability(m4, (m4.x0, y)), abs=1e-14
             )
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    alphabet=st.integers(2, 3),
+    l0=st.integers(1, 2),
+    l1=st.integers(1, 2),
+    d=st.integers(0, 2),
+    horizon=st.integers(1, 6),
+)
+def test_grid_core_equals_scalar_reference(seed, alphabet, l0, l1, d, horizon):
+    # the grid filter is the per-pair scalar filter, bit for bit, along a
+    # random path of a random instance
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, alphabet, l0, l1, d)
+    path = (spec.x0,) + tuple(rng.integers(0, alphabet, size=horizon).tolist())
+    state = ref = state_init(spec)
+    assert _bits(predictive(spec, state)) == _bits(scalar_filter.predictive(spec, ref))
+    for n in range(1, horizon + 1):
+        state = state_step(spec, state, path[n])
+        ref = scalar_filter.state_step(spec, ref, path[n])
+        assert state.window == ref.window
+        assert _bits(state.change_prob) == _bits(ref.change_prob)
+        assert _bits(state.pair_prob) == _bits(ref.pair_prob)
+        assert _bits(predictive(spec, state)) == _bits(scalar_filter.predictive(spec, ref))
+        assert path_probability(spec, path[: n + 1]) == scalar_filter.path_probability(spec, path[: n + 1])
+    # every window density form against its per-pair formula
+    window = path[-min(horizon + 1, d + 2) :]
+    alpha = rng.uniform(0.0, 1.0, size=(l0, l1))
+    splits = split_likelihoods(spec, window)
+    for origin in (False, True):
+        changed, total = window_mixture(spec, window, alpha, origin)
+        for i, j in spec.pairs():
+            a = float(alpha[i, j])
+            assert list(splits[i, j]) == scalar_filter.splits(spec, i, j, window)
+            assert total[i, j] == scalar_filter.window_marginal(spec, i, j, window, a, origin)
+            assert changed[i, j] == scalar_filter.window_changed(spec, i, j, window, a, origin)

@@ -6,6 +6,7 @@ import pytest
 
 from disorder import (
     OptimalStoppingRule,
+    RuleError,
     ValueIterConfig,
     change_time_pmf,
     fixed_time_rule,
@@ -140,8 +141,11 @@ class TestMonteCarlo:
         def bad(obs):
             raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match="trajectory seed"):
+        with pytest.raises(RuleError, match="trajectory seed") as info:
             monte_carlo_eval(m2, {"bad": bad}, 5, 4, 1)
+        assert info.value.rule == "bad"
+        assert info.value.seed == mix_seed(1, 0)
+        assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_optimal_dominates_threshold(self):
         spec = make_m2()

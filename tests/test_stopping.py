@@ -12,7 +12,6 @@ from disorder import (
     StopDecision,
     ValueIterConfig,
     continuation_value,
-    mixture_marginal,
     predictive,
     rule_runner,
     state_init,
@@ -238,9 +237,7 @@ class TestRecursion:
                 if state.n <= spec.d + 1:
                     continue
                 x_prev, x_next = traj.observations[n - 1], traj.observations[n]
-                norm = mixture_marginal(
-                    spec, 0, (x_prev, x_next), prev.pair_prob, prev.change_prob
-                )
+                norm = float(predictive(spec, prev)[x_next])
                 composed = (
                     spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
                 )
