@@ -34,7 +34,7 @@ from .posterior import state_init, state_step
 from .simulate import (
     TrajectorySampler,
     fixed_time_rule,
-    mix_seed,
+    mix_seeds,
     monte_carlo_eval,
     posterior_threshold_rule,
     report_to_csv,
@@ -159,22 +159,21 @@ def _cmd_simulate(args) -> int:
     spec = _load_valid_spec(args.config)
     if spec is None:
         return EXIT_VALIDATION
-    sampler = TrajectorySampler(spec, args.horizon)
+    seeds = mix_seeds(args.seed, np.arange(args.n))
+    batch = TrajectorySampler(spec, args.horizon).sample_batch(seeds)
     out = _out_path(args.out)
     header = ["trajectory", "seed", "theta", "beta1", "beta2"]
     header += [f"x{t}" for t in range(args.horizon + 1)]
     lines = [",".join(header)]
-    for idx in range(args.n):
-        traj = sampler.sample(mix_seed(args.seed, idx))
-        row = [
-            str(idx),
-            str(traj.seed),
-            str(traj.latent.theta),
-            str(traj.latent.beta1),
-            str(traj.latent.beta2),
-        ]
-        row += [str(s) for s in traj.observations]
-        lines.append(",".join(row))
+    rows = zip(
+        seeds.tolist(),
+        batch.theta.tolist(),
+        batch.beta1.tolist(),
+        batch.beta2.tolist(),
+        batch.observations.tolist(),
+    )
+    for idx, (seed, theta, beta1, beta2, path) in enumerate(rows):
+        lines.append(",".join(map(str, [idx, seed, theta, beta1, beta2, *path])))
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {args.n} trajectories to {out}")
     return EXIT_OK
@@ -216,13 +215,13 @@ def _cmd_value_iterate(args) -> int:
     if spec is None:
         return EXIT_VALIDATION
     cfg = ValueIterConfig(k_max=args.kmax, tol=args.tol)
-    sampler = TrajectorySampler(spec, spec.d + 3)
+    seeds = mix_seeds(args.seed, np.arange(args.probe))
+    paths = TrajectorySampler(spec, spec.d + 3).sample_batch(seeds).observations
     lines = ["probe,k,s_k"]
     all_converged = True
-    for idx in range(args.probe):
-        traj = sampler.sample(mix_seed(args.seed, idx))
+    for idx, path in enumerate(paths.tolist()):
         state = state_init(spec)
-        for sym in traj.observations[1:]:
+        for sym in path[1:]:
             state = state_step(spec, state, sym)
         res = value_iterate(spec, state.window, state.change_prob, state.pair_prob, cfg)
         all_converged = all_converged and res.converged

@@ -19,7 +19,7 @@ from . import oracle, payoff, posterior, stopping
 from .errors import SupportError
 from .likelihood import path_probability
 from .model import ModelSpec, change_time_pmf
-from .simulate import TrajectorySampler, mix_seed
+from .simulate import TrajectorySampler, mix_seed, mix_seeds
 
 
 @dataclass(frozen=True)
@@ -195,17 +195,16 @@ def check_continuation_normalization(
     """Scaling property of the continuation values along filtered trajectories."""
     if horizon is None:
         horizon = spec.d + 4
-    sampler = TrajectorySampler(spec, horizon)
+    paths = TrajectorySampler(spec, horizon).sample_batch(mix_seeds(seed, np.arange(trajectories)))
     worst = 0.0
-    for t in range(trajectories):
-        traj = sampler.sample(mix_seed(seed, t))
+    for path in paths.observations.tolist():
         state = posterior.state_init(spec)
         for n in range(1, horizon + 1):
             prev = state
-            state = posterior.state_step(spec, state, traj.observations[n])
+            state = posterior.state_step(spec, state, path[n])
             if state.n <= spec.d + 1:
                 continue
-            x_prev, x_next = traj.observations[n - 1], traj.observations[n]
+            x_prev, x_next = path[n - 1], path[n]
             norm = float(posterior.predictive(spec, prev)[x_next])
             composed = (
                 spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob

@@ -7,7 +7,9 @@ The filter state after n observations is
 where `window` holds the last min(n, d+1) + 1 symbols, change_prob[i, j] is
 P(change happened by n | pair (i, j), data) and pair_prob[i, j] is
 P(pair (i, j) | data).  The state evolves by a one-step Bayes update per
-observation, computed for the whole pair grid at once; multi-step,
+observation, computed for the whole pair grid at once by one helper that
+also broadcasts over a leading batch axis, so the Monte Carlo rules filter
+many paths in lockstep with the arithmetic of `state_step`; multi-step,
 back-shift and lagged variants expose the same posterior through window
 mixtures and are used to cross-check the recursion.
 
@@ -38,16 +40,46 @@ class PosteriorState:
     pair_prob: np.ndarray
 
 
-def _transition_mixture(spec: ModelSpec, state: PosteriorState, f0, f1) -> np.ndarray:
-    # Per-pair density of the next transition given the state: window_mixture
-    # at l = 0 in closed form.  f0 and f1 hold the pre and post densities of
-    # the transition, broadcast against the pair grid; a leading axis of next
-    # symbols gives every next symbol in one pass.
-    if state.n == 0:
+def _transition_mixture(spec: ModelSpec, change, f0, f1) -> np.ndarray:
+    # Per-pair density of the next transition: window_mixture at l = 0 in
+    # closed form.  `change` is the change posterior grid, None at time 0
+    # where the initial hazard pi applies.  f0 and f1 hold the pre and post
+    # densities of the transition, broadcast against the pair grid; leading
+    # axes (next symbols, batch rows) broadcast through.
+    if change is None:
         a = spec.pi
         return (1.0 - a) * f0 + a * f1
-    a = state.change_prob
+    a = change
     return (1.0 - a) * ((1.0 - spec.p) * f1 + spec.p * f0) + a * f1
+
+
+def _filter_step(spec: ModelSpec, change, pair, x_prev, x_next):
+    """One Bayes update of the change and pair grids, over any leading axes.
+
+    `change` and `pair` are the posterior grids (`change` is None at time 0,
+    where the initial hazard pi replaces the geometric hazard q = 1 - p on
+    the previous change posterior); x_prev and x_next are symbols, or index
+    arrays over the grids' leading batch axes.  Both new grids are read from
+    the same pre-update grids.  Returns (change, pair, dead): when the
+    transition of some row lies outside the common support, both grids are
+    None and `dead` flags those rows; otherwise `dead` is None.
+    """
+    f0 = spec.pre_kernels.T[x_next, x_prev][..., None]
+    f1 = spec.post_kernels.T[x_next, x_prev][..., None, :]
+    if change is None:
+        num = f1 * spec.pi
+        den = num + f0 * (1.0 - spec.pi)
+    else:
+        num = f1 * ((1.0 - spec.p) + spec.p * change)
+        den = num + f0 * spec.p * (1.0 - change)
+    pair = pair * _transition_mixture(spec, change, f0, f1)
+    total = pair.sum(axis=(-2, -1), keepdims=True)
+    # fmin flags a cell where either the change denominator or the row's
+    # pair total is below the floor, NaN in one of them not masking the other
+    low = np.fmin(den, total) < _DENOM_FLOOR
+    if low.any():
+        return None, None, low.any(axis=(-2, -1))
+    return num / den, pair / total, None
 
 
 def _grid_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
@@ -135,29 +167,17 @@ def state_step(spec: ModelSpec, state: PosteriorState, x_next: int) -> Posterior
     """Advance the filter by one observation, trimming the window to d + 2.
 
     The first step uses the initial hazard pi; later steps use the geometric
-    hazard q = 1 - p applied to the previous change posterior.  Both grids
-    are read from the same pre-update state.
+    hazard q = 1 - p applied to the previous change posterior.
     """
     if not 0 <= x_next < spec.alphabet_size:
         raise ValueError(f"symbol {x_next} outside alphabet")
     x_prev = state.window[-1]
-    f0 = spec.pre_kernels[:, x_prev, x_next][:, None]
-    f1 = spec.post_kernels[:, x_prev, x_next]
-    if state.n == 0:
-        num = f1 * spec.pi
-        den = num + f0 * (1.0 - spec.pi)
-    else:
-        prev = state.change_prob
-        num = f1 * ((1.0 - spec.p) + spec.p * prev)
-        den = num + f0 * spec.p * (1.0 - prev)
-    if np.any(den < _DENOM_FLOOR):
-        raise SupportError(f"observation {x_next} outside common support after {x_prev}")
-    pair = state.pair_prob * _transition_mixture(spec, state, f0, f1)
-    total = float(pair.sum())
-    if total < _DENOM_FLOOR:
+    change = None if state.n == 0 else state.change_prob
+    change, pair, dead = _filter_step(spec, change, state.pair_prob, x_prev, x_next)
+    if dead is not None:
         raise SupportError(f"observation {x_next} outside common support after {x_prev}")
     window = (state.window + (x_next,))[-(spec.d + 2) :]
-    return PosteriorState(state.n + 1, window, num / den, pair / total)
+    return PosteriorState(state.n + 1, window, change, pair)
 
 
 def predictive(spec: ModelSpec, state: PosteriorState) -> np.ndarray:
@@ -165,5 +185,6 @@ def predictive(spec: ModelSpec, state: PosteriorState) -> np.ndarray:
     x = state.window[-1]
     f0 = spec.pre_kernels[:, x, :].T[:, :, None]
     f1 = spec.post_kernels[:, x, :].T[:, None, :]
-    terms = state.pair_prob * _transition_mixture(spec, state, f0, f1)
+    change = None if state.n == 0 else state.change_prob
+    terms = state.pair_prob * _transition_mixture(spec, change, f0, f1)
     return np.array([math.fsum(row) for row in terms.reshape(spec.alphabet_size, -1).tolist()])

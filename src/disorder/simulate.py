@@ -1,14 +1,27 @@
 """Trajectory sampling and Monte Carlo rule evaluation.
 
-Randomness comes from numpy's Philox counter-based generator with explicit
-keys, so every draw is reproducible across platforms and runs.  A trajectory
-with seed s consumes two substreams, Philox key (s, 0) for the latent draw
-and Philox key (s, 1) for the observations; per-trajectory seeds in an
-experiment derive from (base_seed, index) through a SplitMix64 mix.  Rules
-never touch the generators, so adding rules cannot perturb trajectories.
+Randomness comes from the Philox4x64-10 counter-based generator (Salmon,
+Moraes, Dror & Shaw, SC 2011), computed here in numpy over arrays of keys.  A
+trajectory with seed s reads two streams: key (s, 0) for the latent draw and
+key (s, 1) for the observations.  A stream's counter starts at 1 and each
+counter value gives four 64-bit words; the top 53 bits of a word make one
+uniform in [0, 1).  The words equal numpy's
+`np.random.Philox(key=[s, stream]).random_raw`, so every draw is reproducible
+across platforms and runs.  Per-trajectory seeds in an experiment derive from
+(base_seed, index) through a SplitMix64 mix.  Rules never touch the
+generators, so adding rules cannot perturb trajectories.
+
+`TrajectorySampler.sample_batch` draws many seeds in one pass and returns
+arrays, one row per seed; `sample` is its one-row case.
 
 Rules are callables mapping a full observation path to a stop time (or None
 when the rule never fires); they must only read the prefix up to their stop.
+A rule may also carry a batch form, `rule.stop_times(observations)`, mapping
+an (N, h + 1) array of paths to their stop times, -1 where the rule never
+fires.  The fixed-time and posterior-threshold rules below have one, and
+their per-path call is the batch form on one row.  `monte_carlo_eval`
+samples and evaluates trajectories in chunks of fixed size, through the
+batch form where a rule has one and the per-path call on each row otherwise.
 Censored runs are forced to stop at the horizon and flagged, the success
 indicator |theta - tau| <= d stays well defined there.
 """
@@ -17,32 +30,88 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import RuleError
+from .errors import RuleError, SupportError
 from .model import LatentState, ModelSpec, config_digest
-from .posterior import state_init, state_step
+from .posterior import _filter_step
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# Philox4x64-10: round multipliers of counter words 0 and 2, and the Weyl
+# increments of the two key words.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = 0xFFFFFFFF
+
+# Seeds per sample_batch pass and trajectories per monte_carlo_eval chunk;
+# fixed, so the working set does not grow with the number of trajectories.
+_CHUNK = 1024
 
 Rule = Callable[[tuple[int, ...]], Optional[int]]
 
 
+def mix_seeds(base_seed: int, indices) -> np.ndarray:
+    """Trajectory seeds for an array of indices in [0, 2**64), as uint64.
+
+    The SplitMix64 finalizer over base_seed + (index + 1) golden-ratio
+    increments, in uint64 arithmetic, which wraps mod 2**64.
+    """
+    z = np.uint64(base_seed & _MASK64) + (np.asarray(indices, dtype=np.uint64) + 1) * _GOLDEN
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
+
+
 def mix_seed(base_seed: int, index: int) -> int:
-    """SplitMix64 finalizer over base_seed + golden-ratio increments."""
-    z = (base_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    """The seed of trajectory `index`: mix_seeds on one index."""
+    return int(mix_seeds(base_seed, [index])[0])
 
 
-def _uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    """Uniform [0, 1) draws from the Philox stream keyed (seed, stream)."""
-    bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    raw = bits.random_raw(count)
-    return (raw >> np.uint64(11)) * 2.0**-53
+def _philox(key0, key1, counter) -> np.ndarray:
+    """Philox4x64-10 blocks for counter words (counter, 0, 0, 0), shape (..., 4).
+
+    key0, key1 and counter are uint64 arrays broadcast against each other.
+    The two counter words a round multiplies, and so the two key words, run
+    as two lanes of one array; each 64 x 64 -> 128-bit product is formed
+    from 32-bit halves.
+    """
+    shape = np.broadcast_shapes(np.shape(key0), np.shape(key1), np.shape(counter))
+    lanes = (2,) + (1,) * len(shape)
+    mul = np.array(_PHILOX_M, dtype=np.uint64).reshape(lanes)
+    mul_lo, mul_hi = mul & _LO32, mul >> 32
+    bump = np.array(_PHILOX_W, dtype=np.uint64).reshape(lanes)
+    key = np.empty((2,) + shape, dtype=np.uint64)
+    key[0], key[1] = key0, key1
+    mult = np.zeros((2,) + shape, dtype=np.uint64)  # counter words 0 and 2
+    mult[0] = counter
+    other = np.zeros((2,) + shape, dtype=np.uint64)  # counter words 1 and 3
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key = key + bump
+        lo, hi = mult & _LO32, mult >> 32
+        low = lo * mul_lo
+        mid = hi * mul_lo + (low >> 32)
+        cross = lo * mul_hi + (mid & _LO32)
+        high = hi * mul_hi + (mid >> 32) + (cross >> 32)
+        # words (0, 1, 2, 3) <- (high_2 ^ w1 ^ k0, low_2, high_0 ^ w3 ^ k1, low_0)
+        mult, other = high[::-1] ^ other ^ key, (mult * mul)[::-1]
+    return np.stack([mult[0], other[0], mult[1], other[1]], axis=-1)
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    # Cumulative sums along the last axis with the last entry raised to inf:
+    # the first column whose entry exceeds u is then the inverse-cdf index,
+    # the last one when no earlier entry does.
+    cum = np.cumsum(weights, axis=-1)
+    cum[..., -1] = np.inf
+    return cum
 
 
 @dataclass(frozen=True)
@@ -52,13 +121,13 @@ class Trajectory:
     seed: int
 
 
-def _scan(cum: list[float], u: float) -> int:
-    """Inverse-cdf lookup on a short cumulative row."""
-    last = len(cum) - 1
-    for idx in range(last):
-        if u < cum[idx]:
-            return idx
-    return last
+class TrajectoryBatch(NamedTuple):
+    """Trajectories drawn by one sample_batch call, one row per seed."""
+
+    observations: np.ndarray  # (N, horizon + 1) symbols X_0 .. X_horizon
+    theta: np.ndarray  # (N,) change times
+    beta1: np.ndarray  # (N,) pre-change kernel indices
+    beta2: np.ndarray  # (N,) post-change kernel indices
 
 
 class TrajectorySampler:
@@ -69,32 +138,68 @@ class TrajectorySampler:
             raise ValueError("horizon must be at least 1")
         self.spec = spec
         self.horizon = horizon
-        self._b_cum = np.cumsum(spec.b.ravel()).tolist()
-        self._pre_cum = np.cumsum(spec.pre_kernels, axis=2).tolist()
-        self._post_cum = np.cumsum(spec.post_kernels, axis=2).tolist()
+        self._b_cum = _cdf(spec.b.ravel())
+        # pre kernels 0 .. l0 - 1, then post kernels l0 .. l0 + l1 - 1
+        self._kernel_cum = _cdf(np.concatenate([spec.pre_kernels, spec.post_kernels]))
+        # the blocks of one seed: (stream 0, counter 1) for the latent draw,
+        # then (stream 1, counters 1 .. ceil(horizon / 4)) for the path
+        blocks = -(-horizon // 4)
+        self._stream = np.array([0] + [1] * blocks, dtype=np.uint64)
+        self._counter = np.array([1] + list(range(1, blocks + 1)), dtype=np.uint64)
+
+    def sample_batch(self, seeds) -> TrajectoryBatch:
+        """One trajectory per seed, row by row the trajectory `sample` gives.
+
+        Seeds are drawn in chunks of fixed size, so the working memory beyond
+        the returned arrays does not grow with their number.
+        """
+        seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+        parts = [self._sample_chunk(seeds[i : i + _CHUNK]) for i in range(0, max(len(seeds), 1), _CHUNK)]
+        if len(parts) == 1:
+            return parts[0]
+        return TrajectoryBatch(*(np.concatenate(field) for field in zip(*parts)))
+
+    def _sample_chunk(self, seeds: np.ndarray) -> TrajectoryBatch:
+        spec, h = self.spec, self.horizon
+        raw = _philox(seeds[:, None], self._stream, self._counter)
+        u = (raw >> 11) * 2.0**-53
+        flat = (u[:, 0, :1] < self._b_cum).argmax(axis=1)
+        beta1, beta2 = np.divmod(flat, spec.l1)
+        # inverse-cdf geometric: P(theta >= 2 + m | theta >= 2) = p^m; libm
+        # logarithms row by row, as numpy's need not match them to the bit
+        theta = np.array(
+            [
+                1 if u_first < pi else 2 + int(math.log1p(-u_geom) // math.log(p))
+                for u_first, u_geom, pi, p in zip(
+                    u[:, 0, 1].tolist(),
+                    u[:, 0, 2].tolist(),
+                    spec.pi[beta1, beta2].tolist(),
+                    spec.p[beta1, beta2].tolist(),
+                )
+            ],
+            dtype=np.int64,
+        )
+        # the uniform of step n is word (n - 1) % 4 of path block (n - 1) // 4
+        step = np.arange(h)
+        steps = u[:, 1 + step // 4, step % 4, None]
+        # the kernel of step n: pre kernel beta1 before theta, post beta2 from theta on
+        kernel = np.where(
+            np.arange(1, h + 1) >= theta[:, None], spec.l0 + beta2[:, None], beta1[:, None]
+        )
+        obs = np.empty((len(seeds), h + 1), dtype=np.int64)
+        obs[:, 0] = spec.x0
+        for n in range(1, h + 1):
+            rows = self._kernel_cum[kernel[:, n - 1], obs[:, n - 1]]
+            obs[:, n] = (steps[:, n - 1] < rows).argmax(axis=1)
+        return TrajectoryBatch(obs, theta, beta1, beta2)
 
     def sample(self, seed: int) -> Trajectory:
-        spec = self.spec
-        u_pair, u_first, u_geom = _uniforms(seed, 0, 3).tolist()
-        flat = _scan(self._b_cum, u_pair)
-        i, j = divmod(flat, spec.l1)
-        if u_first < float(spec.pi[i, j]):
-            theta = 1
-        else:
-            # inverse-cdf geometric: P(theta >= 2 + m | theta >= 2) = p^m
-            theta = 2 + int(math.log1p(-u_geom) // math.log(float(spec.p[i, j])))
-        us = _uniforms(seed, 1, self.horizon).tolist()
-        pre_rows = self._pre_cum[i]
-        post_rows = self._post_cum[j]
-        obs = [spec.x0]
-        x = spec.x0
-        for n in range(1, self.horizon + 1):
-            cum = post_rows[x] if n >= theta else pre_rows[x]
-            x = _scan(cum, us[n - 1])
-            obs.append(x)
+        batch = self.sample_batch([seed])
         return Trajectory(
-            latent=LatentState(theta=theta, beta1=i, beta2=j),
-            observations=tuple(obs),
+            latent=LatentState(
+                theta=int(batch.theta[0]), beta1=int(batch.beta1[0]), beta2=int(batch.beta2[0])
+            ),
+            observations=tuple(batch.observations[0].tolist()),
             seed=seed,
         )
 
@@ -123,6 +228,30 @@ class ExperimentReport:
     rules: dict[str, RuleStats]
 
 
+
+
+def _chunk_stop_times(rule, observations: np.ndarray):
+    """Stop times of `rule` on the rows of one chunk, -1 where it never fires.
+
+    Returns (stop_times, None), or (None, (row, exception)) for the first
+    row the rule fails on.
+    """
+    stop_times = getattr(rule, "stop_times", None)
+    if stop_times is not None:
+        try:
+            return stop_times(observations), None
+        except Exception as exc:
+            return None, (getattr(exc, "row", 0), exc)
+    taus = []
+    for row, path in enumerate(map(tuple, observations.tolist())):
+        try:
+            tau = rule(path)
+        except Exception as exc:
+            return None, (row, exc)
+        taus.append(-1 if tau is None else tau)
+    return np.array(taus, dtype=np.int64), None
+
+
 def monte_carlo_eval(
     spec: ModelSpec,
     rules: Mapping[str, Rule],
@@ -133,27 +262,35 @@ def monte_carlo_eval(
     """Estimate each rule's success probability on shared random trajectories.
 
     A rule that raises stops the evaluation with a RuleError naming the rule
-    and the trajectory seed, chained to the rule's exception.
+    and the trajectory seed, chained to the rule's exception: the lowest
+    failing trajectory index, and on it the first failing rule in `rules`
+    order.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
     sampler = TrajectorySampler(spec, horizon)
-    hits = {name: 0 for name in rules}
-    stop_sum = {name: 0 for name in rules}
-    censored = {name: 0 for name in rules}
-    for idx in range(n):
-        traj = sampler.sample(mix_seed(base_seed, idx))
+    hits = dict.fromkeys(rules, 0)
+    stop_sum = dict.fromkeys(rules, 0)
+    censored = dict.fromkeys(rules, 0)
+    for start in range(0, n, _CHUNK):
+        seeds = mix_seeds(base_seed, np.arange(start, min(n, start + _CHUNK)))
+        batch = sampler.sample_batch(seeds)
+        chunk = {}
+        failure = None  # (row, rule name, exception) of the lowest failing row
         for name, rule in rules.items():
-            try:
-                tau = rule(traj.observations)
-            except Exception as exc:
-                raise RuleError(name, traj.seed, exc) from exc
-            if tau is None:
-                tau = horizon
-                censored[name] += 1
-            if abs(traj.latent.theta - tau) <= spec.d:
-                hits[name] += 1
-            stop_sum[name] += tau
+            chunk[name], failed = _chunk_stop_times(rule, batch.observations)
+            # strictly lower: on a tie the earlier rule keeps the failure
+            if failed is not None and (failure is None or failed[0] < failure[0]):
+                failure = (failed[0], name, failed[1])
+        if failure is not None:
+            row, name, exc = failure
+            raise RuleError(name, int(seeds[row]), exc) from exc
+        for name, taus in chunk.items():
+            never = taus < 0
+            taus = np.where(never, horizon, taus)
+            censored[name] += int(never.sum())
+            hits[name] += int((np.abs(batch.theta - taus) <= spec.d).sum())
+            stop_sum[name] += int(taus.sum())
     stats = {}
     for name in rules:
         est = hits[name] / n
@@ -172,29 +309,78 @@ def monte_carlo_eval(
     )
 
 
+def _with_batch_form(stop_times) -> Rule:
+    # The per-path rule of a batch form: the batch form on one row.
+    def rule(observations: tuple[int, ...]) -> Optional[int]:
+        tau = int(stop_times(np.array([observations], dtype=np.int64))[0])
+        return None if tau < 0 else tau
+
+    rule.stop_times = stop_times
+    return rule
+
+
 def fixed_time_rule(spec: ModelSpec) -> Rule:
     """Always stop at the earliest admissible time d + 1."""
 
-    def rule(observations: tuple[int, ...]) -> Optional[int]:
-        return spec.d + 1 if len(observations) - 1 >= spec.d + 1 else None
+    def stop_times(observations: np.ndarray) -> np.ndarray:
+        obs = np.asarray(observations)
+        tau = spec.d + 1 if obs.shape[1] - 1 >= spec.d + 1 else -1
+        return np.full(len(obs), tau, dtype=np.int64)
 
-    return rule
+    return _with_batch_form(stop_times)
+
+
+def _take(keep: np.ndarray, *arrays):
+    return [None if a is None else a[keep] for a in arrays]
 
 
 def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
-    """Stop once the posterior total change mass reaches `level` (not before d + 1)."""
+    """Stop once the posterior total change mass reaches `level` (not before d + 1).
 
-    def rule(observations: tuple[int, ...]) -> Optional[int]:
-        state = state_init(spec)
-        for n in range(1, len(observations)):
-            state = state_step(spec, state, observations[n])
+    The batch form filters every path in lockstep and advances only the rows
+    that have not stopped.  A row fails where its per-path filter would:
+    on an out-of-alphabet symbol or a transition outside the common support
+    before its stop.  The exception of the lowest failing row is raised, with
+    that row index in its `row` attribute.
+    """
+
+    def stop_times(observations: np.ndarray) -> np.ndarray:
+        obs = np.asarray(observations)
+        stops = np.full(len(obs), -1, dtype=np.int64)
+        failures = []
+        rows = np.arange(len(obs))  # the rows still running
+        x_prev = np.full(len(obs), spec.x0)
+        change, pair = None, np.broadcast_to(spec.b, (len(obs), spec.l0, spec.l1))
+        in_alphabet = bool(((obs[:, 1:] >= 0) & (obs[:, 1:] < spec.alphabet_size)).all())
+        for n in range(1, obs.shape[1]):
+            if not len(rows):
+                break
+            x_next = obs[rows, n]
+            if not in_alphabet:
+                bad = (x_next < 0) | (x_next >= spec.alphabet_size)
+                for k in np.flatnonzero(bad).tolist():
+                    failures.append((rows[k], ValueError(f"symbol {x_next[k]} outside alphabet")))
+                rows, x_prev, x_next, change, pair = _take(~bad, rows, x_prev, x_next, change, pair)
+            new_change, new_pair, dead = _filter_step(spec, change, pair, x_prev, x_next)
+            if dead is not None:
+                for k in np.flatnonzero(dead).tolist():
+                    msg = f"observation {x_next[k]} outside common support after {x_prev[k]}"
+                    failures.append((rows[k], SupportError(msg)))
+                rows, x_prev, x_next, change, pair = _take(~dead, rows, x_prev, x_next, change, pair)
+                new_change, new_pair, _ = _filter_step(spec, change, pair, x_prev, x_next)
+            change, pair, x_prev = new_change, new_pair, x_next
             if n >= spec.d + 1:
-                mass = float(np.sum(state.change_prob * state.pair_prob))
-                if mass >= level:
-                    return n
-        return None
+                fired = (change * pair).sum(axis=(1, 2)) >= level
+                if fired.any():
+                    stops[rows[fired]] = n
+                    rows, x_prev, change, pair = _take(~fired, rows, x_prev, change, pair)
+        if failures:
+            row, exc = min(failures, key=lambda failure: failure[0])
+            exc.row = int(row)
+            raise exc
+        return stops
 
-    return rule
+    return _with_batch_form(stop_times)
 
 
 _METRICS = ("estimate", "std_error", "mean_stop_time", "censored_rate")

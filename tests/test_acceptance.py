@@ -36,7 +36,7 @@ from disorder import (
 from disorder.cli import main as cli_main
 from disorder.oracle import change_cdf_given_pair
 from disorder.posterior import change_lagged
-from disorder.simulate import TrajectorySampler, mix_seed
+from disorder.simulate import TrajectorySampler, mix_seed, mix_seeds
 
 from conftest import make_m1, make_m2, make_m3, make_m4, step_from
 
@@ -158,12 +158,12 @@ def test_criterion_4_structural_recursions():
     for name, make in ALL_SPECS.items():
         for d in (0, 1):
             spec = make(d)
-            sampler = TrajectorySampler(spec, d + 3)
-            for t in range(per_spec):
-                traj = sampler.sample(mix_seed(1000 + t, t))
-                state = filter_through(spec, traj.observations[: d + 2])
+            seeds = [mix_seed(1000 + t, t) for t in range(per_spec)]
+            paths = TrajectorySampler(spec, d + 3).sample_batch(seeds).observations.tolist()
+            for path in paths:
+                state = filter_through(spec, path[: d + 2])
                 prev = state
-                x_prev, x_next = traj.observations[d + 1], traj.observations[d + 2]
+                x_prev, x_next = path[d + 1], path[d + 2]
                 state = state_step(spec, state, x_next)
                 norm = float(predictive(spec, prev)[x_next])
                 composed = (
@@ -274,9 +274,9 @@ def test_criterion_7_simulation_fidelity():
     spec = make_m2()
 
     # change-time law over 1e5 draws, chi-square at p > 0.001
-    sampler = TrajectorySampler(spec, 1)
     n = 100_000
-    counts = Counter(sampler.sample(mix_seed(88, i)).latent.theta for i in range(n))
+    thetas = TrajectorySampler(spec, 1).sample_batch(mix_seeds(88, np.arange(n))).theta
+    counts = Counter(thetas.tolist())
     k_cap = 20
     observed = [counts.get(k, 0) for k in range(1, k_cap)] + [
         sum(c for k, c in counts.items() if k >= k_cap)
@@ -290,11 +290,12 @@ def test_criterion_7_simulation_fidelity():
     assert p_value > 0.001
 
     # path frequencies at horizon 3 over 1e6 draws, within 4 SE per path
-    sampler3 = TrajectorySampler(spec, 3)
     n_paths = 1_000_000
-    freq = Counter(
-        sampler3.sample(mix_seed(1234, i)).observations for i in range(n_paths)
-    )
+    sampled = TrajectorySampler(spec, 3).sample_batch(mix_seeds(1234, np.arange(n_paths))).observations
+    # count each path through its code, the path's symbols as base-E digits
+    digits = spec.alphabet_size ** np.arange(4)
+    code_counts = np.bincount(sampled @ digits, minlength=spec.alphabet_size**4)
+    freq = {path: int(code_counts[np.dot(path, digits)]) for path in all_paths(spec, 3)}
     worst_z = 0.0
     for path in all_paths(spec, 3):
         pp = path_probability(spec, path)

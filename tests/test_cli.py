@@ -121,6 +121,15 @@ class TestSimulateCommand:
         main(args + ["--seed", "2", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_matches_golden(self, tmp_path, monkeypatch, capsys):
+        # the golden trajectories were written by the np.random.Philox
+        # sampler; the numpy Philox must reproduce them byte for byte
+        monkeypatch.chdir(ROOT)
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--config", "configs/m3.json", "--n", "200", "--horizon", "16"]
+        assert main([*argv, "--seed", "11", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "simulate_m3.csv").read_bytes()
+
 
 class TestEvaluateCommand:
     def test_deterministic_bytes(self, m2_config, tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disorder import (
@@ -21,6 +21,7 @@ from disorder import (
     window_mixture,
 )
 from disorder import oracle
+from disorder.posterior import _filter_step
 
 import scalar_filter
 from conftest import make_m1, make_m3, make_m4, random_spec, step_from
@@ -327,3 +328,34 @@ def test_grid_core_equals_scalar_reference(seed, alphabet, l0, l1, d, horizon):
             assert list(splits[i, j]) == scalar_filter.splits(spec, i, j, window)
             assert total[i, j] == scalar_filter.window_marginal(spec, i, j, window, a, origin)
             assert changed[i, j] == scalar_filter.window_changed(spec, i, j, window, a, origin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    alphabet=st.integers(2, 3),
+    l0=st.integers(1, 3),
+    l1=st.integers(1, 3),
+    horizon=st.integers(1, 6),
+)
+@example(seed=1, alphabet=3, l0=3, l1=3, horizon=6)
+def test_batched_step_equals_scalar_reference(seed, alphabet, l0, l1, horizon):
+    # the filter step over a leading batch axis is the per-pair scalar filter,
+    # row by row and bit for bit; a 3 x 3 grid takes numpy's 8-wide pairwise
+    # summation, which 2 x 2 grids never reach
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, alphabet, l0, l1)
+    paths = np.concatenate(
+        [np.full((5, 1), spec.x0), rng.integers(0, alphabet, size=(5, horizon))], axis=1
+    )
+    refs = [state_init(spec)] * len(paths)
+    change, pair = None, np.broadcast_to(spec.b, (len(paths), l0, l1))
+    for n in range(1, horizon + 1):
+        change, pair, dead = _filter_step(spec, change, pair, paths[:, n - 1], paths[:, n])
+        assert dead is None
+        mass = (change * pair).sum(axis=(1, 2))
+        for row, path in enumerate(paths.tolist()):
+            refs[row] = ref = scalar_filter.state_step(spec, refs[row], path[n])
+            assert _bits(change[row]) == _bits(ref.change_prob)
+            assert _bits(pair[row]) == _bits(ref.pair_prob)
+            assert mass[row] == float(np.sum(ref.change_prob * ref.pair_prob))

@@ -1,12 +1,22 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import disorder
 from disorder import (
+    ModelSpec,
     OptimalStoppingRule,
     RuleError,
+    SupportError,
     ValueIterConfig,
     change_time_pmf,
     fixed_time_rule,
@@ -14,16 +24,21 @@ from disorder import (
     path_probability,
     posterior_threshold_rule,
     sample_trajectory,
+    state_init,
+    state_step,
 )
 from disorder.simulate import (
     TrajectorySampler,
+    _philox,
     mix_seed,
+    mix_seeds,
     report_from_csv,
     report_to_csv,
     report_to_json,
 )
 
-from conftest import make_m2, make_m3, make_m4
+import scalar_sampler
+from conftest import make_m2, make_m3, make_m4, random_spec
 
 
 class TestSampling:
@@ -35,8 +50,8 @@ class TestSampling:
         assert a != c
 
     def test_starts_at_x0(self, m4):
-        for seed in range(20):
-            assert sample_trajectory(m4, 4, seed).observations[0] == m4.x0
+        paths = TrajectorySampler(m4, 4).sample_batch(range(20)).observations
+        assert (paths[:, 0] == m4.x0).all()
 
     def test_certain_immediate_change(self):
         base = make_m2()
@@ -50,35 +65,28 @@ class TestSampling:
             d=0,
             x0=0,
         )
-        for seed in range(50):
-            assert sample_trajectory(spec, 3, seed).latent.theta == 1
+        assert (TrajectorySampler(spec, 3).sample_batch(range(50)).theta == 1).all()
 
     def test_latent_pair_frequencies(self, m3):
-        sampler = TrajectorySampler(m3, 1)
-        counts = np.zeros((2, 2))
         n = 20_000
-        for idx in range(n):
-            traj = sampler.sample(mix_seed(99, idx))
-            counts[traj.latent.beta1, traj.latent.beta2] += 1
+        batch = TrajectorySampler(m3, 1).sample_batch(mix_seeds(99, np.arange(n)))
+        counts = np.zeros((2, 2))
+        np.add.at(counts, (batch.beta1, batch.beta2), 1)
         assert np.max(np.abs(counts / n - np.asarray(m3.b))) < 0.01
 
     def test_change_time_histogram(self, m2):
-        sampler = TrajectorySampler(m2, 1)
         n = 30_000
-        counts = Counter(
-            sampler.sample(mix_seed(7, idx)).latent.theta for idx in range(n)
-        )
+        thetas = TrajectorySampler(m2, 1).sample_batch(mix_seeds(7, np.arange(n))).theta
+        counts = Counter(thetas.tolist())
         for k in range(2, 10):
             expected = change_time_pmf(m2, k)
             se = math.sqrt(expected * (1 - expected) / n)
             assert abs(counts[k] / n - expected) < 4 * se
 
     def test_path_frequencies(self, m4):
-        sampler = TrajectorySampler(m4, 2)
         n = 30_000
-        counts = Counter(
-            sampler.sample(mix_seed(11, idx)).observations for idx in range(n)
-        )
+        paths = TrajectorySampler(m4, 2).sample_batch(mix_seeds(11, np.arange(n))).observations
+        counts = Counter(map(tuple, paths.tolist()))
         for path, cnt in counts.items():
             pp = path_probability(m4, path)
             se = math.sqrt(pp * (1 - pp) / n)
@@ -180,3 +188,162 @@ class TestReports:
 
         payload = json.loads(path.read_text())
         assert payload["rules"]["fixed"]["estimate"] == report.rules["fixed"].estimate
+
+
+class TestBatchSampler:
+    @pytest.mark.parametrize("key0", [0, 1, 0x243F6A8885A308D3, 2**64 - 1])
+    @pytest.mark.parametrize("key1", [0, 1, 2**64 - 1])
+    def test_philox_equals_numpy_philox(self, key0, key1):
+        # Philox4x64-10 over key arrays against numpy's generator, whose
+        # counter starts at 1 and which hands out each block's four words in order
+        for count in range(1, 18):
+            ref = np.random.Philox(key=np.array([key0, key1], dtype=np.uint64)).random_raw(count)
+            counter = np.arange(1, -(-count // 4) + 1, dtype=np.uint64)
+            got = _philox(np.uint64(key0), np.uint64(key1), counter).reshape(-1)[:count]
+            assert got.tolist() == ref.tolist()
+
+    def test_mix_seeds_equals_python_splitmix(self):
+        for base in (0, 7, -3, 2**64 - 1, 2**70 + 5):
+            indices = [0, 1, 2, 999, 2**32, 2**63 + 11, 2**64 - 1]
+            expected = [scalar_sampler.mix_seed(base, i) for i in indices]
+            assert mix_seeds(base, indices).tolist() == expected
+            assert [mix_seed(base, i) for i in indices] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        alphabet=st.integers(2, 3),
+        l0=st.integers(1, 3),
+        l1=st.integers(1, 3),
+        horizon=st.integers(1, 20),
+    )
+    def test_batch_equals_scalar_sampler(self, seed, alphabet, l0, l1, horizon):
+        # the batch sampler is the np.random.Philox sampler, seed by seed
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, alphabet, l0, l1)
+        seeds = [0, 2**64 - 1] + [mix_seed(seed, i) for i in range(6)]
+        batch = TrajectorySampler(spec, horizon).sample_batch(seeds)
+        for row, s in enumerate(seeds):
+            theta, beta1, beta2, path = scalar_sampler.sample(spec, horizon, s)
+            assert int(batch.theta[row]) == theta
+            assert (int(batch.beta1[row]), int(batch.beta2[row])) == (beta1, beta2)
+            assert tuple(batch.observations[row].tolist()) == path
+
+    def test_sample_is_row_of_batch(self, m3):
+        seeds = mix_seeds(5, np.arange(40))
+        batch = TrajectorySampler(m3, 7).sample_batch(seeds)
+        for row, s in enumerate(seeds.tolist()):
+            traj = sample_trajectory(m3, 7, s)
+            assert traj.seed == s
+            assert traj.observations == tuple(batch.observations[row].tolist())
+            assert traj.latent.theta == int(batch.theta[row])
+
+
+def _threshold_reference(spec, path, level=0.5):
+    # the per-path threshold rule, one filter state at a time
+    state = state_init(spec)
+    for n in range(1, len(path)):
+        state = state_step(spec, state, path[n])
+        if n >= spec.d + 1 and float(np.sum(state.change_prob * state.pair_prob)) >= level:
+            return n
+    return None
+
+
+def _forbid(spec, x, y):
+    """Binary spec with the transition x -> y impossible under every kernel."""
+    pre, post = np.array(spec.pre_kernels), np.array(spec.post_kernels)
+    for kernels in (pre, post):
+        kernels[:, x, y], kernels[:, x, 1 - y] = 0.0, 1.0
+    return ModelSpec(2, pre, post, spec.b, spec.pi, spec.p, spec.d, spec.x0)
+
+
+class TestBatchRules:
+    def test_threshold_batch_equals_per_path_on_every_path(self):
+        spec = make_m3(d=1)
+        paths = [(spec.x0,) + tail for tail in itertools.product(range(2), repeat=6)]
+        rule = posterior_threshold_rule(spec)
+        stops = rule.stop_times(np.array(paths)).tolist()
+        for path, tau in zip(paths, stops):
+            expected = _threshold_reference(spec, path)
+            assert (None if tau < 0 else tau) == expected
+            assert rule(path) == expected
+
+    def test_fixed_batch_form(self, m3):
+        rule = fixed_time_rule(m3)
+        assert rule.stop_times(np.zeros((3, 4), dtype=np.int64)).tolist() == [1, 1, 1]
+        assert rule.stop_times(np.zeros((2, 1), dtype=np.int64)).tolist() == [-1, -1]
+        assert rule((0, 1)) == 1 and rule((0,)) is None
+
+    def test_support_error_after_stop_not_raised(self):
+        spec = _forbid(make_m2(), 1, 1)
+        rule = posterior_threshold_rule(spec)
+        # fires at 2; the impossible 1 -> 1 comes at step 3, after the stop
+        stopped = (0, 0, 1, 1)
+        assert rule(stopped) == 2
+        with pytest.raises(SupportError):
+            rule((0, 1, 1, 0))
+        assert rule.stop_times(np.array([stopped, (0, 0, 1, 0)])).tolist() == [2, 2]
+        # only the row that reaches its impossible step raises, naming that row
+        with pytest.raises(SupportError) as info:
+            rule.stop_times(np.array([stopped, (0, 0, 1, 0), (0, 1, 1, 0)]))
+        assert info.value.row == 2
+
+    def test_out_of_alphabet_symbol(self, m2):
+        rule = posterior_threshold_rule(m2)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            rule((0, 0, 5))
+
+    @pytest.mark.parametrize("target", [0, 1, 4])
+    @pytest.mark.parametrize("plain_first", [False, True])
+    def test_rule_error_names_first_failure(self, target, plain_first):
+        # a batched rule and a plain rule that fail on different trajectories
+        # give the (rule, seed) of a trajectory-by-trajectory evaluation: the
+        # lowest failing trajectory, on it the first failing rule in order
+        spec, horizon, base = make_m2(), 6, 3
+        batched = posterior_threshold_rule(_forbid(spec, 1, 1), level=0.99)
+        sampler = TrajectorySampler(spec, horizon)
+        bad_path = sampler.sample(mix_seed(base, target)).observations
+
+        def plain(obs):
+            if obs == bad_path:
+                raise RuntimeError("plain rule failed")
+            return 1
+
+        rules = {"batched": batched, "plain": plain}
+        if plain_first:
+            rules = {"plain": plain, "batched": batched}
+        expected = None
+        for idx in range(12):
+            traj = sampler.sample(mix_seed(base, idx))
+            for name, rule in rules.items():
+                try:
+                    rule(traj.observations)
+                except Exception:
+                    expected = (name, traj.seed)
+                    break
+            if expected:
+                break
+        with pytest.raises(RuleError) as info:
+            monte_carlo_eval(spec, rules, 12, horizon, base)
+        assert (info.value.rule, info.value.seed) == expected
+
+
+def test_monte_carlo_path_never_imports_numpy_random(tmp_path):
+    # the sampler is numpy Philox arithmetic; numpy.random (2.6 MB of RSS)
+    # must stay unimported through an evaluate run with all three rules
+    code = (
+        "import sys\n"
+        "from disorder.cli import main\n"
+        "argv = ['evaluate', '--config', 'configs/m4.json', '--rules', 'optimal,fixed,threshold',\n"
+        "        '--n', '40', '--horizon', '5', '--kmax', '3', '--seed', '1', '--out', sys.argv[1]]\n"
+        "assert main(argv) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = str(Path(disorder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    root = Path(src).parent
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.csv")],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

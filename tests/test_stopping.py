@@ -23,7 +23,7 @@ from disorder import (
 )
 from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
-from disorder.simulate import TrajectorySampler, mix_seed
+from disorder.simulate import TrajectorySampler, mix_seeds
 from disorder.stopping import ValueTable, boundary_decision
 
 from conftest import make_m1, make_m2, make_m3, make_m4, random_spec
@@ -183,10 +183,9 @@ class TestBaseLevel:
         # independent route: integrate the stop payoff at the next filter
         # state against the predictive, then compare with the closed form
         spec = make(d)
-        sampler = TrajectorySampler(spec, d + 3)
-        for t in range(20):
-            traj = sampler.sample(mix_seed(101, t))
-            state = filter_through(spec, traj.observations)
+        paths = TrajectorySampler(spec, d + 3).sample_batch(mix_seeds(101, np.arange(20))).observations
+        for path in paths.tolist():
+            state = filter_through(spec, path)
             pred = predictive(spec, state)
             expected = 0.0
             for y in range(spec.alphabet_size):
@@ -227,16 +226,15 @@ class TestRecursion:
     @pytest.mark.parametrize("d", [0, 1])
     def test_normalization_property(self, make, d):
         spec = make(d)
-        sampler = TrajectorySampler(spec, d + 4)
-        for t in range(30):
-            traj = sampler.sample(mix_seed(77, t))
+        paths = TrajectorySampler(spec, d + 4).sample_batch(mix_seeds(77, np.arange(30))).observations
+        for path in paths.tolist():
             state = state_init(spec)
             for n in range(1, d + 5):
                 prev = state
-                state = state_step(spec, state, traj.observations[n])
+                state = state_step(spec, state, path[n])
                 if state.n <= spec.d + 1:
                     continue
-                x_prev, x_next = traj.observations[n - 1], traj.observations[n]
+                x_prev, x_next = path[n - 1], path[n]
                 norm = float(predictive(spec, prev)[x_next])
                 composed = (
                     spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
