@@ -46,13 +46,11 @@ from .payoff import (
     stop_payoff_boundary,
 )
 from .stopping import (
-    DecisionRecord,
     OptimalStoppingRule,
     RuleRun,
     StopDecision,
     ValueIterConfig,
     ValueIterResult,
-    continuation_value,
     rule_runner,
     stop_decision,
     value_iterate,
@@ -74,7 +72,6 @@ from .simulate import (
     fixed_time_rule,
     monte_carlo_eval,
     posterior_threshold_rule,
-    sample_trajectory,
 )
 
 __version__ = "0.1.0"

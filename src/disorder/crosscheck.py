@@ -19,7 +19,7 @@ from . import oracle, payoff, posterior, stopping
 from .errors import SupportError
 from .likelihood import path_probability
 from .model import ModelSpec, change_time_pmf
-from .simulate import TrajectorySampler, mix_seed, mix_seeds
+from .simulate import TrajectorySampler, _philox, mix_seed, mix_seeds
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,15 @@ def _state_at(spec: ModelSpec, path):
 
 def check_backshift_inversion(spec: ModelSpec, seed: int = 20240, trials: int = 200) -> CheckResult:
     """Forward (d+1)-step update then back-shift returns the anchor."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    # one row of d + 3 uniforms per trial from Philox key (seed, 0), counters
+    # from 1: d + 2 window symbols floor(u * A), then the anchor
+    width = spec.d + 3
+    counters = np.arange(1, -(-trials * width // 4) + 1, dtype=np.uint64)
+    raw = _philox(np.uint64(seed), np.uint64(0), counters).ravel()[: trials * width]
+    u = ((raw >> 11) * 2.0**-53).reshape(trials, width)
+    symbols = (u[:, :-1] * spec.alphabet_size).astype(np.int64)
     worst = 0.0
-    for _ in range(trials):
-        window = tuple(rng.integers(0, spec.alphabet_size, size=spec.d + 2).tolist())
-        anchor = float(rng.uniform(0.0, 1.0))
+    for window, anchor in zip(map(tuple, symbols.tolist()), u[:, -1].tolist()):
         try:
             forward = posterior.change_multistep(spec, window, anchor)
             back = posterior.change_backshift(spec, window, forward)
@@ -196,6 +200,7 @@ def check_continuation_normalization(
     if horizon is None:
         horizon = spec.d + 4
     paths = TrajectorySampler(spec, horizon).sample_batch(mix_seeds(seed, np.arange(trajectories)))
+    table = stopping.ValueTable(spec)
     worst = 0.0
     for path in paths.observations.tolist():
         state = posterior.state_init(spec)
@@ -209,16 +214,11 @@ def check_continuation_normalization(
             composed = (
                 spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
             )
+            u_state = table.weight(state.change_prob, state.pair_prob)
+            u_prev = table.weight(prev.change_prob, composed)
             for k in k_values:
-                lhs = (
-                    stopping.continuation_value(
-                        spec, k, state.window, state.change_prob, state.pair_prob
-                    )
-                    * norm
-                )
-                rhs = stopping.continuation_value(
-                    spec, k, state.window, prev.change_prob, composed
-                )
+                lhs = table.value(k, state.window, u_state) * norm
+                rhs = table.value(k, state.window, u_prev)
                 worst = max(worst, abs(lhs - rhs))
     return _result("continuation_normalization", worst, 1e-9)
 

@@ -232,8 +232,8 @@ def optimal_value_state_indexed(
         return (
             state.n,
             state.window,
-            (np.round(state.change_prob, 12) + 0.0).tobytes(),
-            (np.round(state.pair_prob, 12) + 0.0).tobytes(),
+            state.change_prob.tobytes(),
+            state.pair_prob.tobytes(),
         )
 
     def z_value(state) -> float:

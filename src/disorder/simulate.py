@@ -204,11 +204,6 @@ class TrajectorySampler:
         )
 
 
-def sample_trajectory(spec: ModelSpec, horizon: int, seed: int) -> Trajectory:
-    """One trajectory of X_0 .. X_horizon, deterministic in the seed."""
-    return TrajectorySampler(spec, horizon).sample(seed)
-
-
 @dataclass(frozen=True)
 class RuleStats:
     """Monte Carlo summary for one rule on the common trajectory set."""

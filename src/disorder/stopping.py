@@ -21,14 +21,20 @@ builds these sets on demand, prunes dominated vectors and keeps them for
 its lifetime, so one table serves every state of a spec.
 
 s_k increases pointwise in k; its limit s* defines the stopping region
-{ h >= s* }.  The rule runner never stops before d + 1, applies a boundary
-comparison at d + 1 (two readings supported, see rule_runner) and afterwards
-stops on first entry into the region, with s* replaced by s_K at the first
-k with |s_k - s_{k-1}| below tolerance.
+{ h >= s* }, with s* replaced by s_K at the first k with |s_k - s_{k-1}|
+below tolerance.  OptimalStoppingRule is the one implementation of the rule:
+it never stops before d + 1, applies a boundary comparison at d + 1 and
+afterwards stops on first entry into the region.  The boundary comparison
+has two readings.  "expected" compares the boundary payoff with the expected
+best of stop/continue one step ahead.  "literal" waits for the next symbol
+and compares against the continuation value at the realised next state; on
+a stop it reports d + 1 retroactively.  rule_runner is a trace view of the
+rule on one stream.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +70,9 @@ class ValueIterConfig:
 
 @dataclass(frozen=True)
 class StopDecision:
-    """Outcome of comparing the stop payoff against the continuation value."""
+    """Outcome at time n of comparing the stop payoff against the continuation value."""
 
+    n: int
     stop: bool
     stop_value: float
     continue_value: float
@@ -163,7 +170,9 @@ class ValueTable:
         return (self.spec.p * (1.0 - gamma) * delta).ravel()
 
     def value(self, k: int, window: Window, u: np.ndarray) -> float:
-        """s_k at window `window` and weight `u` (see `weight`)."""
+        """s_k at window `window` and weight `u` (see `weight`), k >= 0."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
         if len(window) != self.spec.d + 2:
             raise ValueError(f"window must have length {self.spec.d + 2}")
         return float(np.max(self.vectors(k, tuple(window[1:])) @ u))
@@ -217,21 +226,6 @@ def _table_for(spec: ModelSpec, table: ValueTable | None) -> ValueTable:
     return table
 
 
-def continuation_value(
-    spec: ModelSpec,
-    k: int,
-    window: Window,
-    gamma: np.ndarray,
-    delta: np.ndarray,
-    budget: int = CANDIDATE_BUDGET,
-) -> float:
-    """Evaluate s_k at one state; k = 0 is the closed one-step form."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    table = ValueTable(spec, budget)
-    return table.value(k, tuple(window), table.weight(gamma, delta))
-
-
 def value_iterate(
     spec: ModelSpec,
     window: Window,
@@ -272,13 +266,7 @@ def stop_decision(
     res = value_iterate(
         spec, state.window, state.change_prob, state.pair_prob, cfg, table=table
     )
-    return StopDecision(
-        stop=h >= res.value,
-        stop_value=h,
-        continue_value=res.value,
-        k_used=res.k_used,
-        converged=res.converged,
-    )
+    return StopDecision(state.n, h >= res.value, h, res.value, res.k_used, res.converged)
 
 
 def boundary_decision(
@@ -287,16 +275,22 @@ def boundary_decision(
     cfg: ValueIterConfig,
     *,
     table: ValueTable | None = None,
+    nxt: PosteriorState | None = None,
 ) -> StopDecision:
     """Stop-or-continue comparison at the earliest admissible time d + 1.
 
-    Compares the boundary payoff against the expected value of the better of
-    stopping or continuing one step ahead, which is measurable at d + 1.
+    Without `nxt`, compares the boundary payoff against the expected value of
+    the better of stopping or continuing one step ahead, which is measurable
+    at d + 1.  With the realised next state `nxt`, compares it against the
+    continuation value at `nxt` (the literal reading).
     """
     if state.n != spec.d + 1:
         raise ValueError("boundary comparison applies exactly at time d + 1")
     table = _table_for(spec, table)
     h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+    if nxt is not None:
+        res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, table=table)
+        return StopDecision(state.n, h >= res.value, h, res.value, res.k_used, res.converged)
     pred = predictive(spec, state)
     total = 0.0
     k_used = 0
@@ -313,102 +307,11 @@ def boundary_decision(
         k_used = max(k_used, res.k_used)
         converged = converged and res.converged
         total += w * max(h_next, res.value)
-    return StopDecision(
-        stop=h >= total,
-        stop_value=h,
-        continue_value=total,
-        k_used=k_used,
-        converged=converged,
-    )
-
-
-def _literal_boundary_decision(
-    spec: ModelSpec,
-    state: PosteriorState,
-    nxt: PosteriorState,
-    cfg: ValueIterConfig,
-    table: ValueTable,
-) -> StopDecision:
-    # The "literal" reading at d + 1: the boundary payoff at `state` against
-    # the continuation value at the realised next state `nxt`.
-    h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
-    res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, table=table)
-    return StopDecision(h >= res.value, h, res.value, res.k_used, res.converged)
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    n: int
-    stop_value: float
-    continue_value: float
-    stopped: bool
-    k_used: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class RuleRun:
-    """Trace of one rule application; stop_time is None when censored."""
-
-    stop_time: int | None
-    censored: bool
-    trace: tuple[DecisionRecord, ...]
-    final_state: PosteriorState
-
-
-def rule_runner(
-    spec: ModelSpec,
-    observations: Window,
-    cfg: ValueIterConfig,
-    variant: str = "expected",
-) -> RuleRun:
-    """Apply the optimal stopping rule to an observation stream.
-
-    Never stops before d + 1.  At d + 1 the boundary dichotomy runs in one of
-    two readings: "expected" (default) compares the boundary payoff with the
-    expected best of stop/continue one step ahead; "literal" waits for the
-    next symbol, compares against the continuation value at the realised next
-    state, and on a stop reports d + 1 retroactively.  From d + 2 on, the
-    runner stops at first entry of the state into the stopping region.
-    Exhausting the stream yields a censored result carrying the last state.
-    """
-    if variant not in ("expected", "literal"):
-        raise ValueError("variant must be 'expected' or 'literal'")
-    observations = tuple(observations)
-    if not observations or observations[0] != spec.x0:
-        raise ValueError(f"stream must start at x0={spec.x0}")
-    table = ValueTable(spec)
-    state = state_init(spec)
-    trace: list[DecisionRecord] = []
-    horizon = len(observations) - 1
-    n = 0
-    while n < horizon:
-        n += 1
-        state = state_step(spec, state, observations[n])
-        if state.n < spec.d + 1:
-            continue
-        if state.n > spec.d + 1:
-            dec = stop_decision(spec, state, cfg, table=table)
-        elif variant == "expected":
-            dec = boundary_decision(spec, state, cfg, table=table)
-        elif n + 1 > horizon:
-            break
-        else:
-            nxt = state_step(spec, state, observations[n + 1])
-            dec = _literal_boundary_decision(spec, state, nxt, cfg, table)
-        trace.append(
-            DecisionRecord(
-                state.n, dec.stop_value, dec.continue_value,
-                dec.stop, dec.k_used, dec.converged,
-            )
-        )
-        if dec.stop:
-            return RuleRun(state.n, False, tuple(trace), state)
-    return RuleRun(None, True, tuple(trace), state)
+    return StopDecision(state.n, h >= total, h, total, k_used, converged)
 
 
 class OptimalStoppingRule:
-    """Prefix-cached adapter of the rule for simulation and exact evaluation.
+    """The optimal stopping rule, prefix-cached for simulation and exact evaluation.
 
     Decisions depend on the observed prefix only, so repeated evaluation over
     many trajectories reuses one decision per distinct prefix.  The rule
@@ -423,7 +326,7 @@ class OptimalStoppingRule:
         self.variant = variant
         self._table = ValueTable(spec)
         self._states: dict[Window, PosteriorState] = {}
-        self._decisions: dict[tuple, StopDecision] = {}
+        self._decisions: dict[tuple[int, Window], StopDecision] = {}
 
     def _state_at(self, prefix: Window) -> PosteriorState:
         hit = self._states.get(prefix)
@@ -436,51 +339,81 @@ class OptimalStoppingRule:
         self._states[prefix] = state
         return state
 
-    def _decide(self, prefix: Window) -> bool:
-        n = len(prefix) - 1
-        d = self.spec.d
-        # In the literal reading the d + 1 prefix cannot be decided yet; the
-        # caller resolves it one symbol later via _decide_literal_boundary.
-        if n < d + 1 or (n == d + 1 and self.variant == "literal"):
-            return False
-        hit = self._decisions.get(prefix)
-        if hit is None:
-            decide = boundary_decision if n == d + 1 else stop_decision
-            hit = decide(self.spec, self._state_at(prefix), self.cfg, table=self._table)
-            self._decisions[prefix] = hit
-        return hit.stop
+    def _decide(self, n: int, prefix: Window) -> StopDecision:
+        """The decision at time n >= d + 1 on the observed prefix.
 
-    def _decide_literal_boundary(self, prefix: Window) -> bool:
-        # prefix has length d + 3; compares the boundary payoff at d + 1
-        # against the continuation value at the realised d + 2 state.
-        key = ("literal",) + prefix
+        The prefix ends at n, except for the literal boundary at d + 1,
+        which reads one symbol more.  That prefix is also the one of the
+        region decision at d + 2, so decisions are cached under (n, prefix).
+        """
+        key = (n, prefix)
         hit = self._decisions.get(key)
         if hit is None:
-            hit = _literal_boundary_decision(
-                self.spec, self._state_at(prefix[:-1]), self._state_at(prefix),
-                self.cfg, self._table,
-            )
+            spec, cfg, table = self.spec, self.cfg, self._table
+            if n > spec.d + 1:
+                hit = stop_decision(spec, self._state_at(prefix), cfg, table=table)
+            elif self.variant == "expected":
+                hit = boundary_decision(spec, self._state_at(prefix), cfg, table=table)
+            else:
+                hit = boundary_decision(
+                    spec, self._state_at(prefix[:-1]), cfg, table=table, nxt=self._state_at(prefix)
+                )
             self._decisions[key] = hit
-        return hit.stop
+        return hit
 
-    def stop_time(self, observations: Window) -> int | None:
-        """First stop along the path, or None when the rule never fires."""
+    def decisions(self, observations: Window) -> Iterator[StopDecision]:
+        """The decisions along a path, up to and including the first stop."""
         observations = tuple(observations)
         if not observations or observations[0] != self.spec.x0:
             raise ValueError(f"stream must start at x0={self.spec.x0}")
         d = self.spec.d
-        horizon = len(observations) - 1
-        if self.variant == "literal":
-            if d + 2 <= horizon and self._decide_literal_boundary(observations[: d + 3]):
-                return d + 1
-            for n in range(d + 2, horizon + 1):
-                if self._decide(observations[: n + 1]):
-                    return n
-            return None
-        for n in range(d + 1, horizon + 1):
-            if self._decide(observations[: n + 1]):
-                return n
+        for n in range(d + 1, len(observations)):
+            # the literal boundary at d + 1 reads one symbol more
+            end = n + 2 if n == d + 1 and self.variant == "literal" else n + 1
+            if end > len(observations):
+                return
+            dec = self._decide(n, observations[:end])
+            yield dec
+            if dec.stop:
+                return
+
+    def stop_time(self, observations: Window) -> int | None:
+        """First stop along the path, or None when the rule never fires."""
+        for dec in self.decisions(observations):
+            if dec.stop:
+                return dec.n
         return None
 
     def __call__(self, observations: Window) -> int | None:
         return self.stop_time(observations)
+
+
+@dataclass(frozen=True)
+class RuleRun:
+    """Trace of one rule application; stop_time is None when censored."""
+
+    stop_time: int | None
+    censored: bool
+    trace: tuple[StopDecision, ...]
+    final_state: PosteriorState
+
+
+def rule_runner(
+    spec: ModelSpec,
+    observations: Window,
+    cfg: ValueIterConfig,
+    variant: str = "expected",
+) -> RuleRun:
+    """Apply a fresh OptimalStoppingRule to one observation stream.
+
+    The trace holds the rule's decisions up to and including the stop.  The
+    final state is the filter state at the stop, or at the end of the stream
+    when the rule never fires (censored).
+    """
+    rule = OptimalStoppingRule(spec, cfg, variant)
+    observations = tuple(observations)
+    stop = rule.stop_time(observations)
+    end = len(observations) if stop is None else stop + 1
+    return RuleRun(
+        stop, stop is None, tuple(rule.decisions(observations)), rule._state_at(observations[:end])
+    )

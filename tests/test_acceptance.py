@@ -21,7 +21,6 @@ from disorder import (
     change_backshift,
     change_multistep,
     change_time_pmf,
-    continuation_value,
     criterion_probability,
     exact_optimal_rule,
     exact_posterior,
@@ -37,6 +36,7 @@ from disorder.cli import main as cli_main
 from disorder.oracle import change_cdf_given_pair
 from disorder.posterior import change_lagged
 from disorder.simulate import TrajectorySampler, mix_seed, mix_seeds
+from disorder.stopping import ValueTable
 
 from conftest import make_m1, make_m2, make_m3, make_m4, step_from
 
@@ -160,6 +160,7 @@ def test_criterion_4_structural_recursions():
             spec = make(d)
             seeds = [mix_seed(1000 + t, t) for t in range(per_spec)]
             paths = TrajectorySampler(spec, d + 3).sample_batch(seeds).observations.tolist()
+            table = ValueTable(spec)
             for path in paths:
                 state = filter_through(spec, path[: d + 2])
                 prev = state
@@ -170,12 +171,10 @@ def test_criterion_4_structural_recursions():
                     spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
                 )
                 for k in (0, 1, 2):
-                    lhs = norm * continuation_value(
-                        spec, k, state.window, state.change_prob, state.pair_prob
+                    lhs = norm * table.value(
+                        k, state.window, table.weight(state.change_prob, state.pair_prob)
                     )
-                    rhs = continuation_value(
-                        spec, k, state.window, prev.change_prob, composed
-                    )
+                    rhs = table.value(k, state.window, table.weight(prev.change_prob, composed))
                     worst_norm = max(worst_norm, abs(lhs - rhs))
     assert worst_norm <= 1e-9
 
@@ -183,13 +182,15 @@ def test_criterion_4_structural_recursions():
     count = 0
     for name, make in ALL_SPECS.items():
         spec = make(d=1)
+        table = ValueTable(spec)
         for _ in range(50):
             window = tuple(rng.integers(0, spec.alphabet_size, size=spec.d + 2).tolist())
             gamma = rng.uniform(0, 1, (spec.l0, spec.l1))
             delta = rng.uniform(0, 1, (spec.l0, spec.l1))
-            prev = continuation_value(spec, 0, window, gamma, delta)
+            u = table.weight(gamma, delta)
+            prev = table.value(0, window, u)
             for k in range(1, 5):
-                cur = continuation_value(spec, k, window, gamma, delta)
+                cur = table.value(k, window, u)
                 assert cur >= prev - 1e-12
                 prev = cur
             count += 1
@@ -216,8 +217,8 @@ def test_criterion_5_desk_scale_optimality():
             literal_rule = OptimalStoppingRule(spec, cfg, variant="literal")
             agree = True
             for path in all_paths(spec, d + 2):
-                lit = literal_rule._decide_literal_boundary(path)
-                exp = expected_rule._decide(path[: d + 2])
+                lit = literal_rule._decide(d + 1, path).stop
+                exp = expected_rule._decide(d + 1, path[: d + 2]).stop
                 if lit != exp:
                     agree = False
                     break

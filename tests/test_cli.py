@@ -176,6 +176,10 @@ class TestEvaluateCommand:
                                  "--horizon", "16"]),
             ("evaluate_m4.csv", ["--config", "configs/m4.json", "--rules", "optimal,fixed,threshold",
                                  "--kmax", "4", "--horizon", "5"]),
+            ("evaluate_m3_d1_literal.csv", ["--config", "configs/m3_d1.json",
+                                            "--variant", "literal",
+                                            "--rules", "optimal,fixed,threshold", "--kmax", "5",
+                                            "--horizon", "8"]),
         ],
     )
     def test_matches_golden(self, golden, argv, tmp_path, monkeypatch, capsys):

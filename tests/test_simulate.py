@@ -23,7 +23,6 @@ from disorder import (
     monte_carlo_eval,
     path_probability,
     posterior_threshold_rule,
-    sample_trajectory,
     state_init,
     state_step,
 )
@@ -43,10 +42,10 @@ from conftest import make_m2, make_m3, make_m4, random_spec
 
 class TestSampling:
     def test_deterministic_in_seed(self, m3):
-        a = sample_trajectory(m3, 6, 12345)
-        b = sample_trajectory(m3, 6, 12345)
+        a = TrajectorySampler(m3, 6).sample(12345)
+        b = TrajectorySampler(m3, 6).sample(12345)
         assert a == b
-        c = sample_trajectory(m3, 6, 12346)
+        c = TrajectorySampler(m3, 6).sample(12346)
         assert a != c
 
     def test_starts_at_x0(self, m4):
@@ -95,7 +94,7 @@ class TestSampling:
     def test_switch_continuity(self, m3):
         # the post-change chain continues from the last pre-change symbol;
         # observed as: transition at theta drawn from post kernel row X_{theta-1}
-        traj = sample_trajectory(m3, 6, 4242)
+        traj = TrajectorySampler(m3, 6).sample(4242)
         assert len(traj.observations) == 7
 
 
@@ -233,7 +232,7 @@ class TestBatchSampler:
         seeds = mix_seeds(5, np.arange(40))
         batch = TrajectorySampler(m3, 7).sample_batch(seeds)
         for row, s in enumerate(seeds.tolist()):
-            traj = sample_trajectory(m3, 7, s)
+            traj = TrajectorySampler(m3, 7).sample(s)
             assert traj.seed == s
             assert traj.observations == tuple(batch.observations[row].tolist())
             assert traj.latent.theta == int(batch.theta[row])
@@ -330,13 +329,16 @@ class TestBatchRules:
 
 def test_monte_carlo_path_never_imports_numpy_random(tmp_path):
     # the sampler is numpy Philox arithmetic; numpy.random (2.6 MB of RSS)
-    # must stay unimported through an evaluate run with all three rules
+    # must stay unimported through an evaluate run with all three rules and
+    # through a crosscheck run, whose back-shift check draws from the same
+    # Philox
     code = (
         "import sys\n"
         "from disorder.cli import main\n"
         "argv = ['evaluate', '--config', 'configs/m4.json', '--rules', 'optimal,fixed,threshold',\n"
         "        '--n', '40', '--horizon', '5', '--kmax', '3', '--seed', '1', '--out', sys.argv[1]]\n"
         "assert main(argv) == 0\n"
+        "assert main(['crosscheck', '--config', 'configs/m3_d1.json', '--horizon', '4']) == 0\n"
         "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
     )
     src = str(Path(disorder.__file__).resolve().parents[1])

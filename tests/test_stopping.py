@@ -11,7 +11,6 @@ from disorder import (
     OptimalStoppingRule,
     StopDecision,
     ValueIterConfig,
-    continuation_value,
     predictive,
     rule_runner,
     state_init,
@@ -74,14 +73,20 @@ def reference_value(spec, state, cfg):
     return cur
 
 
-def reference_stops(spec, cfg, horizon):
-    """Prefixes at which the reference rule stops, over the full path tree."""
-    stops = {}
+def reference_stops(spec, cfg, horizon, variant="expected"):
+    """Decisions (n, stop) of the reference rule over the full path tree.
 
-    def stops_at(state):
-        if state.n > spec.d + 1:
-            h = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
-            return h >= reference_value(spec, state, cfg)
+    Keyed by the prefix at which a path's decisions end: the prefix its stop
+    decision reads, or the whole path when the rule never fires.  The
+    literal boundary decision at d + 1 reads the symbol at d + 2.
+    """
+    traces = {}
+
+    def region_stops(state):
+        h = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
+        return h >= reference_value(spec, state, cfg)
+
+    def expected_boundary_stops(state):
         pred = predictive(spec, state)
         total = 0.0
         for y in range(spec.alphabet_size):
@@ -92,15 +97,35 @@ def reference_stops(spec, cfg, horizon):
             total += float(pred[y]) * max(h_next, reference_value(spec, nxt, cfg))
         return stop_payoff_boundary(spec, state.change_prob, state.pair_prob) >= total
 
-    def walk(state, prefix):
-        if state.n >= spec.d + 1 and stops_at(state):
-            stops[prefix] = state.n
-        elif state.n < horizon:
-            for y in range(spec.alphabet_size):
-                walk(state_step(spec, state, y), prefix + (y,))
+    def literal_boundary_stops(state, nxt):
+        h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+        return h >= reference_value(spec, nxt, cfg)
 
-    walk(state_init(spec), (spec.x0,))
-    return stops
+    def walk(prev, state, prefix, trace):
+        n = state.n
+        if n == spec.d + 1 and variant == "expected":
+            trace += ((n, expected_boundary_stops(state)),)
+        if n == spec.d + 2 and variant == "literal":
+            trace += ((n - 1, literal_boundary_stops(prev, state)),)
+        if n > spec.d + 1 and not (trace and trace[-1][1]):
+            trace += ((n, region_stops(state)),)
+        if (trace and trace[-1][1]) or n == horizon:
+            traces[prefix] = trace
+            return
+        for y in range(spec.alphabet_size):
+            walk(state, state_step(spec, state, y), prefix + (y,), trace)
+
+    walk(None, state_init(spec), (spec.x0,), ())
+    return traces
+
+
+def reference_trace(traces, path):
+    """The reference decisions along a full path."""
+    return next(traces[path[:m]] for m in range(1, len(path) + 1) if path[:m] in traces)
+
+
+def stop_of(trace):
+    return trace[-1][0] if trace and trace[-1][1] else None
 
 
 REFERENCE_SPECS = {
@@ -131,14 +156,11 @@ class TestValueTable:
     )
     def test_rule_stops_like_reference(self, spec, k_max, horizon):
         cfg = ValueIterConfig(k_max=k_max)
-        stops = reference_stops(spec, cfg, horizon)
+        traces = reference_stops(spec, cfg, horizon)
         rule = OptimalStoppingRule(spec, cfg)
         for tail in itertools.product(range(spec.alphabet_size), repeat=horizon):
             path = (spec.x0,) + tail
-            expected = next(
-                (stops[path[:n + 1]] for n in range(horizon + 1) if path[:n + 1] in stops), None
-            )
-            assert rule.stop_time(path) == expected
+            assert rule.stop_time(path) == stop_of(reference_trace(traces, path))
 
     def test_decisions_keep_iteration_flags(self):
         spec = make_m3(1)
@@ -157,8 +179,10 @@ class TestValueTable:
         for _ in range(10):
             window, gamma, delta = random_state_inputs(m4, rng)
             for k in range(4):
-                fresh = continuation_value(m4, k, window, gamma, delta)
-                assert table.value(k, window, table.weight(gamma, delta)) == fresh
+                fresh = ValueTable(m4)
+                assert table.value(k, window, table.weight(gamma, delta)) == fresh.value(
+                    k, window, fresh.weight(gamma, delta)
+                )
 
     def test_table_of_other_spec_rejected(self, m2, m3):
         state = filter_through(m2, (0, 1, 0))
@@ -169,12 +193,14 @@ class TestValueTable:
 class TestBaseLevel:
     def test_single_pair_closed_form(self, m1):
         # one-step-ahead value with a trivial trailing window
-        got = continuation_value(m1, 0, (0, 1), np.array([[0.0]]), np.array([[1.0]]))
+        table = ValueTable(m1)
+        got = table.value(0, (0, 1), table.weight(np.array([[0.0]]), np.array([[1.0]])))
         assert got == pytest.approx(0.2, abs=1e-14)
 
     def test_certain_change_is_worthless(self, m3):
         window = (0, 1)
-        got = continuation_value(m3, 0, window, np.ones((2, 2)), np.full((2, 2), 0.25))
+        table = ValueTable(m3)
+        got = table.value(0, window, table.weight(np.ones((2, 2)), np.full((2, 2), 0.25)))
         assert got == 0.0
 
     @pytest.mark.parametrize("make", [make_m2, make_m3, make_m4])
@@ -184,6 +210,7 @@ class TestBaseLevel:
         # state against the predictive, then compare with the closed form
         spec = make(d)
         paths = TrajectorySampler(spec, d + 3).sample_batch(mix_seeds(101, np.arange(20))).observations
+        table = ValueTable(spec)
         for path in paths.tolist():
             state = filter_through(spec, path)
             pred = predictive(spec, state)
@@ -195,9 +222,7 @@ class TestBaseLevel:
                 expected += float(pred[y]) * stop_payoff(
                     spec, nxt.window, nxt.change_prob, nxt.pair_prob
                 )
-            got = continuation_value(
-                spec, 0, state.window, state.change_prob, state.pair_prob
-            )
+            got = table.value(0, state.window, table.weight(state.change_prob, state.pair_prob))
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -206,20 +231,23 @@ class TestRecursion:
     def test_monotone_in_k(self, make):
         spec = make(d=1)
         rng = np.random.default_rng(19)
+        table = ValueTable(spec)
         for _ in range(25):
             window, gamma, delta = random_state_inputs(spec, rng)
-            prev = continuation_value(spec, 0, window, gamma, delta)
+            u = table.weight(gamma, delta)
+            prev = table.value(0, window, u)
             for k in range(1, 5):
-                cur = continuation_value(spec, k, window, gamma, delta)
+                cur = table.value(k, window, u)
                 assert cur >= prev - 1e-12
                 prev = cur
 
     def test_homogeneous_in_delta(self, m3):
         rng = np.random.default_rng(12)
         window, gamma, delta = random_state_inputs(m3, rng)
+        table = ValueTable(m3)
         for k in (0, 1, 3):
-            base = continuation_value(m3, k, window, gamma, delta)
-            scaled = continuation_value(m3, k, window, gamma, 0.37 * delta)
+            base = table.value(k, window, table.weight(gamma, delta))
+            scaled = table.value(k, window, table.weight(gamma, 0.37 * delta))
             assert scaled == pytest.approx(0.37 * base, rel=1e-12)
 
     @pytest.mark.parametrize("make", [make_m2, make_m3])
@@ -227,6 +255,7 @@ class TestRecursion:
     def test_normalization_property(self, make, d):
         spec = make(d)
         paths = TrajectorySampler(spec, d + 4).sample_batch(mix_seeds(77, np.arange(30))).observations
+        table = ValueTable(spec)
         for path in paths.tolist():
             state = state_init(spec)
             for n in range(1, d + 5):
@@ -240,12 +269,10 @@ class TestRecursion:
                     spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
                 )
                 for k in (0, 1, 2):
-                    lhs = norm * continuation_value(
-                        spec, k, state.window, state.change_prob, state.pair_prob
+                    lhs = norm * table.value(
+                        k, state.window, table.weight(state.change_prob, state.pair_prob)
                     )
-                    rhs = continuation_value(
-                        spec, k, state.window, prev.change_prob, composed
-                    )
+                    rhs = table.value(k, state.window, table.weight(prev.change_prob, composed))
                     assert abs(lhs - rhs) <= 1e-9
 
     def test_bounded_by_worst_case_ratios(self, m3):
@@ -257,22 +284,23 @@ class TestRecursion:
             r_max**m / m3.p**m for m in range(1, m3.d + 2)
         )
         rng = np.random.default_rng(31)
+        table = ValueTable(m3)
         for _ in range(20):
             window, gamma, delta = random_state_inputs(m3, rng)
             bound = float(np.sum(c_max * (1 - gamma) * delta))
             for k in (0, 1, 2, 4):
-                val = continuation_value(m3, k, window, gamma, delta)
+                val = table.value(k, window, table.weight(gamma, delta))
                 assert val <= bound + 1e-12
 
     def test_budget_guard(self, m3):
+        table = ValueTable(m3, budget=10)
         with pytest.raises(BudgetError):
-            continuation_value(
-                m3, 12, (0, 1), np.zeros((2, 2)), np.full((2, 2), 0.25), budget=10
-            )
+            table.value(12, (0, 1), table.weight(np.zeros((2, 2)), np.full((2, 2), 0.25)))
 
     def test_negative_k_rejected(self, m1):
+        table = ValueTable(m1)
         with pytest.raises(ValueError):
-            continuation_value(m1, -1, (0, 1), np.zeros((1, 1)), np.ones((1, 1)))
+            table.value(-1, (0, 1), table.weight(np.zeros((1, 1)), np.ones((1, 1))))
 
 
 class TestValueIterate:
@@ -378,17 +406,23 @@ class TestRuleRunner:
         with pytest.raises(ValueError):
             rule_runner(m2, (1, 0), ValueIterConfig())
 
-    def test_variants_agree_with_prefix_rule(self, m2):
-        spec = make_m2(d=1)
+    def test_readings_follow_reference(self):
         cfg = ValueIterConfig(k_max=5, tol=1e-8)
-        import itertools
-
-        for variant in ("expected", "literal"):
-            rule = OptimalStoppingRule(spec, cfg, variant=variant)
-            for tail in itertools.product(range(2), repeat=5):
-                path = (0,) + tail
-                run = rule_runner(spec, path, cfg, variant=variant)
-                assert rule.stop_time(path) == run.stop_time
+        for spec in (make_m2(d=1), make_m3(d=1)):
+            for variant in ("expected", "literal"):
+                traces = reference_stops(spec, cfg, 6, variant)
+                rule = OptimalStoppingRule(spec, cfg, variant=variant)
+                for tail in itertools.product(range(spec.alphabet_size), repeat=6):
+                    path = (spec.x0,) + tail
+                    trace = reference_trace(traces, path)
+                    assert rule.stop_time(path) == stop_of(trace)
+                    run = rule_runner(spec, path, cfg, variant=variant)
+                    assert tuple((dec.n, dec.stop) for dec in run.trace) == trace
+                    assert run.stop_time == stop_of(trace)
+                    end = 7 if run.stop_time is None else run.stop_time + 1
+                    final = filter_through(spec, path[:end])
+                    assert run.final_state.n == end - 1
+                    assert np.array_equal(run.final_state.change_prob, final.change_prob)
 
 
 class TestBoundaryDecision:
