@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -40,7 +39,7 @@ from .simulate import (
     report_to_csv,
     report_to_json,
 )
-from .stopping import OptimalStoppingRule, ValueIterConfig, value_iterate
+from .stopping import OptimalStoppingRule, ValueIterConfig, ValueTable, stop_decision
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,14 +65,6 @@ def _count(raw: str) -> int:
     return value
 
 
-def _tolerance(raw: str) -> float:
-    """argparse type: a finite float above 0."""
-    value = float(raw)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {raw}")
-    return value
-
-
 def _emit_error(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
@@ -85,16 +76,6 @@ def _out_path(raw: str) -> Path:
         path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _load_valid_spec(config: str):
-    spec = load_spec(config)
-    report = validate(spec)
-    if report:
-        for item in report:
-            _emit_error("validation", item)
-        return None
-    return spec
 
 
 def _build_parser() -> _Parser:
@@ -120,13 +101,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--json-out", default=None)
     p.add_argument("--kmax", type=_count, default=10)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--variant", choices=("expected", "literal"), default="expected")
 
     p = sub.add_parser("value-iterate", help="continuation values at probe states")
     p.add_argument("--config", required=True)
     p.add_argument("--kmax", type=_count, default=10)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--probe", type=_count, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -155,10 +134,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    spec = _load_valid_spec(args.config)
-    if spec is None:
-        return EXIT_VALIDATION
+def _cmd_simulate(spec, args) -> int:
     seeds = mix_seeds(args.seed, np.arange(args.n))
     batch = TrajectorySampler(spec, args.horizon).sample_batch(seeds)
     out = _out_path(args.out)
@@ -179,11 +155,8 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    spec = _load_valid_spec(args.config)
-    if spec is None:
-        return EXIT_VALIDATION
-    cfg = ValueIterConfig(k_max=args.kmax, tol=args.tol)
+def _cmd_evaluate(spec, args) -> int:
+    cfg = ValueIterConfig(k_max=args.kmax)
     available = {
         "optimal": lambda: OptimalStoppingRule(spec, cfg, variant=args.variant),
         "fixed": lambda: fixed_time_rule(spec),
@@ -210,36 +183,28 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_value_iterate(args) -> int:
-    spec = _load_valid_spec(args.config)
-    if spec is None:
-        return EXIT_VALIDATION
-    cfg = ValueIterConfig(k_max=args.kmax, tol=args.tol)
+def _cmd_value_iterate(spec, args) -> int:
+    cfg = ValueIterConfig(k_max=args.kmax)
+    table = ValueTable(spec)
     seeds = mix_seeds(args.seed, np.arange(args.probe))
     paths = TrajectorySampler(spec, spec.d + 3).sample_batch(seeds).observations
-    lines = ["probe,k,s_k"]
-    all_converged = True
+    lines = ["probe,k_used,s_k,bound,stop_value,converged"]
     for idx, path in enumerate(paths.tolist()):
         state = state_init(spec)
         for sym in path[1:]:
             state = state_step(spec, state, sym)
-        res = value_iterate(spec, state.window, state.change_prob, state.pair_prob, cfg)
-        all_converged = all_converged and res.converged
-        for k, val in enumerate(res.history):
-            lines.append(f"{idx},{k},{val:.17g}")
-        flag = "converged" if res.converged else "NOT CONVERGED"
-        print(f"probe {idx}: s_{res.k_used}={res.value:.12f} ({flag})")
+        dec = stop_decision(spec, state, cfg, table=table)
+        lines.append(
+            f"{idx},{dec.k_used},{dec.continue_value:.17g},{dec.bound:.17g},"
+            f"{dec.stop_value:.17g},{int(dec.converged)}"
+        )
+    print("\n".join(lines))
     if args.out:
         _out_path(args.out).write_text("\n".join(lines) + "\n")
-    if not all_converged:
-        _emit_error("convergence", "some probe states did not reach the Cauchy tolerance")
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    spec = _load_valid_spec(args.config)
-    if spec is None:
-        return EXIT_VALIDATION
+def _cmd_oracle(spec, args) -> int:
     table = oracle_mod.build_joint(spec, args.horizon)
     value_r, tree = oracle_mod.exact_optimal_rule(table, restrict_after_d=True)
     value_u, _ = oracle_mod.exact_optimal_rule(table, restrict_after_d=False)
@@ -256,10 +221,7 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_crosscheck(args) -> int:
-    spec = _load_valid_spec(args.config)
-    if spec is None:
-        return EXIT_VALIDATION
+def _cmd_crosscheck(spec, args) -> int:
     results = crosscheck_mod.run_crosscheck(spec, args.horizon, seed=args.seed)
     failures = 0
     for res in results:
@@ -275,22 +237,26 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "validate":
+            return _cmd_validate(args)
+        spec = load_spec(args.config)
+        report = validate(spec)
+        for item in report:
+            _emit_error("validation", item)
+        if report:
+            return EXIT_VALIDATION
         handlers = {
-            "validate": _cmd_validate,
             "simulate": _cmd_simulate,
             "evaluate": _cmd_evaluate,
             "value-iterate": _cmd_value_iterate,
             "oracle": _cmd_oracle,
             "crosscheck": _cmd_crosscheck,
         }
-        return handlers[args.command](args)
+        return handlers[args.command](spec, args)
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return EXIT_USAGE
-    except ConfigError as exc:
-        _emit_error("config", str(exc))
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         _emit_error("config", str(exc))
         return EXIT_VALIDATION
     except DisorderError as exc:

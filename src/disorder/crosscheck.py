@@ -223,6 +223,19 @@ def check_continuation_normalization(
     return _result("continuation_normalization", worst, 1e-9)
 
 
+def check_continuation_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
+    """The oracle's continuation at a node n >= d + 2 is s_{H - n - 1} at its filter state."""
+    _, tree = oracle.exact_optimal_rule(table)
+    values = stopping.ValueTable(spec)
+    worst = 0.0
+    for path, state in _filter_states(spec, table.horizon - 1):
+        if state.n >= spec.d + 2:
+            u = values.weight(state.change_prob, state.pair_prob)
+            s_k = values.value(table.horizon - state.n - 1, state.window, u)
+            worst = max(worst, abs(tree.node(path).continuation - s_k))
+    return _result("continuation_vs_oracle", worst, 1e-12)
+
+
 def check_predictive_chain(spec: ModelSpec, horizon: int) -> CheckResult:
     """Predictive density equals the ratio of consecutive path probabilities."""
     worst = 0.0
@@ -254,5 +267,6 @@ def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckRe
         check_backshift_inversion(spec, seed=mix_seed(seed, 1)),
         check_continuation_normalization(spec, seed=mix_seed(seed, 2)),
         check_predictive_chain(spec, horizon),
+        check_continuation_vs_oracle(spec, table),
     ]
     return results

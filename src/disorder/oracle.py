@@ -135,11 +135,14 @@ def exact_rule_value(table: JointTable, rule: Callable[[Window], Optional[int]])
     The rule maps a full path to its stop time and must depend only on the
     prefix up to that time (adaptedness is the caller's contract).  A None
     stop time is treated as a forced stop at the horizon, mirroring the
-    censoring policy of the simulator.
+    censoring policy of the simulator.  Paths of probability 0 carry no
+    detection mass and are skipped; the rule is never called on them.
     """
     h = table.horizon
     terms = []
-    for path in table.levels[h]:
+    for path, joint in table.levels[h].items():
+        if not joint.any():
+            continue
         tau = rule(path)
         if tau is None:
             tau = h

@@ -21,21 +21,25 @@ builds these sets on demand, prunes dominated vectors and keeps them for
 its lifetime, so one table serves every state of a spec.
 
 s_k increases pointwise in k; its limit s* defines the stopping region
-{ h >= s* }, with s* replaced by s_K at the first k with |s_k - s_{k-1}|
-below tolerance.  OptimalStoppingRule is the one implementation of the rule:
-it never stops before d + 1, applies a boundary comparison at d + 1 and
-afterwards stops on first entry into the region.  The boundary comparison
-has two readings.  "expected" compares the boundary payoff with the expected
-best of stop/continue one step ahead.  "literal" waits for the next symbol
-and compares against the continuation value at the realised next state; on
-a stop it reports d + 1 retroactively.  rule_runner is a trace view of the
-rule on one stream.
+{ h >= s* }.  A decision raises K up to the cap k_max until h < s_K proves
+continue or h >= s_K + bound (see ValueTable.bound) proves stop; at the cap
+it compares h with s_{k_max}, flagged as not proved.  Either way it is the
+s_{k_max} decision.  OptimalStoppingRule is the one implementation of the
+rule: it never stops before d + 1, applies a boundary comparison at d + 1
+and afterwards stops on first entry into the region.  The comparison at
+d + 1 has two readings.  "expected" compares the boundary payoff with the
+expected best of stop/continue one step ahead.  "literal" waits for the
+next symbol and compares against the continuation value at the realised
+next state; on a stop it reports d + 1 retroactively.  rule_runner is a
+trace view of the rule on one stream.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -56,36 +60,40 @@ _EPS8 = 8.0 * 2.0**-52
 
 @dataclass(frozen=True)
 class ValueIterConfig:
-    """Iteration cap and pointwise Cauchy tolerance."""
+    """Cap on the value-iteration level K."""
 
     k_max: int = 10
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
 class StopDecision:
-    """Outcome at time n of comparing the stop payoff against the continuation value."""
+    """Outcome at time n of comparing the stop payoff with the continuation at K = k_used.
+
+    The limit lies within [continue_value, continue_value + bound]; converged
+    means the decision is proved against it.
+    """
 
     n: int
     stop: bool
     stop_value: float
     continue_value: float
+    bound: float
     k_used: int
     converged: bool = True
 
 
 @dataclass(frozen=True)
 class ValueIterResult:
+    """s_K <= s* <= s_K + bound at K = k_used; converged: the stop value is decided against s*."""
+
     value: float
+    bound: float
     k_used: int
     converged: bool
-    history: tuple[float, ...]
 
 
 def _prune(vecs: np.ndarray) -> np.ndarray:
@@ -161,7 +169,10 @@ class ValueTable:
         self.budget = budget
         self.formed = 0
         self._sets: dict[tuple[int, Window], np.ndarray] = {}
-        self._branches: dict[Window, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._branches: dict[Window, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        self._bounds: dict[int, float] = {0: math.inf}
+        # transitions a -> b that can occur; validated kernels share zeros
+        self._live = spec.pre_kernels.any(axis=0)
 
     def weight(self, gamma: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """The flattened u = p o (1 - gamma) o delta that the sets act on."""
@@ -187,24 +198,46 @@ class ValueTable:
             out = _base_coeff(self.spec, tail).reshape(1, -1)
         else:
             out = None
-            for y, (stop, gain) in enumerate(self._branch(tail)):
+            for y, stop, gain in self._branch(tail):
                 cont = self.vectors(k - 1, tail[1:] + (y,)) * gain
                 opts = _prune(np.concatenate((stop, cont)))
                 out = opts if out is None else self._cross_sum(out, opts)
         self._sets[key] = out
         return out
 
-    def _branch(self, tail: Window) -> list[tuple[np.ndarray, np.ndarray]]:
-        # Per next symbol y: the stop coefficients c_y and the gain D_y.
+    def bound(self, k: int) -> float:
+        """b_k with s* - s_k <= b_k * sum(u) at every window and u >= 0.
+
+        The D_y sum to diag(p), so the growth s_k - s_{k-1} shrinks by
+        p_max = max p per level, and b_k = M_k p_max / (1 - p_max).  M_k bounds
+        the growth per unit of sum(u): at most p_max M_{k-1}, and at most the
+        largest max_e (g - h)_e from a g in Gamma_k to its nearest h in
+        Gamma_{k-1}, over the tails that can occur.
+        """
+        hit = self._bounds.get(k)
+        if hit is None:
+            spec = self.spec
+            p_max = float(spec.p.max())
+            growth = 0.0
+            for tail in product(range(spec.alphabet_size), repeat=spec.d + 1):
+                if all(self._live[a, b] for a, b in zip(tail, tail[1:])):
+                    gap = self.vectors(k, tail)[:, None, :] - self.vectors(k - 1, tail)[None, :, :]
+                    growth = max(growth, float(gap.max(axis=2).min(axis=1).max()))
+            hit = min(growth * p_max / (1.0 - p_max), p_max * self.bound(k - 1))
+            self._bounds[k] = hit
+        return hit
+
+    def _branch(self, tail: Window) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        # Per next symbol y that can follow the tail: y, c_y and the gain D_y.
         hit = self._branches.get(tail)
         if hit is not None:
             return hit
         spec = self.spec
         out = []
-        for y in range(spec.alphabet_size):
+        for y in np.flatnonzero(self._live[tail[-1]]).tolist():
             f0 = spec.pre_kernels[:, tail[-1], y][:, None]
             stop = detection_coeff_matrix(spec, tail + (y,)) * f0
-            out.append((stop.reshape(1, -1), (spec.p * f0).ravel()))
+            out.append((y, stop.reshape(1, -1), (spec.p * f0).ravel()))
         self._branches[tail] = out
         return out
 
@@ -226,30 +259,37 @@ def _table_for(spec: ModelSpec, table: ValueTable | None) -> ValueTable:
     return table
 
 
+def _certify(table: ValueTable, cfg: ValueIterConfig, h: float, terms) -> ValueIterResult:
+    # Raise K until E max(h_y, s_K) <= E max(h_y, s*) <= E max(h_y, s_K + bound) decides h.
+    for k in range(1, cfg.k_max + 1):
+        lower = upper = 0.0
+        for w, h_y, window, u in terms:
+            s = table.value(k, window, u)
+            lower += w * max(h_y, s)
+            upper += w * max(h_y, s + table.bound(k) * float(u.sum()))
+        if h < lower or h >= upper:
+            return ValueIterResult(lower, upper - lower, k, True)
+    return ValueIterResult(lower, upper - lower, cfg.k_max, False)
+
+
 def value_iterate(
     spec: ModelSpec,
     window: Window,
     gamma: np.ndarray,
     delta: np.ndarray,
     cfg: ValueIterConfig,
+    stop_value: float,
     *,
     table: ValueTable | None = None,
 ) -> ValueIterResult:
-    """Iterate s_k at one state until the pointwise Cauchy gap drops below tol.
+    """s_K at the first K <= k_max that decides `stop_value` against s*.
 
-    Returns s_K at the first K <= k_max with |s_K - s_{K-1}| <= tol, or s_kmax
-    with converged=False when the gap never closes.  `table` shares the
-    alpha-vector sets across calls; without one the call builds its own.
+    `table` shares the alpha-vector sets across calls; without one the call
+    builds its own.
     """
     table = _table_for(spec, table)
-    window = tuple(window)
     u = table.weight(gamma, delta)
-    history = [table.value(0, window, u)]
-    for k in range(1, cfg.k_max + 1):
-        history.append(table.value(k, window, u))
-        if abs(history[-1] - history[-2]) <= cfg.tol:
-            return ValueIterResult(history[-1], k, True, tuple(history))
-    return ValueIterResult(history[-1], cfg.k_max, False, tuple(history))
+    return _certify(table, cfg, stop_value, [(1.0, -math.inf, tuple(window), u)])
 
 
 def stop_decision(
@@ -264,9 +304,9 @@ def stop_decision(
         raise ValueError("region test applies from time d + 2 on")
     h = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
     res = value_iterate(
-        spec, state.window, state.change_prob, state.pair_prob, cfg, table=table
+        spec, state.window, state.change_prob, state.pair_prob, cfg, h, table=table
     )
-    return StopDecision(state.n, h >= res.value, h, res.value, res.k_used, res.converged)
+    return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
 
 
 def boundary_decision(
@@ -281,33 +321,27 @@ def boundary_decision(
 
     Without `nxt`, compares the boundary payoff against the expected value of
     the better of stopping or continuing one step ahead, which is measurable
-    at d + 1.  With the realised next state `nxt`, compares it against the
-    continuation value at `nxt` (the literal reading).
+    at d + 1; one K serves every next symbol.  With the realised next state
+    `nxt`, compares it against the continuation value at `nxt` (the literal
+    reading).
     """
     if state.n != spec.d + 1:
         raise ValueError("boundary comparison applies exactly at time d + 1")
     table = _table_for(spec, table)
     h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
     if nxt is not None:
-        res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, table=table)
-        return StopDecision(state.n, h >= res.value, h, res.value, res.k_used, res.converged)
-    pred = predictive(spec, state)
-    total = 0.0
-    k_used = 0
-    converged = True
-    for y in range(spec.alphabet_size):
-        w = float(pred[y])
-        if w == 0.0:
-            continue
-        nxt = state_step(spec, state, y)
-        h_next = stop_payoff(spec, nxt.window, nxt.change_prob, nxt.pair_prob)
-        res = value_iterate(
-            spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, table=table
-        )
-        k_used = max(k_used, res.k_used)
-        converged = converged and res.converged
-        total += w * max(h_next, res.value)
-    return StopDecision(state.n, h >= total, h, total, k_used, converged)
+        res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, h, table=table)
+    else:
+        pred = predictive(spec, state)
+        terms = []
+        for y in range(spec.alphabet_size):
+            if pred[y] != 0.0:
+                after = state_step(spec, state, y)
+                h_y = stop_payoff(spec, after.window, after.change_prob, after.pair_prob)
+                u = table.weight(after.change_prob, after.pair_prob)
+                terms.append((float(pred[y]), h_y, after.window, u))
+        res = _certify(table, cfg, h, terms)
+    return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
 
 
 class OptimalStoppingRule:

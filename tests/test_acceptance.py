@@ -203,7 +203,7 @@ def test_criterion_4_structural_recursions():
 
 def test_criterion_5_desk_scale_optimality():
     t0 = time.time()
-    cfg = ValueIterConfig(k_max=8, tol=1e-8)
+    cfg = ValueIterConfig(k_max=8)
     for name, make in (("M2", make_m2), ("M3", make_m3)):
         for d in (0, 1):
             spec = make(d)
@@ -306,7 +306,7 @@ def test_criterion_7_simulation_fidelity():
     assert worst_z <= 4.0
 
     # Monte Carlo value of the optimal rule against its exact value
-    cfg = ValueIterConfig(k_max=8, tol=1e-8)
+    cfg = ValueIterConfig(k_max=8)
     rule = OptimalStoppingRule(spec, cfg)
     table = build_joint(spec, 8)
     exact = exact_rule_value(table, rule.stop_time)

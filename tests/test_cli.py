@@ -20,6 +20,29 @@ def m2_config(tmp_path):
 
 
 @pytest.fixture
+def zero_support_config(tmp_path):
+    # configs/m3.json with transition 1 -> 1 impossible under every kernel
+    payload = json.loads((ROOT / "configs" / "m3.json").read_text())
+    for kernels in (payload["pre_kernels"], payload["post_kernels"]):
+        for kernel in kernels:
+            kernel[1] = [1.0, 0.0]
+    path = tmp_path / "m3_zero.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.fixture
+def near_one_config(tmp_path):
+    # configs/m4_d1.json with p near 1: the tail bound is 99 times the last
+    # growth, so decisions stay unproved and value iteration climbs to --kmax
+    payload = json.loads((ROOT / "configs" / "m4_d1.json").read_text())
+    payload["p"] = [[0.99], [0.98]]
+    path = tmp_path / "m4_d1_near_one.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.fixture
 def bad_config(tmp_path):
     payload = spec_to_dict(make_m1())
     payload["p"] = [[1.0]]
@@ -196,13 +219,16 @@ class TestBudgetErrors:
         "argv",
         [
             ["oracle", "--config", "configs/m4.json", "--horizon", "16"],
-            ["evaluate", "--config", "configs/m4_d1.json", "--rules", "optimal", "--n", "3",
+            ["evaluate", "--config", "near_one_config", "--rules", "optimal", "--n", "3",
              "--horizon", "6", "--kmax", "30", "--seed", "1", "--out", "r.csv"],
         ],
     )
-    def test_budget_record_and_exit_code(self, argv, tmp_path, monkeypatch, capsys):
+    def test_budget_record_and_exit_code(
+        self, argv, near_one_config, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.chdir(ROOT)
         monkeypatch.setenv("DISORDER_OUT_DIR", str(tmp_path))
+        argv = [near_one_config if arg == "near_one_config" else arg for arg in argv]
         assert main(argv) == 4
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -212,19 +238,35 @@ class TestBudgetErrors:
 
 
 class TestValueIterateCommand:
-    def test_probe_output(self, m2_config, tmp_path, capsys):
+    def test_probe_output(self, tmp_path, capsys):
         out = tmp_path / "probes.csv"
+        path = tmp_path / "m3_d1.json"
+        save_spec(make_m3(d=1), path)
         code = main(
             [
-                "value-iterate", "--config", m2_config, "--kmax", "6",
-                "--tol", "1e-6", "--probe", "3", "--seed", "5", "--out", str(out),
+                "value-iterate", "--config", str(path), "--kmax", "2",
+                "--probe", "12", "--seed", "5", "--out", str(out),
             ]
         )
         assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "probe,k,s_k"
-        assert len(lines) > 3
-        assert "probe 0" in capsys.readouterr().out
+        text = out.read_text()
+        captured = capsys.readouterr()
+        assert captured.out == text
+        assert captured.err == ""
+        lines = text.splitlines()
+        assert lines[0] == "probe,k_used,s_k,bound,stop_value,converged"
+        assert len(lines) == 13
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(12))
+        for _, k_used, s_k, bound, stop_value, converged in rows:
+            s_k, bound, stop_value = float(s_k), float(bound), float(stop_value)
+            assert 1 <= int(k_used) <= 2 and bound >= 0.0
+            if converged == "1":
+                assert stop_value < s_k or stop_value >= s_k + bound
+            else:
+                assert converged == "0" and int(k_used) == 2
+        # m3_d1 has states that K = 2 cannot decide
+        assert {row[5] for row in rows} == {"0", "1"}
 
 
 class TestOracleCommand:
@@ -259,6 +301,7 @@ class TestCrosscheckCommand:
             "backshift_inversion",
             "continuation_normalization",
             "predictive_chain",
+            "continuation_vs_oracle",
         ):
             assert f"PASS {name}" in out
 
@@ -268,3 +311,23 @@ class TestCrosscheckCommand:
         assert main(["crosscheck", "--config", m2_config, "--horizon", "4"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestZeroSupport:
+    def test_evaluate_all_rules(self, zero_support_config, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(
+            [
+                "evaluate", "--config", zero_support_config,
+                "--rules", "optimal,fixed,threshold", "--n", "200", "--horizon", "8",
+                "--kmax", "5", "--seed", "3", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.exists()
+        assert capsys.readouterr().err == ""
+
+    def test_crosscheck(self, zero_support_config, capsys):
+        assert main(["crosscheck", "--config", zero_support_config, "--horizon", "5"]) == 0
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out and captured.err == ""

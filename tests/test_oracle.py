@@ -22,6 +22,16 @@ from disorder.oracle import (
     path_prob,
 )
 
+from disorder import (
+    OptimalStoppingRule,
+    ValueIterConfig,
+    monte_carlo_eval,
+    posterior_threshold_rule,
+    spec_from_dict,
+    spec_to_dict,
+    validate,
+)
+
 from conftest import make_m1, make_m2, make_m3, make_m4
 
 
@@ -260,3 +270,39 @@ class TestDetectionMass:
                 assert detection_mass(table, path, n) == pytest.approx(
                     expected, abs=1e-15
                 )
+
+
+class TestZeroSupport:
+    """m3 with transition 1 -> 1 impossible under every kernel."""
+
+    @pytest.fixture
+    def spec(self):
+        payload = spec_to_dict(make_m3(d=1))
+        for kernels in (payload["pre_kernels"], payload["post_kernels"]):
+            for kernel in kernels:
+                kernel[1] = [1.0, 0.0]
+        spec = spec_from_dict(payload)
+        assert validate(spec) == []
+        return spec
+
+    def test_rules_valued_exactly(self, spec):
+        table = build_joint(spec, 6)
+        v_opt, _ = exact_optimal_rule(table)
+        assert optimal_value_state_indexed(spec, 6) == pytest.approx(v_opt, abs=1e-12)
+        cfg = ValueIterConfig(k_max=5)
+        for variant in ("expected", "literal"):
+            rule = OptimalStoppingRule(spec, cfg, variant)
+            assert exact_rule_value(table, rule.stop_time) <= v_opt + 1e-12
+        assert exact_rule_value(table, posterior_threshold_rule(spec)) <= v_opt + 1e-12
+
+    def test_zero_probability_paths_not_asked(self, spec):
+        table = build_joint(spec, 4)
+        asked = []
+        exact_rule_value(table, lambda path: asked.append(path) or spec.d + 1)
+        assert asked and all(path_prob(table, path) > 0.0 for path in asked)
+        assert len(asked) < len(table.levels[4])
+
+    def test_monte_carlo_with_optimal_rule(self, spec):
+        rules = {"optimal": OptimalStoppingRule(spec, ValueIterConfig(k_max=5))}
+        report = monte_carlo_eval(spec, rules, 300, 6, 5)
+        assert 0.0 < report.rules["optimal"].estimate <= 1.0

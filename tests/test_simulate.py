@@ -156,7 +156,7 @@ class TestMonteCarlo:
 
     def test_optimal_dominates_threshold(self):
         spec = make_m2()
-        cfg = ValueIterConfig(k_max=8, tol=1e-8)
+        cfg = ValueIterConfig(k_max=8)
         rules = {
             "optimal": OptimalStoppingRule(spec, cfg).stop_time,
             "threshold": posterior_threshold_rule(spec),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disorder import (
@@ -62,15 +62,11 @@ def reference_continuation(spec, k, window, gamma, delta):
 
 
 def reference_value(spec, state, cfg):
-    """s_K of value iteration run on the reference recursion."""
-    args = (state.window, state.change_prob, state.pair_prob)
-    prev = reference_continuation(spec, 0, *args)
-    for k in range(1, cfg.k_max + 1):
-        cur = reference_continuation(spec, k, *args)
-        if abs(cur - prev) <= cfg.tol:
-            break
-        prev = cur
-    return cur
+    """s_{k_max} by the reference recursion: every decision, proved or not,
+    is the comparison with s_{k_max}."""
+    return reference_continuation(
+        spec, cfg.k_max, state.window, state.change_prob, state.pair_prob
+    )
 
 
 def reference_stops(spec, cfg, horizon, variant="expected"):
@@ -304,23 +300,99 @@ class TestRecursion:
 
 
 class TestValueIterate:
-    def test_history_is_monotone_and_converges(self, m2):
-        # on a single-pair grid every Gamma_k keeps one vector, so deep
-        # iteration stays cheap and the 1e-8 gap is reachable
-        cfg = ValueIterConfig(k_max=60, tol=1e-8)
+    def test_proved_at_first_level(self, m2):
         state = filter_through(m2, (0, 1, 0))
-        res = value_iterate(m2, state.window, state.change_prob, state.pair_prob, cfg)
+        args = (state.window, state.change_prob, state.pair_prob)
+        h = stop_payoff(m2, *args)
+        res = value_iterate(m2, *args, ValueIterConfig(k_max=10), h)
         assert res.converged
-        assert res.k_used <= cfg.k_max
-        assert all(b >= a - 1e-12 for a, b in zip(res.history, res.history[1:]))
-        assert abs(res.history[-1] - res.history[-2]) <= cfg.tol
+        assert res.k_used == 1
+        table = ValueTable(m2)
+        u = table.weight(state.change_prob, state.pair_prob)
+        assert res.value == table.value(1, state.window, u)
+        assert res.bound == pytest.approx(table.bound(1) * u.sum(), rel=1e-12)
+        assert h < res.value  # proved continue
 
-    def test_unconverged_flagged(self, m2):
-        cfg = ValueIterConfig(k_max=1, tol=1e-16)
-        state = filter_through(m2, (0, 1, 0))
-        res = value_iterate(m2, state.window, state.change_prob, state.pair_prob, cfg)
+    def test_unconverged_flagged(self):
+        # s_1 says stop here, but neither h < s_1 nor h >= s_1 + bound holds;
+        # from K = 3 on the state is proved a continue
+        spec = make_m3(1)
+        state = filter_through(spec, (0, 1, 1, 0))
+        args = (state.window, state.change_prob, state.pair_prob)
+        h = stop_payoff(spec, *args)
+        res = value_iterate(spec, *args, ValueIterConfig(k_max=1), h)
         assert not res.converged
         assert res.k_used == 1
+        assert res.value <= h < res.value + res.bound
+        dec = stop_decision(spec, state, ValueIterConfig(k_max=1))
+        assert dec.stop and not dec.converged
+        deep = stop_decision(spec, state, ValueIterConfig(k_max=10))
+        assert not deep.stop and deep.converged and deep.k_used == 3
+
+
+class TestCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alphabet=st.integers(2, 3),
+        l0=st.integers(1, 2),
+        l1=st.integers(1, 2),
+        d=st.integers(0, 1),
+    )
+    def test_tail_bound_covers_deep_values(self, seed, alphabet, l0, l1, d):
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, alphabet, l0, l1, d)
+        window = tuple(rng.integers(0, alphabet, size=d + 2).tolist())
+        # a small budget keeps each pairwise prune small; instances whose
+        # sets outgrow it before level 24 are skipped
+        table = ValueTable(spec, budget=2000)
+        u = table.weight(rng.uniform(0, 1, (l0, l1)), rng.uniform(0, 1, (l0, l1)))
+        try:
+            deep = [table.value(k + 20, window, u) for k in range(1, 5)]
+        except BudgetError:
+            assume(False)
+        for k in range(1, 5):
+            assert table.value(k, window, u) + table.bound(k) * u.sum() >= deep[k - 1] - 1e-12
+
+    @pytest.mark.parametrize("make, d", [(make_m2, 0), (make_m3, 0), (make_m3, 1)])
+    def test_proved_decisions_equal_deep_decisions(self, make, d):
+        # every reachable state to horizon 6: region decisions from d + 2 and
+        # expected boundary decisions at d + 1, against s_40
+        spec = make(d)
+        cfg = ValueIterConfig(k_max=12)
+        table = ValueTable(spec)
+
+        def deep(state):
+            return table.value(40, state.window, table.weight(state.change_prob, state.pair_prob))
+
+        frontier, proved = [state_init(spec)], 0
+        for _ in range(6):
+            frontier = [
+                state_step(spec, state, y)
+                for state in frontier
+                for y in range(spec.alphabet_size)
+                if predictive(spec, state)[y] > 0.0
+            ]
+            for state in frontier:
+                if state.n == spec.d + 1:
+                    dec = boundary_decision(spec, state, cfg, table=table)
+                    pred = predictive(spec, state)
+                    target = 0.0
+                    for y in range(spec.alphabet_size):
+                        after = state_step(spec, state, y)
+                        h_y = stop_payoff(spec, after.window, after.change_prob, after.pair_prob)
+                        target += float(pred[y]) * max(h_y, deep(after))
+                elif state.n >= spec.d + 2:
+                    dec = stop_decision(spec, state, cfg, table=table)
+                    target = deep(state)
+                else:
+                    continue
+                if dec.converged:
+                    proved += 1
+                    assert dec.stop == (dec.stop_value >= target)
+                    assert dec.continue_value <= target + 1e-12
+                    assert target <= dec.continue_value + dec.bound + 1e-12
+        assert proved > 100
 
 
 class TestStopDecision:
@@ -333,7 +405,7 @@ class TestStopDecision:
             change_prob=np.ones((2, 2)),
             pair_prob=state.pair_prob,
         )
-        dec = stop_decision(spec, forced, ValueIterConfig(k_max=4, tol=1e-8))
+        dec = stop_decision(spec, forced, ValueIterConfig(k_max=4))
         assert dec.stop_value == 0.0
         assert dec.continue_value == 0.0
         assert dec.stop  # tie resolves to stopping
@@ -350,13 +422,13 @@ class TestStopDecision:
             d=0,
             x0=0,
         )
-        cfg = ValueIterConfig(k_max=6, tol=1e-10)
+        cfg = ValueIterConfig(k_max=6)
         decisions = set()
         gamma = np.array([[0.4]])
         delta = np.array([[1.0]])
         for window in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             h = stop_payoff(same, window, gamma, delta)
-            res = value_iterate(same, window, gamma, delta, cfg)
+            res = value_iterate(same, window, gamma, delta, cfg, h)
             decisions.add((round(h, 12), round(res.value, 12)))
         assert len(decisions) == 1
 
@@ -369,7 +441,7 @@ class TestStopDecision:
 class TestRuleRunner:
     def test_never_stops_before_boundary(self):
         spec = make_m3(d=2)
-        cfg = ValueIterConfig(k_max=3, tol=1e-6)
+        cfg = ValueIterConfig(k_max=3)
         run = rule_runner(spec, (0, 1, 1, 1, 1, 1, 1), cfg)
         if run.stop_time is not None:
             assert run.stop_time >= spec.d + 1
@@ -386,18 +458,18 @@ class TestRuleRunner:
             d=0,
             x0=0,
         )
-        run = rule_runner(spec, (0, 1, 1, 1), ValueIterConfig(k_max=4, tol=1e-8))
+        run = rule_runner(spec, (0, 1, 1, 1), ValueIterConfig(k_max=4))
         assert run.stop_time == spec.d + 1
         assert run.trace[0].stop_value == pytest.approx(1.0)
 
     def test_censoring_reported(self, m2):
-        run = rule_runner(m2, (0, 0), ValueIterConfig(k_max=4, tol=1e-8))
+        run = rule_runner(m2, (0, 0), ValueIterConfig(k_max=4))
         assert run.censored
         assert run.stop_time is None
         assert run.final_state.n == 1
 
     def test_deterministic_trace(self, m2):
-        cfg = ValueIterConfig(k_max=6, tol=1e-8)
+        cfg = ValueIterConfig(k_max=6)
         first = rule_runner(m2, (0, 1, 0, 1, 1, 0), cfg)
         second = rule_runner(m2, (0, 1, 0, 1, 1, 0), cfg)
         assert first == second
@@ -407,7 +479,7 @@ class TestRuleRunner:
             rule_runner(m2, (1, 0), ValueIterConfig())
 
     def test_readings_follow_reference(self):
-        cfg = ValueIterConfig(k_max=5, tol=1e-8)
+        cfg = ValueIterConfig(k_max=5)
         for spec in (make_m2(d=1), make_m3(d=1)):
             for variant in ("expected", "literal"):
                 traces = reference_stops(spec, cfg, 6, variant)
@@ -428,16 +500,17 @@ class TestRuleRunner:
 class TestBoundaryDecision:
     def test_expected_value_matches_manual_expectation(self, m2):
         spec = make_m2(d=1)
-        cfg = ValueIterConfig(k_max=6, tol=1e-10)
+        cfg = ValueIterConfig(k_max=6)
         state = filter_through(spec, (0, 1, 0))
         dec = boundary_decision(spec, state, cfg)
         pred = predictive(spec, state)
+        table = ValueTable(spec)
         manual = 0.0
         for y in range(2):
             nxt = state_step(spec, state, y)
             h_next = stop_payoff(spec, nxt.window, nxt.change_prob, nxt.pair_prob)
-            res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg)
-            manual += float(pred[y]) * max(h_next, res.value)
+            u = table.weight(nxt.change_prob, nxt.pair_prob)
+            manual += float(pred[y]) * max(h_next, table.value(dec.k_used, nxt.window, u))
         assert dec.continue_value == pytest.approx(manual, abs=1e-13)
 
     def test_wrong_time_rejected(self, m2):
