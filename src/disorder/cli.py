@@ -193,7 +193,7 @@ def _cmd_value_iterate(spec, args) -> int:
         state = state_init(spec)
         for sym in path[1:]:
             state = state_step(spec, state, sym)
-        dec = stop_decision(spec, state, cfg, table=table)
+        dec = stop_decision(table, state, cfg)
         lines.append(
             f"{idx},{dec.k_used},{dec.continue_value:.17g},{dec.bound:.17g},"
             f"{dec.stop_value:.17g},{int(dec.converged)}"

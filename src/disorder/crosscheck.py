@@ -21,6 +21,13 @@ from .likelihood import path_probability
 from .model import ModelSpec, change_time_pmf
 from .simulate import TrajectorySampler, _philox, mix_seed, mix_seeds
 
+# Largest lag of the survival and lagged-change identities, back-shift trials,
+# and the normalization check's sampled trajectories and levels k.
+_LAG_MAX = 4
+_BACKSHIFT_TRIALS = 200
+_NORM_TRAJECTORIES = 50
+_NORM_LEVELS = (0, 1, 2)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -40,18 +47,18 @@ def _paths(spec: ModelSpec, n: int):
         yield (spec.x0,) + tail
 
 
-def _filter_states(spec: ModelSpec, horizon: int):
-    """All (path, state) pairs up to the horizon, skipping zero-mass paths."""
-    frontier = [((spec.x0,), posterior.state_init(spec))]
+def _filter_states(spec: ModelSpec, horizon: int) -> dict:
+    """path -> filter state of each path of 1 .. horizon steps, breadth first, zero mass skipped."""
+    states: dict = {}
+    frontier = {(spec.x0,): posterior.state_init(spec)}
     for _ in range(horizon):
-        nxt = []
-        for path, state in frontier:
-            pred = posterior.predictive(spec, state)
-            for y in range(spec.alphabet_size):
-                if pred[y] > 0.0:
-                    nxt.append((path + (y,), posterior.state_step(spec, state, y)))
-        frontier = nxt
-        yield from frontier
+        frontier = {
+            path + (y,): posterior.state_step(spec, state, y)
+            for path, state in frontier.items()
+            for y in np.flatnonzero(posterior.predictive(spec, state) > 0.0).tolist()
+        }
+        states.update(frontier)
+    return states
 
 
 def check_path_unity(spec: ModelSpec, horizon: int) -> CheckResult:
@@ -86,10 +93,10 @@ def check_joint_consistency(spec: ModelSpec, table: oracle.JointTable) -> CheckR
     return _result("joint_consistency", worst, 1e-12)
 
 
-def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
+def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable, states: dict) -> CheckResult:
     """Recursive posteriors match definition-level posteriors on every path."""
     worst = 0.0
-    for path, state in _filter_states(spec, table.horizon):
+    for path, state in states.items():
         change, pair = oracle.exact_posterior(table, path)
         live = state.pair_prob > 1e-15
         worst = max(worst, float(np.max(np.abs(pair - state.pair_prob))))
@@ -99,13 +106,13 @@ def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckRe
 
 
 def check_survival_projection(
-    spec: ModelSpec, table: oracle.JointTable, k_max: int = 4
+    spec: ModelSpec, table: oracle.JointTable, states: dict
 ) -> CheckResult:
     """P(theta <= n + k | path, pair) = 1 - p^k (1 - change_prob)."""
     worst = 0.0
-    for path, state in _filter_states(spec, table.horizon):
+    for path, state in states.items():
         n = len(path) - 1
-        for k in range(1, k_max + 1):
+        for k in range(1, _LAG_MAX + 1):
             if n + k > table.max_theta:
                 break
             expected = 1.0 - spec.p**k * (1.0 - state.change_prob)
@@ -116,15 +123,13 @@ def check_survival_projection(
     return _result("survival_projection", worst, 1e-10)
 
 
-def check_lagged_change(
-    spec: ModelSpec, table: oracle.JointTable, k_max: int = 4
-) -> CheckResult:
+def check_lagged_change(spec: ModelSpec, table: oracle.JointTable, states: dict) -> CheckResult:
     """Posterior of an old change from the current posterior and ratios."""
     worst = 0.0
-    for path, state in _filter_states(spec, table.horizon):
+    for path, state in states.items():
         n = len(path) - 1
         live = state.pair_prob > 1e-15
-        for k in range(0, k_max + 1):
+        for k in range(0, _LAG_MAX + 1):
             if n == k + 1:
                 got = oracle.change_cdf_given_pair(table, path, 0)
                 worst = max(worst, float(np.max(np.abs(got))))
@@ -144,14 +149,16 @@ def check_payoff_criterion(spec: ModelSpec, horizon: int) -> CheckResult:
     return _result("payoff_criterion", worst, 1e-10)
 
 
-def check_multistep_composition(spec: ModelSpec, horizon: int) -> CheckResult:
-    """Multi-step posterior updates equal composed one-step updates."""
+def check_multistep_composition(spec: ModelSpec, states: dict, horizon: int) -> CheckResult:
+    """Multi-step posterior updates equal composed one-step updates, up to the horizon."""
     worst = 0.0
-    for path, state in _filter_states(spec, horizon):
+    for path, state in states.items():
         n = len(path) - 1
+        if n > horizon:
+            continue
         for l in range(0, min(n - 1, spec.d + 1)):
             window = path[n - l - 1 :]
-            anchor = _state_at(spec, path[: n - l]).change_prob
+            anchor = states[path[: n - l]].change_prob
             multi = posterior.change_multistep(spec, window, anchor)
             worst = max(worst, float(np.max(np.abs(multi - state.change_prob))))
         from_origin = posterior.change_from_origin(spec, path)
@@ -159,18 +166,11 @@ def check_multistep_composition(spec: ModelSpec, horizon: int) -> CheckResult:
     return _result("multistep_composition", worst, 1e-12)
 
 
-def _state_at(spec: ModelSpec, path):
-    state = posterior.state_init(spec)
-    for sym in path[1:]:
-        state = posterior.state_step(spec, state, sym)
-    return state
-
-
-def check_backshift_inversion(spec: ModelSpec, seed: int = 20240, trials: int = 200) -> CheckResult:
+def check_backshift_inversion(spec: ModelSpec, seed: int = 20240) -> CheckResult:
     """Forward (d+1)-step update then back-shift returns the anchor."""
     # one row of d + 3 uniforms per trial from Philox key (seed, 0), counters
     # from 1: d + 2 window symbols floor(u * A), then the anchor
-    width = spec.d + 3
+    width, trials = spec.d + 3, _BACKSHIFT_TRIALS
     counters = np.arange(1, -(-trials * width // 4) + 1, dtype=np.uint64)
     raw = _philox(np.uint64(seed), np.uint64(0), counters).ravel()[: trials * width]
     u = ((raw >> 11) * 2.0**-53).reshape(trials, width)
@@ -189,17 +189,11 @@ def check_backshift_inversion(spec: ModelSpec, seed: int = 20240, trials: int = 
     return _result("backshift_inversion", worst, 1e-9)
 
 
-def check_continuation_normalization(
-    spec: ModelSpec,
-    seed: int = 31337,
-    trajectories: int = 50,
-    horizon: int | None = None,
-    k_values: tuple[int, ...] = (0, 1, 2),
-) -> CheckResult:
-    """Scaling property of the continuation values along filtered trajectories."""
-    if horizon is None:
-        horizon = spec.d + 4
-    paths = TrajectorySampler(spec, horizon).sample_batch(mix_seeds(seed, np.arange(trajectories)))
+def check_continuation_normalization(spec: ModelSpec, seed: int = 31337) -> CheckResult:
+    """Scaling property of the continuation values along filtered trajectories to d + 4."""
+    horizon = spec.d + 4
+    seeds = mix_seeds(seed, np.arange(_NORM_TRAJECTORIES))
+    paths = TrajectorySampler(spec, horizon).sample_batch(seeds)
     table = stopping.ValueTable(spec)
     worst = 0.0
     for path in paths.observations.tolist():
@@ -216,30 +210,34 @@ def check_continuation_normalization(
             )
             u_state = table.weight(state.change_prob, state.pair_prob)
             u_prev = table.weight(prev.change_prob, composed)
-            for k in k_values:
+            for k in _NORM_LEVELS:
                 lhs = table.value(k, state.window, u_state) * norm
                 rhs = table.value(k, state.window, u_prev)
                 worst = max(worst, abs(lhs - rhs))
     return _result("continuation_normalization", worst, 1e-9)
 
 
-def check_continuation_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
+def check_continuation_vs_oracle(
+    spec: ModelSpec, table: oracle.JointTable, states: dict
+) -> CheckResult:
     """The oracle's continuation at a node n >= d + 2 is s_{H - n - 1} at its filter state."""
     _, tree = oracle.exact_optimal_rule(table)
     values = stopping.ValueTable(spec)
     worst = 0.0
-    for path, state in _filter_states(spec, table.horizon - 1):
-        if state.n >= spec.d + 2:
+    for path, state in states.items():
+        if spec.d + 2 <= state.n < table.horizon:
             u = values.weight(state.change_prob, state.pair_prob)
             s_k = values.value(table.horizon - state.n - 1, state.window, u)
             worst = max(worst, abs(tree.node(path).continuation - s_k))
     return _result("continuation_vs_oracle", worst, 1e-12)
 
 
-def check_predictive_chain(spec: ModelSpec, horizon: int) -> CheckResult:
-    """Predictive density equals the ratio of consecutive path probabilities."""
+def check_predictive_chain(spec: ModelSpec, states: dict, horizon: int) -> CheckResult:
+    """Predictive density equals the ratio of consecutive path probabilities to the horizon."""
     worst = 0.0
-    for path, state in _filter_states(spec, horizon - 1):
+    for path, state in states.items():
+        if len(path) > horizon:
+            continue
         pred = posterior.predictive(spec, state)
         base = path_probability(spec, path) if len(path) > 1 else 1.0
         for y in range(spec.alphabet_size):
@@ -256,17 +254,18 @@ def check_predictive_chain(spec: ModelSpec, horizon: int) -> CheckResult:
 def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckResult]:
     """Run the full battery; deterministic given (spec, horizon, seed)."""
     table = oracle.build_joint(spec, horizon, max_theta=horizon + spec.d + 4)
+    states = _filter_states(spec, horizon)
     results = [
         check_path_unity(spec, horizon),
         check_joint_consistency(spec, table),
-        check_filter_vs_oracle(spec, table),
-        check_survival_projection(spec, table),
-        check_lagged_change(spec, table),
+        check_filter_vs_oracle(spec, table, states),
+        check_survival_projection(spec, table, states),
+        check_lagged_change(spec, table, states),
         check_payoff_criterion(spec, min(horizon, 6)),
-        check_multistep_composition(spec, min(horizon, 5)),
+        check_multistep_composition(spec, states, min(horizon, 5)),
         check_backshift_inversion(spec, seed=mix_seed(seed, 1)),
         check_continuation_normalization(spec, seed=mix_seed(seed, 2)),
-        check_predictive_chain(spec, horizon),
-        check_continuation_vs_oracle(spec, table),
+        check_predictive_chain(spec, states, horizon),
+        check_continuation_vs_oracle(spec, table, states),
     ]
     return results

@@ -22,12 +22,15 @@ fires.  The fixed-time and posterior-threshold rules below have one, and
 their per-path call is the batch form on one row.  `monte_carlo_eval`
 samples and evaluates trajectories in chunks of fixed size, through the
 batch form where a rule has one and the per-path call on each row otherwise.
+A chunk on which a rule fails is replayed one trajectory at a time through
+the per-path calls, so a failure needs no record of its row.
 Censored runs are forced to stop at the horizon and flagged, the success
 indicator |theta - tau| <= d stays well defined there.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -106,11 +109,11 @@ def _philox(key0, key1, counter) -> np.ndarray:
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:
-    # Cumulative sums along the last axis with the last entry raised to inf:
-    # the first column whose entry exceeds u is then the inverse-cdf index,
-    # the last one when no earlier entry does.
+    # Cumulative sums along the last axis, raised to inf from the first entry
+    # that reaches the row total on: the first column whose entry exceeds u
+    # is then the inverse-cdf index, and never one of a zero-weight tail.
     cum = np.cumsum(weights, axis=-1)
-    cum[..., -1] = np.inf
+    cum[cum >= cum[..., -1:]] = np.inf
     return cum
 
 
@@ -224,27 +227,23 @@ class ExperimentReport:
 
 
 
+def _stop_times(rule, observations: np.ndarray) -> np.ndarray:
+    """Stop times of `rule` on the rows of one chunk, -1 where it never fires."""
+    if hasattr(rule, "stop_times"):
+        return rule.stop_times(observations)
+    taus = [rule(path) for path in map(tuple, observations.tolist())]
+    return np.array([-1 if tau is None else tau for tau in taus], dtype=np.int64)
 
-def _chunk_stop_times(rule, observations: np.ndarray):
-    """Stop times of `rule` on the rows of one chunk, -1 where it never fires.
 
-    Returns (stop_times, None), or (None, (row, exception)) for the first
-    row the rule fails on.
-    """
-    stop_times = getattr(rule, "stop_times", None)
-    if stop_times is not None:
-        try:
-            return stop_times(observations), None
-        except Exception as exc:
-            return None, (getattr(exc, "row", 0), exc)
-    taus = []
-    for row, path in enumerate(map(tuple, observations.tolist())):
-        try:
-            tau = rule(path)
-        except Exception as exc:
-            return None, (row, exc)
-        taus.append(-1 if tau is None else tau)
-    return np.array(taus, dtype=np.int64), None
+def _replay(rules: Mapping[str, Rule], observations: np.ndarray, seeds: np.ndarray) -> None:
+    # Raise RuleError for the first per-path failure on the chunk, trajectory
+    # by trajectory and on each one rule by rule in `rules` order.
+    for path, seed in zip(map(tuple, observations.tolist()), seeds.tolist()):
+        for name, rule in rules.items():
+            try:
+                rule(path)
+            except Exception as exc:
+                raise RuleError(name, seed, exc) from exc
 
 
 def monte_carlo_eval(
@@ -259,7 +258,8 @@ def monte_carlo_eval(
     A rule that raises stops the evaluation with a RuleError naming the rule
     and the trajectory seed, chained to the rule's exception: the lowest
     failing trajectory index, and on it the first failing rule in `rules`
-    order.
+    order, found by replaying the failing chunk through the per-path calls.
+    When no trajectory fails on its own, it names the chunk's first seed.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
@@ -270,17 +270,13 @@ def monte_carlo_eval(
     for start in range(0, n, _CHUNK):
         seeds = mix_seeds(base_seed, np.arange(start, min(n, start + _CHUNK)))
         batch = sampler.sample_batch(seeds)
-        chunk = {}
-        failure = None  # (row, rule name, exception) of the lowest failing row
         for name, rule in rules.items():
-            chunk[name], failed = _chunk_stop_times(rule, batch.observations)
-            # strictly lower: on a tie the earlier rule keeps the failure
-            if failed is not None and (failure is None or failed[0] < failure[0]):
-                failure = (failed[0], name, failed[1])
-        if failure is not None:
-            row, name, exc = failure
-            raise RuleError(name, int(seeds[row]), exc) from exc
-        for name, taus in chunk.items():
+            try:
+                taus = _stop_times(rule, batch.observations)
+            except Exception as exc:
+                _replay(rules, batch.observations, seeds)
+                # no trajectory reproduces the failure on its own
+                raise RuleError(name, int(seeds[0]), exc) from exc
             never = taus < 0
             taus = np.where(never, horizon, taus)
             censored[name] += int(never.sum())
@@ -325,24 +321,19 @@ def fixed_time_rule(spec: ModelSpec) -> Rule:
     return _with_batch_form(stop_times)
 
 
-def _take(keep: np.ndarray, *arrays):
-    return [None if a is None else a[keep] for a in arrays]
-
-
 def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
     """Stop once the posterior total change mass reaches `level` (not before d + 1).
 
     The batch form filters every path in lockstep and advances only the rows
-    that have not stopped.  A row fails where its per-path filter would:
-    on an out-of-alphabet symbol or a transition outside the common support
-    before its stop.  The exception of the lowest failing row is raised, with
-    that row index in its `row` attribute.
+    that have not stopped.  It fails where a per-path filter would, on an
+    out-of-alphabet symbol or a transition outside the common support before
+    the stop, and raises the first such error it meets with the per-path
+    message; `monte_carlo_eval` locates the failing row by replay.
     """
 
     def stop_times(observations: np.ndarray) -> np.ndarray:
         obs = np.asarray(observations)
         stops = np.full(len(obs), -1, dtype=np.int64)
-        failures = []
         rows = np.arange(len(obs))  # the rows still running
         x_prev = np.full(len(obs), spec.x0)
         change, pair = None, np.broadcast_to(spec.b, (len(obs), spec.l0, spec.l1))
@@ -352,27 +343,20 @@ def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
                 break
             x_next = obs[rows, n]
             if not in_alphabet:
-                bad = (x_next < 0) | (x_next >= spec.alphabet_size)
-                for k in np.flatnonzero(bad).tolist():
-                    failures.append((rows[k], ValueError(f"symbol {x_next[k]} outside alphabet")))
-                rows, x_prev, x_next, change, pair = _take(~bad, rows, x_prev, x_next, change, pair)
-            new_change, new_pair, dead = _filter_step(spec, change, pair, x_prev, x_next)
+                bad = np.flatnonzero((x_next < 0) | (x_next >= spec.alphabet_size))
+                if len(bad):
+                    raise ValueError(f"symbol {x_next[bad[0]]} outside alphabet")
+            change, pair, dead = _filter_step(spec, change, pair, x_prev, x_next)
             if dead is not None:
-                for k in np.flatnonzero(dead).tolist():
-                    msg = f"observation {x_next[k]} outside common support after {x_prev[k]}"
-                    failures.append((rows[k], SupportError(msg)))
-                rows, x_prev, x_next, change, pair = _take(~dead, rows, x_prev, x_next, change, pair)
-                new_change, new_pair, _ = _filter_step(spec, change, pair, x_prev, x_next)
-            change, pair, x_prev = new_change, new_pair, x_next
+                k = np.flatnonzero(dead)[0]
+                raise SupportError(f"observation {x_next[k]} outside common support after {x_prev[k]}")
+            x_prev = x_next
             if n >= spec.d + 1:
                 fired = (change * pair).sum(axis=(1, 2)) >= level
                 if fired.any():
                     stops[rows[fired]] = n
-                    rows, x_prev, change, pair = _take(~fired, rows, x_prev, change, pair)
-        if failures:
-            row, exc = min(failures, key=lambda failure: failure[0])
-            exc.row = int(row)
-            raise exc
+                    keep = ~fired
+                    rows, x_prev, change, pair = rows[keep], x_prev[keep], change[keep], pair[keep]
         return stops
 
     return _with_batch_form(stop_times)
@@ -424,8 +408,6 @@ def report_from_csv(path) -> ExperimentReport:
 
 
 def report_to_json(report: ExperimentReport, path) -> None:
-    import json
-
     payload = {
         "config_digest": report.config_digest,
         "base_seed": report.base_seed,

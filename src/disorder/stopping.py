@@ -100,26 +100,23 @@ def _prune(vecs: np.ndarray) -> np.ndarray:
     """Remove vectors that cannot raise max(vecs @ u) for any u >= 0.
 
     A vector goes only when it is proven dominated: pointwise by another one
-    (of equal copies one stays) or, in two dimensions, by the segment between
-    its neighbours on the upper envelope.  Whatever survives, the maximum of
-    the dot products is unchanged.
+    (of equal copies the first stays; survivors keep their order) or, in two
+    dimensions, by the segment between its neighbours on the upper envelope.
+    Whatever survives, the maximum of the dot products is unchanged.
     """
-    n, m = vecs.shape
-    if n == 1:
-        return vecs
-    if m == 1:
-        return vecs.max(axis=0, keepdims=True)
-    if m == 2:
+    if vecs.shape[1] == 2:
         return _envelope(vecs)
-    if n == 2:
-        a, b = vecs
-        if (a >= b).all():
-            return vecs[:1]
-        return vecs[1:] if (b >= a).all() else vecs
-    ge = (vecs[:, None, :] >= vecs[None, :, :]).all(axis=2)
-    # i beats j when i >= j pointwise and either i > j somewhere or i < j
-    beaten = ge & (~ge.T | np.tri(n, k=-1, dtype=bool).T)
-    return vecs[~beaten.any(axis=0)]
+    # Descending lexicographic order, stable: a vector that dominates another
+    # comes before it.  So the first candidate left is never dominated by a
+    # later one; it survives and drops every later one it dominates.
+    order = np.lexsort(-vecs.T[::-1])
+    rest = vecs[order]
+    keep = []
+    while len(order):
+        keep.append(order[0])
+        live = ~(rest[1:] <= rest[0]).all(axis=1)
+        order, rest = order[1:][live], rest[1:][live]
+    return vecs[np.sort(keep)]
 
 
 def _envelope(vecs: np.ndarray) -> np.ndarray:
@@ -160,7 +157,9 @@ class ValueTable:
     s_k at a state is max(Gamma_k(w') @ u) with u = p o (1 - gamma) o delta
     and w' the last d + 1 symbols of the window.  Each set is built when it
     is first asked for and kept for the table's lifetime.  `budget` caps the
-    candidate vectors formed in cross-sums over that lifetime.  Confine one
+    candidate vectors formed in cross-sums over that lifetime.  The table is
+    the handle that value_iterate, stop_decision and boundary_decision take:
+    they read the spec from it and share its sets across calls.  Confine one
     table per worker, it is not synchronised.
     """
 
@@ -251,14 +250,6 @@ class ValueTable:
         return _prune((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
 
 
-def _table_for(spec: ModelSpec, table: ValueTable | None) -> ValueTable:
-    if table is None:
-        return ValueTable(spec)
-    if table.spec is not spec:
-        raise ValueError("value table belongs to a different spec")
-    return table
-
-
 def _certify(table: ValueTable, cfg: ValueIterConfig, h: float, terms) -> ValueIterResult:
     # Raise K until E max(h_y, s_K) <= E max(h_y, s*) <= E max(h_y, s_K + bound) decides h.
     for k in range(1, cfg.k_max + 1):
@@ -273,51 +264,38 @@ def _certify(table: ValueTable, cfg: ValueIterConfig, h: float, terms) -> ValueI
 
 
 def value_iterate(
-    spec: ModelSpec,
+    table: ValueTable,
     window: Window,
     gamma: np.ndarray,
     delta: np.ndarray,
     cfg: ValueIterConfig,
     stop_value: float,
-    *,
-    table: ValueTable | None = None,
 ) -> ValueIterResult:
     """s_K at the first K <= k_max that decides `stop_value` against s*.
 
-    `table` shares the alpha-vector sets across calls; without one the call
-    builds its own.
+    The alpha-vector sets come from `table`, and with them the spec.
     """
-    table = _table_for(spec, table)
     u = table.weight(gamma, delta)
     return _certify(table, cfg, stop_value, [(1.0, -math.inf, tuple(window), u)])
 
 
-def stop_decision(
-    spec: ModelSpec,
-    state: PosteriorState,
-    cfg: ValueIterConfig,
-    *,
-    table: ValueTable | None = None,
-) -> StopDecision:
-    """Membership test of the state in the stopping region, ties stop."""
+def stop_decision(table: ValueTable, state: PosteriorState, cfg: ValueIterConfig) -> StopDecision:
+    """Membership test of the state in the stopping region of `table.spec`, ties stop."""
+    spec = table.spec
     if state.n < spec.d + 2:
         raise ValueError("region test applies from time d + 2 on")
     h = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
-    res = value_iterate(
-        spec, state.window, state.change_prob, state.pair_prob, cfg, h, table=table
-    )
+    res = value_iterate(table, state.window, state.change_prob, state.pair_prob, cfg, h)
     return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
 
 
 def boundary_decision(
-    spec: ModelSpec,
+    table: ValueTable,
     state: PosteriorState,
     cfg: ValueIterConfig,
-    *,
-    table: ValueTable | None = None,
     nxt: PosteriorState | None = None,
 ) -> StopDecision:
-    """Stop-or-continue comparison at the earliest admissible time d + 1.
+    """Stop-or-continue comparison at the earliest admissible time d + 1 of `table.spec`.
 
     Without `nxt`, compares the boundary payoff against the expected value of
     the better of stopping or continuing one step ahead, which is measurable
@@ -325,12 +303,12 @@ def boundary_decision(
     `nxt`, compares it against the continuation value at `nxt` (the literal
     reading).
     """
+    spec = table.spec
     if state.n != spec.d + 1:
         raise ValueError("boundary comparison applies exactly at time d + 1")
-    table = _table_for(spec, table)
     h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
     if nxt is not None:
-        res = value_iterate(spec, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, h, table=table)
+        res = value_iterate(table, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, h)
     else:
         pred = predictive(spec, state)
         terms = []
@@ -385,12 +363,12 @@ class OptimalStoppingRule:
         if hit is None:
             spec, cfg, table = self.spec, self.cfg, self._table
             if n > spec.d + 1:
-                hit = stop_decision(spec, self._state_at(prefix), cfg, table=table)
+                hit = stop_decision(table, self._state_at(prefix), cfg)
             elif self.variant == "expected":
-                hit = boundary_decision(spec, self._state_at(prefix), cfg, table=table)
+                hit = boundary_decision(table, self._state_at(prefix), cfg)
             else:
                 hit = boundary_decision(
-                    spec, self._state_at(prefix[:-1]), cfg, table=table, nxt=self._state_at(prefix)
+                    table, self._state_at(prefix[:-1]), cfg, nxt=self._state_at(prefix)
                 )
             self._decisions[key] = hit
         return hit

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from disorder import (
 from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
 from disorder.simulate import TrajectorySampler, mix_seeds
-from disorder.stopping import ValueTable, boundary_decision
+from disorder.stopping import ValueTable, _prune, boundary_decision
 
 from conftest import make_m1, make_m2, make_m3, make_m4, random_spec
 
@@ -180,10 +181,34 @@ class TestValueTable:
                     k, window, fresh.weight(gamma, delta)
                 )
 
-    def test_table_of_other_spec_rejected(self, m2, m3):
-        state = filter_through(m2, (0, 1, 0))
-        with pytest.raises(ValueError):
-            stop_decision(m2, state, ValueIterConfig(), table=ValueTable(m3))
+
+def _brute_force_survivors(vecs):
+    # Row j goes when some row i >= j pointwise beats it: i > j somewhere, or
+    # i an equal copy that comes first.  Blocks of columns keep memory small.
+    keep = []
+    for j0 in range(0, len(vecs), 250):
+        block = vecs[j0 : j0 + 250]
+        ge = (vecs[:, None, :] >= block[None, :, :]).all(axis=2)
+        gt = (vecs[:, None, :] > block[None, :, :]).any(axis=2)
+        earlier = np.arange(len(vecs))[:, None] < np.arange(j0, j0 + len(block))[None, :]
+        keep += (j0 + np.flatnonzero(~(ge & (gt | earlier)).any(axis=0))).tolist()
+    return keep
+
+
+class TestPrune:
+    def test_equals_brute_force_in_small_memory(self):
+        rng = np.random.default_rng(11)
+        vecs = rng.uniform(0, 1, (4500, 4))
+        # exact copies, so which copy survives, and where, is checked too
+        vecs = np.concatenate([vecs, vecs[rng.integers(0, 4500, 500)]])[rng.permutation(5000)]
+        tracemalloc.start()
+        try:
+            got = _prune(vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, vecs[_brute_force_survivors(vecs)])
+        assert peak < 8 * 2**20
 
 
 class TestBaseLevel:
@@ -304,7 +329,7 @@ class TestValueIterate:
         state = filter_through(m2, (0, 1, 0))
         args = (state.window, state.change_prob, state.pair_prob)
         h = stop_payoff(m2, *args)
-        res = value_iterate(m2, *args, ValueIterConfig(k_max=10), h)
+        res = value_iterate(ValueTable(m2), *args, ValueIterConfig(k_max=10), h)
         assert res.converged
         assert res.k_used == 1
         table = ValueTable(m2)
@@ -320,13 +345,13 @@ class TestValueIterate:
         state = filter_through(spec, (0, 1, 1, 0))
         args = (state.window, state.change_prob, state.pair_prob)
         h = stop_payoff(spec, *args)
-        res = value_iterate(spec, *args, ValueIterConfig(k_max=1), h)
+        res = value_iterate(ValueTable(spec), *args, ValueIterConfig(k_max=1), h)
         assert not res.converged
         assert res.k_used == 1
         assert res.value <= h < res.value + res.bound
-        dec = stop_decision(spec, state, ValueIterConfig(k_max=1))
+        dec = stop_decision(ValueTable(spec), state, ValueIterConfig(k_max=1))
         assert dec.stop and not dec.converged
-        deep = stop_decision(spec, state, ValueIterConfig(k_max=10))
+        deep = stop_decision(ValueTable(spec), state, ValueIterConfig(k_max=10))
         assert not deep.stop and deep.converged and deep.k_used == 3
 
 
@@ -343,8 +368,8 @@ class TestCertificate:
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, alphabet, l0, l1, d)
         window = tuple(rng.integers(0, alphabet, size=d + 2).tolist())
-        # a small budget keeps each pairwise prune small; instances whose
-        # sets outgrow it before level 24 are skipped
+        # a small budget keeps each table small; instances whose sets
+        # outgrow it before level 24 are skipped
         table = ValueTable(spec, budget=2000)
         u = table.weight(rng.uniform(0, 1, (l0, l1)), rng.uniform(0, 1, (l0, l1)))
         try:
@@ -375,7 +400,7 @@ class TestCertificate:
             ]
             for state in frontier:
                 if state.n == spec.d + 1:
-                    dec = boundary_decision(spec, state, cfg, table=table)
+                    dec = boundary_decision(table, state, cfg)
                     pred = predictive(spec, state)
                     target = 0.0
                     for y in range(spec.alphabet_size):
@@ -383,7 +408,7 @@ class TestCertificate:
                         h_y = stop_payoff(spec, after.window, after.change_prob, after.pair_prob)
                         target += float(pred[y]) * max(h_y, deep(after))
                 elif state.n >= spec.d + 2:
-                    dec = stop_decision(spec, state, cfg, table=table)
+                    dec = stop_decision(table, state, cfg)
                     target = deep(state)
                 else:
                     continue
@@ -405,7 +430,7 @@ class TestStopDecision:
             change_prob=np.ones((2, 2)),
             pair_prob=state.pair_prob,
         )
-        dec = stop_decision(spec, forced, ValueIterConfig(k_max=4))
+        dec = stop_decision(ValueTable(spec), forced, ValueIterConfig(k_max=4))
         assert dec.stop_value == 0.0
         assert dec.continue_value == 0.0
         assert dec.stop  # tie resolves to stopping
@@ -428,14 +453,14 @@ class TestStopDecision:
         delta = np.array([[1.0]])
         for window in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             h = stop_payoff(same, window, gamma, delta)
-            res = value_iterate(same, window, gamma, delta, cfg, h)
+            res = value_iterate(ValueTable(same), window, gamma, delta, cfg, h)
             decisions.add((round(h, 12), round(res.value, 12)))
         assert len(decisions) == 1
 
     def test_early_state_rejected(self, m2):
         state = filter_through(m2, (0, 1))
         with pytest.raises(ValueError):
-            stop_decision(m2, state, ValueIterConfig())
+            stop_decision(ValueTable(m2), state, ValueIterConfig())
 
 
 class TestRuleRunner:
@@ -502,7 +527,7 @@ class TestBoundaryDecision:
         spec = make_m2(d=1)
         cfg = ValueIterConfig(k_max=6)
         state = filter_through(spec, (0, 1, 0))
-        dec = boundary_decision(spec, state, cfg)
+        dec = boundary_decision(ValueTable(spec), state, cfg)
         pred = predictive(spec, state)
         table = ValueTable(spec)
         manual = 0.0
@@ -516,4 +541,4 @@ class TestBoundaryDecision:
     def test_wrong_time_rejected(self, m2):
         state = filter_through(m2, (0, 1, 0))
         with pytest.raises(ValueError):
-            boundary_decision(m2, state, ValueIterConfig())
+            boundary_decision(ValueTable(m2), state, ValueIterConfig())
