@@ -35,6 +35,7 @@ from .posterior import (
     change_from_origin,
     change_lagged,
     change_multistep,
+    filter_tree,
     predictive,
     state_init,
     state_step,
@@ -42,6 +43,7 @@ from .posterior import (
 from .payoff import (
     CriterionCheck,
     criterion_probability,
+    state_payoff,
     stop_payoff,
     stop_payoff_boundary,
 )

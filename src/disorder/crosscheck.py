@@ -47,20 +47,6 @@ def _paths(spec: ModelSpec, n: int):
         yield (spec.x0,) + tail
 
 
-def _filter_states(spec: ModelSpec, horizon: int) -> dict:
-    """path -> filter state of each path of 1 .. horizon steps, breadth first, zero mass skipped."""
-    states: dict = {}
-    frontier = {(spec.x0,): posterior.state_init(spec)}
-    for _ in range(horizon):
-        frontier = {
-            path + (y,): posterior.state_step(spec, state, y)
-            for path, state in frontier.items()
-            for y in np.flatnonzero(posterior.predictive(spec, state) > 0.0).tolist()
-        }
-        states.update(frontier)
-    return states
-
-
 def check_path_unity(spec: ModelSpec, horizon: int) -> CheckResult:
     """Path probabilities sum to one at every depth."""
     worst = 0.0
@@ -254,7 +240,7 @@ def check_predictive_chain(spec: ModelSpec, states: dict, horizon: int) -> Check
 def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckResult]:
     """Run the full battery; deterministic given (spec, horizon, seed)."""
     table = oracle.build_joint(spec, horizon, max_theta=horizon + spec.d + 4)
-    states = _filter_states(spec, horizon)
+    states = posterior.filter_tree(spec, horizon)
     results = [
         check_path_unity(spec, horizon),
         check_joint_consistency(spec, table),

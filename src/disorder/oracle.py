@@ -9,7 +9,8 @@ Detection events {|theta - n| <= d} for n <= horizon never touch the tail.
 On top of the table sit definition-level posteriors (plain Bayes, no
 recursion), exact evaluation of arbitrary adapted rules, and finite-horizon
 backward induction for the optimal value, with an independent state-indexed
-induction as an implementation cross-check.
+induction, optimal_value_state_indexed(spec, horizon), as an implementation
+cross-check.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import BudgetError
 from .likelihood import Window
-from .model import ModelSpec, change_time_pmf
-from .payoff import stop_payoff, stop_payoff_boundary
+from .model import ModelSpec
+from .payoff import state_payoff
 from .posterior import predictive, state_init, state_step
 
 DEFAULT_CELL_BUDGET = 10_000_000
@@ -97,16 +98,11 @@ def path_prob(table: JointTable, path: Window) -> float:
 def exact_posterior(table: JointTable, path: Window) -> tuple[np.ndarray, np.ndarray]:
     """Definition-level posteriors (change grid, pair grid) given the path."""
     path = tuple(path)
-    joint = table.levels[len(path) - 1][path]
-    n = len(path) - 1
-    per_pair = joint.sum(axis=0)
+    per_pair = table.levels[len(path) - 1][path].sum(axis=0)
     total = math.fsum(per_pair.ravel())
     if total < 1e-300:
         raise ValueError("path has zero probability")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        change = np.where(per_pair > 0.0, joint[:n].sum(axis=0) / per_pair, 0.0)
-    pair = per_pair / total
-    return change, pair
+    return change_cdf_given_pair(table, path, len(path) - 1), per_pair / total
 
 
 def change_cdf_given_pair(table: JointTable, path: Window, m: int) -> np.ndarray:
@@ -215,20 +211,18 @@ def exact_optimal_rule(
     return value, HistoryTreeValue(levels=tuple(out_levels))
 
 
-def optimal_value_state_indexed(
-    spec: ModelSpec, horizon: int, restrict_after_d: bool = True
-) -> float:
+def optimal_value_state_indexed(spec: ModelSpec, horizon: int) -> float:
     """Optimal value by induction on filter states instead of raw paths.
 
     Independent route: stop payoffs come from the payoff transform of the
     filter state and transition weights from the one-step predictive, no
-    joint table involved.  Must agree with exact_optimal_rule to near machine
-    precision on valid instances.
+    joint table involved; equal states reached by different paths are valued
+    once.  Stops are allowed from d + 1 on, as in exact_optimal_rule, and the
+    two must agree to near machine precision on valid instances.
     """
     if horizon < spec.d + 2:
         raise ValueError("state-indexed induction needs horizon >= d + 2")
 
-    prior_head = math.fsum(change_time_pmf(spec, k) for k in range(1, spec.d + 1))
     memo: dict = {}
 
     def state_key(state):
@@ -239,21 +233,13 @@ def optimal_value_state_indexed(
             state.pair_prob.tobytes(),
         )
 
-    def z_value(state) -> float:
-        if state.n == 0:
-            return prior_head
-        if state.n <= spec.d + 1:
-            return stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
-        return stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
-
     def value(state) -> float:
         key = state_key(state)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        z = z_value(state)
         if state.n == horizon:
-            v = z
+            v = state_payoff(spec, state)
         else:
             pred = predictive(spec, state)
             cont = 0.0
@@ -261,8 +247,7 @@ def optimal_value_state_indexed(
                 w = float(pred[y])
                 if w > 0.0:
                     cont += w * value(state_step(spec, state, y))
-            allowed = state.n >= spec.d + 1 if restrict_after_d else True
-            v = max(z, cont) if allowed else cont
+            v = max(state_payoff(spec, state), cont) if state.n > spec.d else cont
         memo[key] = v
         return v
 

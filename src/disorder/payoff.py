@@ -9,10 +9,11 @@ posterior grids:
 
 with all split likelihoods over w.  At the earliest admissible stop n = d + 1
 no change can predate the precision window, and the payoff collapses to the
-window-free form stop_payoff_boundary.  criterion_probability evaluates the
-unconditional success probability of a fixed-time stop both from the prior
-and as the exact expectation of the payoff over the path tree; the two must
-agree, which is the module's core identity.
+window-free form stop_payoff_boundary; state_payoff applies the form due at
+a filter state's own time.  criterion_probability evaluates the unconditional
+success probability of a fixed-time stop both from the prior and as the
+exact expectation of the payoff over the filter tree; the two must agree,
+which is the module's core identity.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .likelihood import Window, likelihood_ratio_chain, path_probability
 from .model import ModelSpec, change_time_pmf
-from .posterior import PosteriorState, state_init, state_step
+from .posterior import PosteriorState, filter_tree
 
 
 def detection_coeff_matrix(spec: ModelSpec, window: Window) -> np.ndarray:
@@ -52,6 +53,15 @@ def stop_payoff_boundary(spec: ModelSpec, gamma: np.ndarray, delta: np.ndarray) 
     return math.fsum(((1.0 - spec.p**spec.d * (1.0 - gamma)) * delta).ravel())
 
 
+def state_payoff(spec: ModelSpec, state: PosteriorState) -> float:
+    """Stop payoff of the filter state at its own time n >= d + 1."""
+    if state.n < spec.d + 1:
+        raise ValueError("stop payoffs apply from time d + 1 on")
+    if state.n == spec.d + 1:
+        return stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+    return stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
+
+
 class CriterionCheck(NamedTuple):
     prior_value: float
     payoff_value: float
@@ -69,21 +79,9 @@ def criterion_probability(spec: ModelSpec, n: int) -> CriterionCheck:
     lo = max(1, n - spec.d)
     prior = math.fsum(change_time_pmf(spec, k) for k in range(lo, n + spec.d + 1))
 
-    terms: list[float] = []
-
-    def walk(state: PosteriorState, prefix: Window, weight: float) -> None:
-        if state.n == n:
-            if n == spec.d + 1:
-                value = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
-            else:
-                value = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
-            terms.append(weight * value)
-            return
-        for y in range(spec.alphabet_size):
-            path = prefix + (y,)
-            w = path_probability(spec, path)
-            if w > 0.0:
-                walk(state_step(spec, state, y), path, w)
-
-    walk(state_init(spec), (spec.x0,), 1.0)
+    terms = [
+        path_probability(spec, path) * state_payoff(spec, state)
+        for path, state in filter_tree(spec, n).items()
+        if state.n == n
+    ]
     return CriterionCheck(prior_value=prior, payoff_value=math.fsum(terms))

@@ -11,7 +11,8 @@ observation, computed for the whole pair grid at once by one helper that
 also broadcasts over a leading batch axis, so the Monte Carlo rules filter
 many paths in lockstep with the arithmetic of `state_step`; multi-step,
 back-shift and lagged variants expose the same posterior through window
-mixtures and are used to cross-check the recursion.
+mixtures and are used to cross-check the recursion.  filter_tree filters
+every path of positive probability up to a horizon, for the exact checks.
 
 Zero-probability observations (outside the common kernel support) raise
 SupportError rather than being renormalised away; under the model assumptions
@@ -188,3 +189,17 @@ def predictive(spec: ModelSpec, state: PosteriorState) -> np.ndarray:
     change = None if state.n == 0 else state.change_prob
     terms = state.pair_prob * _transition_mixture(spec, change, f0, f1)
     return np.array([math.fsum(row) for row in terms.reshape(spec.alphabet_size, -1).tolist()])
+
+
+def filter_tree(spec: ModelSpec, horizon: int) -> dict:
+    """path -> filter state of each path of 1 .. horizon steps, breadth first, zero mass skipped."""
+    states: dict = {}
+    frontier = {(spec.x0,): state_init(spec)}
+    for _ in range(horizon):
+        frontier = {
+            path + (y,): state_step(spec, state, y)
+            for path, state in frontier.items()
+            for y in np.flatnonzero(predictive(spec, state) > 0.0).tolist()
+        }
+        states.update(frontier)
+    return states

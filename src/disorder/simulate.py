@@ -325,10 +325,11 @@ def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
     """Stop once the posterior total change mass reaches `level` (not before d + 1).
 
     The batch form filters every path in lockstep and advances only the rows
-    that have not stopped.  It fails where a per-path filter would, on an
-    out-of-alphabet symbol or a transition outside the common support before
-    the stop, and raises the first such error it meets with the per-path
-    message; `monte_carlo_eval` locates the failing row by replay.
+    that have not stopped.  It fails where a per-path filter would, on a
+    path that does not start at x0, an out-of-alphabet symbol or a
+    transition outside the common support before the stop, and raises the
+    first such error it meets with the per-path message; `monte_carlo_eval`
+    locates the failing row by replay.
     """
 
     def stop_times(observations: np.ndarray) -> np.ndarray:
@@ -337,6 +338,8 @@ def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
         rows = np.arange(len(obs))  # the rows still running
         x_prev = np.full(len(obs), spec.x0)
         change, pair = None, np.broadcast_to(spec.b, (len(obs), spec.l0, spec.l1))
+        if not obs.shape[1] or (obs[:, 0] != spec.x0).any():
+            raise ValueError(f"stream must start at x0={spec.x0}")
         in_alphabet = bool(((obs[:, 1:] >= 0) & (obs[:, 1:] < spec.alphabet_size)).all())
         for n in range(1, obs.shape[1]):
             if not len(rows):

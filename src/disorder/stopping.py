@@ -46,8 +46,8 @@ import numpy as np
 from .errors import BudgetError
 from .likelihood import Window, likelihood_ratio_chain
 from .model import ModelSpec
-from .payoff import detection_coeff_matrix, stop_payoff, stop_payoff_boundary
-from .posterior import PosteriorState, predictive, state_init, state_step
+from .payoff import detection_coeff_matrix, state_payoff
+from .posterior import PosteriorState, state_init, state_step
 
 # Hard cap on candidate vectors formed in cross-sums per table, a guard
 # against runaway configs.
@@ -251,13 +251,13 @@ class ValueTable:
 
 
 def _certify(table: ValueTable, cfg: ValueIterConfig, h: float, terms) -> ValueIterResult:
-    # Raise K until E max(h_y, s_K) <= E max(h_y, s*) <= E max(h_y, s_K + bound) decides h.
+    # Raise K until sum max(h_y, s_K) <= sum max(h_y, s*) <= sum max(h_y, s_K + bound) decides h.
     for k in range(1, cfg.k_max + 1):
         lower = upper = 0.0
-        for w, h_y, window, u in terms:
+        for h_y, window, u in terms:
             s = table.value(k, window, u)
-            lower += w * max(h_y, s)
-            upper += w * max(h_y, s + table.bound(k) * float(u.sum()))
+            lower += max(h_y, s)
+            upper += max(h_y, s + table.bound(k) * float(u.sum()))
         if h < lower or h >= upper:
             return ValueIterResult(lower, upper - lower, k, True)
     return ValueIterResult(lower, upper - lower, cfg.k_max, False)
@@ -276,7 +276,7 @@ def value_iterate(
     The alpha-vector sets come from `table`, and with them the spec.
     """
     u = table.weight(gamma, delta)
-    return _certify(table, cfg, stop_value, [(1.0, -math.inf, tuple(window), u)])
+    return _certify(table, cfg, stop_value, [(-math.inf, tuple(window), u)])
 
 
 def stop_decision(table: ValueTable, state: PosteriorState, cfg: ValueIterConfig) -> StopDecision:
@@ -284,7 +284,7 @@ def stop_decision(table: ValueTable, state: PosteriorState, cfg: ValueIterConfig
     spec = table.spec
     if state.n < spec.d + 2:
         raise ValueError("region test applies from time d + 2 on")
-    h = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
+    h = state_payoff(spec, state)
     res = value_iterate(table, state.window, state.change_prob, state.pair_prob, cfg, h)
     return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
 
@@ -299,25 +299,22 @@ def boundary_decision(
 
     Without `nxt`, compares the boundary payoff against the expected value of
     the better of stopping or continuing one step ahead, which is measurable
-    at d + 1; one K serves every next symbol.  With the realised next state
-    `nxt`, compares it against the continuation value at `nxt` (the literal
-    reading).
+    at d + 1; one K serves every next symbol.  That expectation is one
+    backup of the table: with u the state's weight, the next symbol y adds
+    max(c_y . u, s_K(D_y o u)), since pred_y h_y = c_y . u, pred_y u_y = D_y o u
+    and s_K is homogeneous in u.  With the realised next state `nxt`,
+    compares it against the continuation value at `nxt` (the literal reading).
     """
     spec = table.spec
     if state.n != spec.d + 1:
         raise ValueError("boundary comparison applies exactly at time d + 1")
-    h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+    h = state_payoff(spec, state)
     if nxt is not None:
         res = value_iterate(table, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, h)
     else:
-        pred = predictive(spec, state)
-        terms = []
-        for y in range(spec.alphabet_size):
-            if pred[y] != 0.0:
-                after = state_step(spec, state, y)
-                h_y = stop_payoff(spec, after.window, after.change_prob, after.pair_prob)
-                u = table.weight(after.change_prob, after.pair_prob)
-                terms.append((float(pred[y]), h_y, after.window, u))
+        tail = state.window[1:]
+        u = table.weight(state.change_prob, state.pair_prob)
+        terms = [(float(stop[0] @ u), tail + (y,), gain * u) for y, stop, gain in table._branch(tail)]
         res = _certify(table, cfg, h, terms)
     return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
 

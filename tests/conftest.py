@@ -9,7 +9,7 @@ with an asymmetric 2 x 1 grid and nonzero initial hazards.
 import numpy as np
 import pytest
 
-from disorder import ModelSpec, PosteriorState, spec_from_dict, state_step
+from disorder import ModelSpec, PosteriorState, spec_from_dict, spec_to_dict, state_step
 
 
 def make_m1(d: int = 0) -> ModelSpec:
@@ -81,6 +81,15 @@ def make_m4(d: int = 0) -> ModelSpec:
             "x0": 0,
         }
     )
+
+
+def make_zero_support(d: int = 1) -> ModelSpec:
+    """M3 with the transition 1 -> 1 impossible under every kernel."""
+    payload = spec_to_dict(make_m3(d))
+    for kernels in (payload["pre_kernels"], payload["post_kernels"]):
+        for kernel in kernels:
+            kernel[1] = [1.0, 0.0]
+    return spec_from_dict(payload)
 
 
 @pytest.fixture

@@ -27,12 +27,10 @@ from disorder import (
     ValueIterConfig,
     monte_carlo_eval,
     posterior_threshold_rule,
-    spec_from_dict,
-    spec_to_dict,
     validate,
 )
 
-from conftest import make_m1, make_m2, make_m3, make_m4
+from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support
 
 
 def all_paths(spec, n):
@@ -193,7 +191,7 @@ class TestExactOptimalRule:
         spec = make(d)
         table = build_joint(spec, 6)
         v_path, _ = exact_optimal_rule(table, restrict_after_d=True)
-        v_state = optimal_value_state_indexed(spec, 6, restrict_after_d=True)
+        v_state = optimal_value_state_indexed(spec, 6)
         assert abs(v_path - v_state) <= 1e-12
 
     def test_tree_invariants(self, m2):
@@ -277,11 +275,7 @@ class TestZeroSupport:
 
     @pytest.fixture
     def spec(self):
-        payload = spec_to_dict(make_m3(d=1))
-        for kernels in (payload["pre_kernels"], payload["post_kernels"]):
-            for kernel in kernels:
-                kernel[1] = [1.0, 0.0]
-        spec = spec_from_dict(payload)
+        spec = make_zero_support()
         assert validate(spec) == []
         return spec
 

@@ -9,13 +9,14 @@ from disorder import (
     change_time_pmf,
     criterion_probability,
     state_init,
+    state_payoff,
     state_step,
     stop_payoff,
     stop_payoff_boundary,
 )
 from disorder.payoff import detection_coeff_matrix
 
-from conftest import make_m1, make_m2, make_m3, make_m4
+from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support
 
 
 def filter_through(spec, path):
@@ -145,7 +146,7 @@ class TestCriterion:
         assert chk.prior_value == 0.0
         assert abs(chk.payoff_value) <= 1e-14
 
-    @pytest.mark.parametrize("make", [make_m1, make_m2, make_m3, make_m4])
+    @pytest.mark.parametrize("make", [make_m1, make_m2, make_m3, make_m4, make_zero_support])
     @pytest.mark.parametrize("d", [0, 1])
     def test_identity_away_from_boundary(self, make, d):
         spec = make(d)
@@ -167,8 +168,13 @@ class TestPayoffIsConditionalProbability:
         from disorder import build_joint
         from disorder.oracle import detection_mass, path_prob
 
+        # state_payoff picks the boundary form at d + 1, the window form
+        # later, and rejects earlier states
         spec = make(d)
         table = build_joint(spec, 5)
+        for tail in itertools.product(range(spec.alphabet_size), repeat=d):
+            with pytest.raises(ValueError):
+                state_payoff(spec, filter_through(spec, (spec.x0,) + tail))
         for n in range(d + 1, 6):
             for tail in itertools.product(range(spec.alphabet_size), repeat=n):
                 path = (spec.x0,) + tail
@@ -179,6 +185,7 @@ class TestPayoffIsConditionalProbability:
                 else:
                     val = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
                 assert abs(val - z) <= 1e-10
+                assert state_payoff(spec, state) == val
 
 
 class TestCoeffMatrix:

@@ -13,6 +13,7 @@ from disorder import (
     change_from_origin,
     change_lagged,
     change_multistep,
+    filter_tree,
     path_probability,
     predictive,
     split_likelihoods,
@@ -24,7 +25,7 @@ from disorder import oracle
 from disorder.posterior import _filter_step
 
 import scalar_filter
-from conftest import make_m1, make_m3, make_m4, random_spec, step_from
+from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support, random_spec, step_from
 
 
 def filter_through(spec, path):
@@ -216,6 +217,32 @@ class TestStateEvolution:
                 change, pair = oracle.exact_posterior(table, path)
                 assert np.max(np.abs(pair - state.pair_prob)) <= 1e-10
                 assert np.max(np.abs(change - state.change_prob)) <= 1e-10
+
+
+class TestFilterTree:
+    @pytest.mark.parametrize(
+        "spec",
+        [make(d) for make in (make_m1, make_m2, make_m3, make_m4) for d in (0, 1)]
+        + [make_zero_support()],
+    )
+    def test_positive_paths_in_table_order(self, spec):
+        # the paths of 1 .. h steps with positive probability, in the joint
+        # table's order, each with the state of filtering it step by step
+        horizon = 6 if spec.alphabet_size == 2 else 4
+        table = oracle.build_joint(spec, horizon)
+        tree = filter_tree(spec, horizon)
+        expected = [
+            path
+            for level in table.levels[1:]
+            for path in level
+            if oracle.path_prob(table, path) > 0.0
+        ]
+        assert list(tree) == expected
+        for path, state in tree.items():
+            ref = filter_through(spec, path)
+            assert (state.n, state.window) == (ref.n, ref.window)
+            assert np.array_equal(state.change_prob, ref.change_prob)
+            assert np.array_equal(state.pair_prob, ref.pair_prob)
 
 
 class TestLagged:

@@ -316,6 +316,15 @@ class TestBatchRules:
         with pytest.raises(SupportError):
             rule.stop_times(np.array([stopped, (0, 0, 1, 0), (0, 1, 1, 0)]))
 
+    def test_path_not_starting_at_x0(self, m3):
+        rule = posterior_threshold_rule(m3)
+        for path in ((1, 1, 1, 1, 1, 1), (5, 1, 1, 1, 1, 1)):
+            with pytest.raises(ValueError, match="stream must start at x0=0"):
+                rule(path)
+        with pytest.raises(ValueError, match="stream must start at x0=0"):
+            rule.stop_times(np.array([(0, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)]))
+        assert rule((0, 1, 1, 1, 1, 1)) == 3
+
     def test_out_of_alphabet_symbol(self, m2):
         rule = posterior_threshold_rule(m2)
         with pytest.raises(ValueError, match="outside alphabet"):

@@ -12,6 +12,7 @@ from disorder import (
     OptimalStoppingRule,
     StopDecision,
     ValueIterConfig,
+    filter_tree,
     predictive,
     rule_runner,
     state_init,
@@ -114,6 +115,34 @@ def reference_stops(spec, cfg, horizon, variant="expected"):
 
     walk(None, state_init(spec), (spec.x0,), ())
     return traces
+
+
+def reference_boundary_decision(table, state, cfg):
+    """The expected boundary decision with every next symbol filtered.
+
+    Each next symbol y of positive predictive weight adds
+    pred_y max(h_y, s_K) at its own filter state, and the tail bound at that
+    state widens the bracket; K rises until the bracket decides the payoff.
+    """
+    spec = table.spec
+    h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+    pred = predictive(spec, state)
+    terms = []
+    for y in range(spec.alphabet_size):
+        if pred[y] != 0.0:
+            after = state_step(spec, state, y)
+            h_y = stop_payoff(spec, after.window, after.change_prob, after.pair_prob)
+            u = table.weight(after.change_prob, after.pair_prob)
+            terms.append((float(pred[y]), h_y, after.window, u))
+    for k in range(1, cfg.k_max + 1):
+        lower = upper = 0.0
+        for w, h_y, window, u in terms:
+            s = table.value(k, window, u)
+            lower += w * max(h_y, s)
+            upper += w * max(h_y, s + table.bound(k) * float(u.sum()))
+        if h < lower or h >= upper:
+            return StopDecision(state.n, h >= lower, h, lower, upper - lower, k, True)
+    return StopDecision(state.n, h >= lower, h, lower, upper - lower, cfg.k_max, False)
 
 
 def reference_trace(traces, path):
@@ -537,6 +566,23 @@ class TestBoundaryDecision:
             u = table.weight(nxt.change_prob, nxt.pair_prob)
             manual += float(pred[y]) * max(h_next, table.value(dec.k_used, nxt.window, u))
         assert dec.continue_value == pytest.approx(manual, abs=1e-13)
+
+    @pytest.mark.parametrize("make", [make_m1, make_m2, make_m3, make_m4])
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_table_backup_equals_filtered_expectation(self, make, d):
+        # every boundary state: the backup read off the table against the
+        # expectation over filtered next states
+        spec = make(d)
+        states = [s for s in filter_tree(spec, d + 1).values() if s.n == d + 1]
+        for k_max in (1, 2, 5, 10):
+            cfg = ValueIterConfig(k_max=k_max)
+            table = ValueTable(spec)
+            for state in states:
+                dec = boundary_decision(table, state, cfg)
+                ref = reference_boundary_decision(table, state, cfg)
+                assert (dec.stop, dec.k_used, dec.converged) == (ref.stop, ref.k_used, ref.converged)
+                assert dec.stop_value == ref.stop_value
+                assert dec.continue_value == pytest.approx(ref.continue_value, rel=1e-13)
 
     def test_wrong_time_rejected(self, m2):
         state = filter_through(m2, (0, 1, 0))
