@@ -14,8 +14,6 @@ from .model import (
     LatentState,
     ModelSpec,
     change_time_pmf,
-    conditional_hazard,
-    conditional_survival,
     config_digest,
     load_spec,
     pair_matrix,
@@ -49,11 +47,9 @@ from .payoff import (
 )
 from .stopping import (
     OptimalStoppingRule,
-    RuleRun,
     StopDecision,
     ValueIterConfig,
     ValueIterResult,
-    rule_runner,
     stop_decision,
     value_iterate,
 )

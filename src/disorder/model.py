@@ -178,30 +178,6 @@ def change_time_pmf(spec: ModelSpec, k: int) -> float:
     return float(np.sum((1.0 - spec.pi) * spec.p ** (k - 2) * q * spec.b))
 
 
-def conditional_hazard(spec: ModelSpec, i: int, j: int, n: int, k: int) -> float:
-    """P(theta = n + k | pair (i, j), theta > n) for k >= 1, n >= 0."""
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    p = float(spec.p[i, j])
-    q = 1.0 - p
-    if n > 0:
-        return p ** (k - 1) * q
-    pi = float(spec.pi[i, j])
-    if k == 1:
-        return pi
-    return (1.0 - pi) * p ** (k - 2) * q
-
-
-def conditional_survival(spec: ModelSpec, i: int, j: int, n: int, k: int) -> float:
-    """P(theta > n + k | pair (i, j), theta > n) for k >= 1, n >= 0."""
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    p = float(spec.p[i, j])
-    if n > 0:
-        return p ** k
-    return (1.0 - float(spec.pi[i, j])) * p ** (k - 1)
-
-
 def spec_from_dict(payload: dict) -> ModelSpec:
     """Build a ModelSpec from a plain config mapping; unknown keys rejected."""
     if not isinstance(payload, dict):

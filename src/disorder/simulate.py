@@ -310,11 +310,22 @@ def _with_batch_form(stop_times) -> Rule:
     return rule
 
 
+def _check_read(spec: ModelSpec, obs: np.ndarray, symbols=()) -> None:
+    # The per-path ValueError of the batch rules: the paths `obs` start at
+    # x0, and the `symbols` read after it, in reading order, are in the alphabet.
+    if not obs.shape[1] or (obs[:, 0] != spec.x0).any():
+        raise ValueError(f"stream must start at x0={spec.x0}")
+    bad = [y for y in np.ravel(symbols).tolist() if not 0 <= y < spec.alphabet_size]
+    if bad:
+        raise ValueError(f"symbol {bad[0]} outside alphabet")
+
+
 def fixed_time_rule(spec: ModelSpec) -> Rule:
-    """Always stop at the earliest admissible time d + 1."""
+    """Always stop at the earliest admissible time d + 1; fail as a filter would up to it."""
 
     def stop_times(observations: np.ndarray) -> np.ndarray:
         obs = np.asarray(observations)
+        _check_read(spec, obs, obs[:, 1 : spec.d + 2].T)  # steps 1 .. d + 1, rows in order
         tau = spec.d + 1 if obs.shape[1] - 1 >= spec.d + 1 else -1
         return np.full(len(obs), tau, dtype=np.int64)
 
@@ -338,17 +349,14 @@ def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
         rows = np.arange(len(obs))  # the rows still running
         x_prev = np.full(len(obs), spec.x0)
         change, pair = None, np.broadcast_to(spec.b, (len(obs), spec.l0, spec.l1))
-        if not obs.shape[1] or (obs[:, 0] != spec.x0).any():
-            raise ValueError(f"stream must start at x0={spec.x0}")
+        _check_read(spec, obs)
         in_alphabet = bool(((obs[:, 1:] >= 0) & (obs[:, 1:] < spec.alphabet_size)).all())
         for n in range(1, obs.shape[1]):
             if not len(rows):
                 break
             x_next = obs[rows, n]
             if not in_alphabet:
-                bad = np.flatnonzero((x_next < 0) | (x_next >= spec.alphabet_size))
-                if len(bad):
-                    raise ValueError(f"symbol {x_next[bad[0]]} outside alphabet")
+                _check_read(spec, obs, x_next)
             change, pair, dead = _filter_step(spec, change, pair, x_prev, x_next)
             if dead is not None:
                 k = np.flatnonzero(dead)[0]

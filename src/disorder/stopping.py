@@ -13,25 +13,26 @@ term is linear in u, so s_k is the maximum of finitely many linear functions
 
     s_k(w, gamma, delta) = max_{g in Gamma_k(w')} g . u
 
-(the alpha-vector form of POMDP value functions).  Gamma_0(w') holds the
-one-step coefficients; Gamma_k(w') is the cross-sum over y of
-{c_y} u {D_y o g : g in Gamma_{k-1}(w' + (y,))} with c_y the stop payoff
-coefficients times f0(x_last, y) and D_y = p o f0(x_last, y).  ValueTable
-builds these sets on demand, prunes dominated vectors and keeps them for
-its lifetime, so one table serves every state of a spec.
+(the alpha-vector form of POMDP value functions).  Gamma_k(w') is the
+cross-sum over y of {c_y} u {D_y o g : g in Gamma_{k-1}(w' + (y,))}, with c_y
+the stop payoff coefficients times f0(x_last, y), D_y = p o f0(x_last, y)
+and no continuation sets at k = 0.  ValueTable builds these sets on demand,
+prunes dominated vectors and keeps them for its lifetime, so one table
+serves every state of a spec.
 
 s_k increases pointwise in k; its limit s* defines the stopping region
 { h >= s* }.  A decision raises K up to the cap k_max until h < s_K proves
 continue or h >= s_K + bound (see ValueTable.bound) proves stop; at the cap
 it compares h with s_{k_max}, flagged as not proved.  Either way it is the
-s_{k_max} decision.  OptimalStoppingRule is the one implementation of the
-rule: it never stops before d + 1, applies a boundary comparison at d + 1
-and afterwards stops on first entry into the region.  The comparison at
-d + 1 has two readings.  "expected" compares the boundary payoff with the
-expected best of stop/continue one step ahead.  "literal" waits for the
+s_{k_max} decision; stop_decision makes it from d + 1 on, with the stop
+payoff due at the state's time.  OptimalStoppingRule is the one rule: it
+never stops before d + 1, afterwards stops on first entry into the region,
+and its decisions are the trace.  At d + 1 the comparison has two readings.
+"expected" is the region test, as s_k there is already the expected better
+of stopping or continuing one step ahead: the next symbol y has
+pred_y h_y = c_y . u and pred_y u_y = D_y o u.  "literal" waits for the
 next symbol and compares against the continuation value at the realised
-next state; on a stop it reports d + 1 retroactively.  rule_runner is a
-trace view of the rule on one stream.
+next state; on a stop it reports d + 1 retroactively.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetError
-from .likelihood import Window, likelihood_ratio_chain
+from .likelihood import Window
 from .model import ModelSpec
 from .payoff import detection_coeff_matrix, state_payoff
 from .posterior import PosteriorState, state_init, state_step
@@ -143,14 +144,6 @@ def _envelope(vecs: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
-def _base_coeff(spec: ModelSpec, tail: Window) -> np.ndarray:
-    # One-step-ahead payoff coefficients integrated over the next symbol:
-    # 1 - p^d + q (1 + sum_{t=1..d} L_t/(p^t L_0)) / p over the d+1 tail.
-    q = 1.0 - spec.p
-    chain = likelihood_ratio_chain(spec, tail, spec.d)
-    return 1.0 - spec.p**spec.d + q * (1.0 + chain) / spec.p
-
-
 class ValueTable:
     """Alpha-vector sets Gamma_k of the continuation values for one spec.
 
@@ -158,9 +151,9 @@ class ValueTable:
     and w' the last d + 1 symbols of the window.  Each set is built when it
     is first asked for and kept for the table's lifetime.  `budget` caps the
     candidate vectors formed in cross-sums over that lifetime.  The table is
-    the handle that value_iterate, stop_decision and boundary_decision take:
-    they read the spec from it and share its sets across calls.  Confine one
-    table per worker, it is not synchronised.
+    the handle that value_iterate and stop_decision take: they read the spec
+    from it and share its sets across calls.  Confine one table per worker,
+    it is not synchronised.
     """
 
     def __init__(self, spec: ModelSpec, budget: int = CANDIDATE_BUDGET):
@@ -193,14 +186,12 @@ class ValueTable:
         hit = self._sets.get(key)
         if hit is not None:
             return hit
-        if k == 0:
-            out = _base_coeff(self.spec, tail).reshape(1, -1)
-        else:
-            out = None
-            for y, stop, gain in self._branch(tail):
+        out = None
+        for y, opts, gain in self._branch(tail):
+            if k:
                 cont = self.vectors(k - 1, tail[1:] + (y,)) * gain
-                opts = _prune(np.concatenate((stop, cont)))
-                out = opts if out is None else self._cross_sum(out, opts)
+                opts = _prune(np.concatenate((opts, cont)))
+            out = opts if out is None else self._cross_sum(out, opts)
         self._sets[key] = out
         return out
 
@@ -250,19 +241,6 @@ class ValueTable:
         return _prune((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
 
 
-def _certify(table: ValueTable, cfg: ValueIterConfig, h: float, terms) -> ValueIterResult:
-    # Raise K until sum max(h_y, s_K) <= sum max(h_y, s*) <= sum max(h_y, s_K + bound) decides h.
-    for k in range(1, cfg.k_max + 1):
-        lower = upper = 0.0
-        for h_y, window, u in terms:
-            s = table.value(k, window, u)
-            lower += max(h_y, s)
-            upper += max(h_y, s + table.bound(k) * float(u.sum()))
-        if h < lower or h >= upper:
-            return ValueIterResult(lower, upper - lower, k, True)
-    return ValueIterResult(lower, upper - lower, cfg.k_max, False)
-
-
 def value_iterate(
     table: ValueTable,
     window: Window,
@@ -276,46 +254,35 @@ def value_iterate(
     The alpha-vector sets come from `table`, and with them the spec.
     """
     u = table.weight(gamma, delta)
-    return _certify(table, cfg, stop_value, [(-math.inf, tuple(window), u)])
+    for k in range(1, cfg.k_max + 1):
+        s = table.value(k, window, u)
+        upper = s + table.bound(k) * float(u.sum())
+        if stop_value < s or stop_value >= upper:
+            return ValueIterResult(s, upper - s, k, True)
+    return ValueIterResult(s, upper - s, cfg.k_max, False)
 
 
-def stop_decision(table: ValueTable, state: PosteriorState, cfg: ValueIterConfig) -> StopDecision:
-    """Membership test of the state in the stopping region of `table.spec`, ties stop."""
-    spec = table.spec
-    if state.n < spec.d + 2:
-        raise ValueError("region test applies from time d + 2 on")
-    h = state_payoff(spec, state)
-    res = value_iterate(table, state.window, state.change_prob, state.pair_prob, cfg, h)
-    return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
-
-
-def boundary_decision(
+def stop_decision(
     table: ValueTable,
     state: PosteriorState,
     cfg: ValueIterConfig,
     nxt: PosteriorState | None = None,
 ) -> StopDecision:
-    """Stop-or-continue comparison at the earliest admissible time d + 1 of `table.spec`.
+    """Membership test of the state in the stopping region of `table.spec`, ties stop.
 
-    Without `nxt`, compares the boundary payoff against the expected value of
-    the better of stopping or continuing one step ahead, which is measurable
-    at d + 1; one K serves every next symbol.  That expectation is one
-    backup of the table: with u the state's weight, the next symbol y adds
-    max(c_y . u, s_K(D_y o u)), since pred_y h_y = c_y . u, pred_y u_y = D_y o u
-    and s_K is homogeneous in u.  With the realised next state `nxt`,
-    compares it against the continuation value at `nxt` (the literal reading).
+    Compares the stop payoff due at the state's time n >= d + 1 with the
+    continuation value at the state.  With the realised next state `nxt`
+    of a time-(d + 1) state, compares it with the continuation value at
+    `nxt` instead: the literal boundary reading.
     """
     spec = table.spec
-    if state.n != spec.d + 1:
-        raise ValueError("boundary comparison applies exactly at time d + 1")
+    if state.n < spec.d + 1:
+        raise ValueError("stop decisions apply from time d + 1 on")
+    if nxt is not None and state.n != spec.d + 1:
+        raise ValueError("the literal reading applies at time d + 1 only")
+    at = state if nxt is None else nxt
     h = state_payoff(spec, state)
-    if nxt is not None:
-        res = value_iterate(table, nxt.window, nxt.change_prob, nxt.pair_prob, cfg, h)
-    else:
-        tail = state.window[1:]
-        u = table.weight(state.change_prob, state.pair_prob)
-        terms = [(float(stop[0] @ u), tail + (y,), gain * u) for y, stop, gain in table._branch(tail)]
-        res = _certify(table, cfg, h, terms)
+    res = value_iterate(table, at.window, at.change_prob, at.pair_prob, cfg, h)
     return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
 
 
@@ -358,15 +325,8 @@ class OptimalStoppingRule:
         key = (n, prefix)
         hit = self._decisions.get(key)
         if hit is None:
-            spec, cfg, table = self.spec, self.cfg, self._table
-            if n > spec.d + 1:
-                hit = stop_decision(table, self._state_at(prefix), cfg)
-            elif self.variant == "expected":
-                hit = boundary_decision(table, self._state_at(prefix), cfg)
-            else:
-                hit = boundary_decision(
-                    table, self._state_at(prefix[:-1]), cfg, nxt=self._state_at(prefix)
-                )
+            nxt = self._state_at(prefix) if len(prefix) > n + 1 else None
+            hit = stop_decision(self._table, self._state_at(prefix[: n + 1]), self.cfg, nxt)
             self._decisions[key] = hit
         return hit
 
@@ -395,34 +355,3 @@ class OptimalStoppingRule:
 
     def __call__(self, observations: Window) -> int | None:
         return self.stop_time(observations)
-
-
-@dataclass(frozen=True)
-class RuleRun:
-    """Trace of one rule application; stop_time is None when censored."""
-
-    stop_time: int | None
-    censored: bool
-    trace: tuple[StopDecision, ...]
-    final_state: PosteriorState
-
-
-def rule_runner(
-    spec: ModelSpec,
-    observations: Window,
-    cfg: ValueIterConfig,
-    variant: str = "expected",
-) -> RuleRun:
-    """Apply a fresh OptimalStoppingRule to one observation stream.
-
-    The trace holds the rule's decisions up to and including the stop.  The
-    final state is the filter state at the stop, or at the end of the stream
-    when the rule never fires (censored).
-    """
-    rule = OptimalStoppingRule(spec, cfg, variant)
-    observations = tuple(observations)
-    stop = rule.stop_time(observations)
-    end = len(observations) if stop is None else stop + 1
-    return RuleRun(
-        stop, stop is None, tuple(rule.decisions(observations)), rule._state_at(observations[:end])
-    )

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from disorder import (
     ConfigError,
     change_time_pmf,
-    conditional_hazard,
-    conditional_survival,
     config_digest,
     load_spec,
     save_spec,
@@ -139,52 +137,6 @@ class TestChangeTimePmf:
                 cond = pi if k == 1 else (1 - pi) * p ** (k - 2) * (1 - p)
                 total += float(spec.b[i, j]) * cond
             assert change_time_pmf(spec, k) == pytest.approx(total, abs=1e-15)
-
-
-class TestConditionalLaws:
-    def test_hazard_interior(self):
-        spec = tiny_spec(p=0.8)
-        assert conditional_hazard(spec, 0, 0, 1, 2) == pytest.approx(0.16, abs=1e-15)
-
-    def test_hazard_at_origin(self):
-        spec = tiny_spec(pi=0.3)
-        assert conditional_hazard(spec, 0, 0, 0, 1) == pytest.approx(0.3, abs=1e-15)
-
-    def test_survival_interior(self):
-        assert conditional_survival(tiny_spec(p=0.8), 0, 0, 2, 1) == pytest.approx(0.8)
-
-    def test_survival_at_origin(self):
-        assert conditional_survival(tiny_spec(pi=0.3, p=0.5), 0, 0, 0, 1) == pytest.approx(0.7)
-
-    @pytest.mark.parametrize("n", [0, 1, 3])
-    def test_hazards_partition(self, n):
-        rng = np.random.default_rng(11)
-        spec = random_spec(rng)
-        for i, j in spec.pairs():
-            for k in range(1, 7):
-                mass = math.fsum(
-                    conditional_hazard(spec, i, j, n, m) for m in range(1, k + 1)
-                )
-                assert mass + conditional_survival(spec, i, j, n, k) == pytest.approx(
-                    1.0, abs=1e-12
-                )
-
-    def test_agrees_with_joint_conditioning(self):
-        # brute-force conditional from the prior joint of (theta, pair)
-        rng = np.random.default_rng(23)
-        spec = random_spec(rng)
-        for i, j in spec.pairs():
-            pi, p = float(spec.pi[i, j]), float(spec.p[i, j])
-
-            def prior(t):
-                return pi if t == 1 else (1 - pi) * p ** (t - 2) * (1 - p)
-
-            for n in range(0, 7):
-                surv_n = 1.0 - math.fsum(prior(t) for t in range(1, n + 1))
-                for k in range(1, 7):
-                    expected = prior(n + k) / surv_n
-                    got = conditional_hazard(spec, i, j, n, k)
-                    assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestConfigIO:

@@ -54,6 +54,25 @@ class TestBuildJoint:
         assert abs(tail - tail_expected) <= 1e-12
 
     @pytest.mark.parametrize("make", [make_m1, make_m3, make_m4])
+    def test_root_buckets_follow_pair_hazards(self, make):
+        # per pair: P(theta = n + k | theta > n) is pi, then (1 - pi) p^(k-2) q
+        # from the origin and p^(k-1) q from n >= 1 on; each pair's buckets,
+        # the tail included, hold its prior mass b
+        spec = make(d=1)
+        table = build_joint(spec, 5)
+        root = table.levels[0][(spec.x0,)]
+        q = 1.0 - spec.p
+        assert np.max(np.abs(root.sum(axis=0) - spec.b)) <= 1e-15
+        for n in range(table.max_theta):
+            survive = root[n:].sum(axis=0)
+            for k in range(1, table.max_theta - n + 1):
+                if n:
+                    hazard = spec.p ** (k - 1) * q
+                else:
+                    hazard = spec.pi if k == 1 else (1.0 - spec.pi) * spec.p ** (k - 2) * q
+                assert np.max(np.abs(root[n + k - 1] - hazard * survive)) <= 1e-15
+
+    @pytest.mark.parametrize("make", [make_m1, make_m3, make_m4])
     def test_path_marginal_matches_likelihood(self, make):
         spec = make(d=1)
         table = build_joint(spec, 5)

@@ -317,18 +317,26 @@ class TestBatchRules:
             rule.stop_times(np.array([stopped, (0, 0, 1, 0), (0, 1, 1, 0)]))
 
     def test_path_not_starting_at_x0(self, m3):
-        rule = posterior_threshold_rule(m3)
-        for path in ((1, 1, 1, 1, 1, 1), (5, 1, 1, 1, 1, 1)):
+        for rule in (posterior_threshold_rule(m3), fixed_time_rule(m3)):
+            for path in ((1, 1, 1, 1, 1, 1), (5, 1, 1, 1, 1, 1), (5, 1, 1), (1, 7, 9)):
+                with pytest.raises(ValueError, match="stream must start at x0=0"):
+                    rule(path)
             with pytest.raises(ValueError, match="stream must start at x0=0"):
-                rule(path)
-        with pytest.raises(ValueError, match="stream must start at x0=0"):
-            rule.stop_times(np.array([(0, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)]))
-        assert rule((0, 1, 1, 1, 1, 1)) == 3
+                rule.stop_times(np.array([(0, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)]))
+        assert posterior_threshold_rule(m3)((0, 1, 1, 1, 1, 1)) == 3
 
     def test_out_of_alphabet_symbol(self, m2):
         rule = posterior_threshold_rule(m2)
         with pytest.raises(ValueError, match="outside alphabet"):
             rule((0, 0, 5))
+        # the fixed rule reads up to its stop at d + 1 and no further
+        fixed = fixed_time_rule(m2)
+        for path in ((0, 7, 9), (0, -1)):
+            with pytest.raises(ValueError, match=f"symbol {path[1]} outside alphabet"):
+                fixed(path)
+        with pytest.raises(ValueError, match="symbol 7 outside alphabet"):
+            fixed.stop_times(np.array([(0, 1, 1), (0, 7, 9)]))
+        assert fixed((0, 0, 5)) == 1
 
     @pytest.mark.parametrize("target", [0, 1, 4])
     @pytest.mark.parametrize("plain_first", [False, True])
@@ -365,6 +373,18 @@ class TestBatchRules:
         assert (info.value.rule, info.value.seed) == expected
 
 
+def _run_fresh(code: str, *args: str) -> None:
+    """Run `code` in a fresh interpreter at the repository root; it must exit 0."""
+    src = str(Path(disorder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    root = Path(src).parent
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_monte_carlo_path_never_imports_numpy_random(tmp_path):
     # the sampler is numpy Philox arithmetic; numpy.random (2.6 MB of RSS)
     # must stay unimported through an evaluate run with all three rules and
@@ -379,11 +399,19 @@ def test_monte_carlo_path_never_imports_numpy_random(tmp_path):
         "assert main(['crosscheck', '--config', 'configs/m3_d1.json', '--horizon', '4']) == 0\n"
         "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
     )
-    src = str(Path(disorder.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    root = Path(src).parent
-    result = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "r.csv")],
-        cwd=root, env=env, capture_output=True, text=True,
+    _run_fresh(code, str(tmp_path / "r.csv"))
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = (
+        "import sys\n"
+        "from disorder.cli import main\n"
+        "argv = ['evaluate', '--config', 'configs/m4.json', '--rules', 'optimal,fixed,threshold',\n"
+        "        '--n', '40', '--horizon', '5', '--kmax', '3', '--seed', '1', '--out', sys.argv[1]]\n"
+        "assert main(argv) == 0\n"
+        "assert main(['oracle', '--config', 'configs/m3_d1.json', '--horizon', '4']) == 0\n"
+        "assert main(['crosscheck', '--config', 'configs/m3_d1.json', '--horizon', '4']) == 0\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy was imported'\n"
     )
-    assert result.returncode == 0, result.stderr
+    _run_fresh(code, str(tmp_path / "r.csv"))

@@ -14,7 +14,6 @@ from disorder import (
     ValueIterConfig,
     filter_tree,
     predictive,
-    rule_runner,
     state_init,
     state_step,
     stop_decision,
@@ -25,7 +24,7 @@ from disorder import (
 from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
 from disorder.simulate import TrajectorySampler, mix_seeds
-from disorder.stopping import ValueTable, _prune, boundary_decision
+from disorder.stopping import ValueTable, _prune
 
 from conftest import make_m1, make_m2, make_m3, make_m4, random_spec
 
@@ -85,15 +84,8 @@ def reference_stops(spec, cfg, horizon, variant="expected"):
         return h >= reference_value(spec, state, cfg)
 
     def expected_boundary_stops(state):
-        pred = predictive(spec, state)
-        total = 0.0
-        for y in range(spec.alphabet_size):
-            if pred[y] == 0.0:
-                continue
-            nxt = state_step(spec, state, y)
-            h_next = stop_payoff(spec, nxt.window, nxt.change_prob, nxt.pair_prob)
-            total += float(pred[y]) * max(h_next, reference_value(spec, nxt, cfg))
-        return stop_payoff_boundary(spec, state.change_prob, state.pair_prob) >= total
+        h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+        return h >= reference_value(spec, state, cfg)
 
     def literal_boundary_stops(state, nxt):
         h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
@@ -117,15 +109,9 @@ def reference_stops(spec, cfg, horizon, variant="expected"):
     return traces
 
 
-def reference_boundary_decision(table, state, cfg):
-    """The expected boundary decision with every next symbol filtered.
-
-    Each next symbol y of positive predictive weight adds
-    pred_y max(h_y, s_K) at its own filter state, and the tail bound at that
-    state widens the bracket; K rises until the bracket decides the payoff.
-    """
+def filtered_backup(table, state, k):
+    """sum_y pred_y max(h_y, s_k) over the filtered next states, s_{-1} = -inf."""
     spec = table.spec
-    h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
     pred = predictive(spec, state)
     terms = []
     for y in range(spec.alphabet_size):
@@ -133,16 +119,9 @@ def reference_boundary_decision(table, state, cfg):
             after = state_step(spec, state, y)
             h_y = stop_payoff(spec, after.window, after.change_prob, after.pair_prob)
             u = table.weight(after.change_prob, after.pair_prob)
-            terms.append((float(pred[y]), h_y, after.window, u))
-    for k in range(1, cfg.k_max + 1):
-        lower = upper = 0.0
-        for w, h_y, window, u in terms:
-            s = table.value(k, window, u)
-            lower += w * max(h_y, s)
-            upper += w * max(h_y, s + table.bound(k) * float(u.sum()))
-        if h < lower or h >= upper:
-            return StopDecision(state.n, h >= lower, h, lower, upper - lower, k, True)
-    return StopDecision(state.n, h >= lower, h, lower, upper - lower, cfg.k_max, False)
+            s_k = table.value(k, after.window, u) if k >= 0 else -math.inf
+            terms.append(float(pred[y]) * max(h_y, s_k))
+    return math.fsum(terms)
 
 
 def reference_trace(traces, path):
@@ -410,8 +389,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("make, d", [(make_m2, 0), (make_m3, 0), (make_m3, 1)])
     def test_proved_decisions_equal_deep_decisions(self, make, d):
-        # every reachable state to horizon 6: region decisions from d + 2 and
-        # expected boundary decisions at d + 1, against s_40
+        # every reachable state to horizon 6 from d + 1 on, the boundary
+        # included, against s_40
         spec = make(d)
         cfg = ValueIterConfig(k_max=12)
         table = ValueTable(spec)
@@ -428,19 +407,10 @@ class TestCertificate:
                 if predictive(spec, state)[y] > 0.0
             ]
             for state in frontier:
-                if state.n == spec.d + 1:
-                    dec = boundary_decision(table, state, cfg)
-                    pred = predictive(spec, state)
-                    target = 0.0
-                    for y in range(spec.alphabet_size):
-                        after = state_step(spec, state, y)
-                        h_y = stop_payoff(spec, after.window, after.change_prob, after.pair_prob)
-                        target += float(pred[y]) * max(h_y, deep(after))
-                elif state.n >= spec.d + 2:
-                    dec = stop_decision(table, state, cfg)
-                    target = deep(state)
-                else:
+                if state.n < spec.d + 1:
                     continue
+                dec = stop_decision(table, state, cfg)
+                target = deep(state)
                 if dec.converged:
                     proved += 1
                     assert dec.stop == (dec.stop_value >= target)
@@ -487,19 +457,36 @@ class TestStopDecision:
         assert len(decisions) == 1
 
     def test_early_state_rejected(self, m2):
-        state = filter_through(m2, (0, 1))
+        spec = make_m2(d=1)
+        for path in ((0,), (0, 1)):
+            state = filter_through(spec, path)
+            with pytest.raises(ValueError):
+                stop_decision(ValueTable(spec), state, ValueIterConfig())
         with pytest.raises(ValueError):
-            stop_decision(ValueTable(m2), state, ValueIterConfig())
+            stop_decision(ValueTable(m2), state_init(m2), ValueIterConfig())
+
+
+def run_rule(rule, path):
+    """The rule along one stream: stop time, decision trace and final filter state.
+
+    The final state is the one at the stop, or at the end of the stream when
+    the rule never fires.
+    """
+    stop = rule.stop_time(path)
+    end = len(path) if stop is None else stop + 1
+    return stop, tuple(rule.decisions(path)), rule._state_at(tuple(path[:end]))
 
 
 class TestRuleRunner:
+    """Running the rule on one stream through `decisions` and `_state_at`."""
+
     def test_never_stops_before_boundary(self):
         spec = make_m3(d=2)
-        cfg = ValueIterConfig(k_max=3)
-        run = rule_runner(spec, (0, 1, 1, 1, 1, 1, 1), cfg)
-        if run.stop_time is not None:
-            assert run.stop_time >= spec.d + 1
-        assert all(rec.n >= spec.d + 1 for rec in run.trace)
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=3))
+        stop, trace, _ = run_rule(rule, (0, 1, 1, 1, 1, 1, 1))
+        if stop is not None:
+            assert stop >= spec.d + 1
+        assert trace and all(rec.n >= spec.d + 1 for rec in trace)
 
     def test_certain_immediate_change_stops_at_boundary(self):
         spec = type(make_m2())(
@@ -512,25 +499,26 @@ class TestRuleRunner:
             d=0,
             x0=0,
         )
-        run = rule_runner(spec, (0, 1, 1, 1), ValueIterConfig(k_max=4))
-        assert run.stop_time == spec.d + 1
-        assert run.trace[0].stop_value == pytest.approx(1.0)
+        stop, trace, _ = run_rule(OptimalStoppingRule(spec, ValueIterConfig(k_max=4)), (0, 1, 1, 1))
+        assert stop == spec.d + 1
+        assert trace[0].stop_value == pytest.approx(1.0)
 
     def test_censoring_reported(self, m2):
-        run = rule_runner(m2, (0, 0), ValueIterConfig(k_max=4))
-        assert run.censored
-        assert run.stop_time is None
-        assert run.final_state.n == 1
+        stop, trace, final = run_rule(OptimalStoppingRule(m2, ValueIterConfig(k_max=4)), (0, 0))
+        assert stop is None
+        assert [dec.stop for dec in trace] == [False]
+        assert final.n == 1
 
     def test_deterministic_trace(self, m2):
         cfg = ValueIterConfig(k_max=6)
-        first = rule_runner(m2, (0, 1, 0, 1, 1, 0), cfg)
-        second = rule_runner(m2, (0, 1, 0, 1, 1, 0), cfg)
+        path = (0, 1, 0, 1, 1, 0)
+        first = run_rule(OptimalStoppingRule(m2, cfg), path)[:2]
+        second = run_rule(OptimalStoppingRule(m2, cfg), path)[:2]
         assert first == second
 
     def test_wrong_start_rejected(self, m2):
         with pytest.raises(ValueError):
-            rule_runner(m2, (1, 0), ValueIterConfig())
+            next(OptimalStoppingRule(m2, ValueIterConfig()).decisions((1, 0)))
 
     def test_readings_follow_reference(self):
         cfg = ValueIterConfig(k_max=5)
@@ -540,51 +528,46 @@ class TestRuleRunner:
                 rule = OptimalStoppingRule(spec, cfg, variant=variant)
                 for tail in itertools.product(range(spec.alphabet_size), repeat=6):
                     path = (spec.x0,) + tail
-                    trace = reference_trace(traces, path)
-                    assert rule.stop_time(path) == stop_of(trace)
-                    run = rule_runner(spec, path, cfg, variant=variant)
-                    assert tuple((dec.n, dec.stop) for dec in run.trace) == trace
-                    assert run.stop_time == stop_of(trace)
-                    end = 7 if run.stop_time is None else run.stop_time + 1
-                    final = filter_through(spec, path[:end])
-                    assert run.final_state.n == end - 1
-                    assert np.array_equal(run.final_state.change_prob, final.change_prob)
+                    ref = reference_trace(traces, path)
+                    stop, trace, final = run_rule(rule, path)
+                    assert tuple((dec.n, dec.stop) for dec in trace) == ref
+                    assert stop == stop_of(ref)
+                    end = 7 if stop is None else stop + 1
+                    want = filter_through(spec, path[:end])
+                    assert final.n == end - 1
+                    assert np.array_equal(final.change_prob, want.change_prob)
 
 
 class TestBoundaryDecision:
-    def test_expected_value_matches_manual_expectation(self, m2):
+    """The expected reading at d + 1 is the region test of the boundary payoff."""
+
+    def test_expected_value_matches_manual_expectation(self):
         spec = make_m2(d=1)
-        cfg = ValueIterConfig(k_max=6)
-        state = filter_through(spec, (0, 1, 0))
-        dec = boundary_decision(ValueTable(spec), state, cfg)
-        pred = predictive(spec, state)
         table = ValueTable(spec)
-        manual = 0.0
-        for y in range(2):
-            nxt = state_step(spec, state, y)
-            h_next = stop_payoff(spec, nxt.window, nxt.change_prob, nxt.pair_prob)
-            u = table.weight(nxt.change_prob, nxt.pair_prob)
-            manual += float(pred[y]) * max(h_next, table.value(dec.k_used, nxt.window, u))
+        state = filter_through(spec, (0, 1, 0))
+        dec = stop_decision(table, state, ValueIterConfig(k_max=6))
+        assert dec.stop_value == stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+        manual = filtered_backup(table, state, dec.k_used - 1)
         assert dec.continue_value == pytest.approx(manual, abs=1e-13)
 
     @pytest.mark.parametrize("make", [make_m1, make_m2, make_m3, make_m4])
     @pytest.mark.parametrize("d", [0, 1])
     def test_table_backup_equals_filtered_expectation(self, make, d):
-        # every boundary state: the backup read off the table against the
-        # expectation over filtered next states
+        # every boundary state: s_{K+1} read off the table against the
+        # expectation over filtered next states, from the base level
+        # s_0 = sum_y pred_y h_y (K = -1) up
         spec = make(d)
         states = [s for s in filter_tree(spec, d + 1).values() if s.n == d + 1]
-        for k_max in (1, 2, 5, 10):
-            cfg = ValueIterConfig(k_max=k_max)
-            table = ValueTable(spec)
-            for state in states:
-                dec = boundary_decision(table, state, cfg)
-                ref = reference_boundary_decision(table, state, cfg)
-                assert (dec.stop, dec.k_used, dec.converged) == (ref.stop, ref.k_used, ref.converged)
-                assert dec.stop_value == ref.stop_value
-                assert dec.continue_value == pytest.approx(ref.continue_value, rel=1e-13)
+        table = ValueTable(spec)
+        for state in states:
+            u = table.weight(state.change_prob, state.pair_prob)
+            for k in range(-1, 6):
+                got = table.value(k + 1, state.window, u)
+                assert got == pytest.approx(filtered_backup(table, state, k), rel=1e-13)
 
     def test_wrong_time_rejected(self, m2):
+        # the literal reading pairs a time-(d + 1) state with its successor
         state = filter_through(m2, (0, 1, 0))
+        nxt = state_step(m2, state, 1)
         with pytest.raises(ValueError):
-            boundary_decision(ValueTable(m2), state, ValueIterConfig())
+            stop_decision(ValueTable(m2), state, ValueIterConfig(), nxt)
