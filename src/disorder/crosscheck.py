@@ -2,7 +2,8 @@
 
 Each check sweeps every path up to a horizon (or a seeded random sample
 where noted), measures the worst absolute deviation of one exact identity
-and compares it against a fixed tolerance.  The battery is deterministic
+and compares it against a fixed tolerance; some run a depth or a window
+batch at a time, with the per-path arithmetic.  The battery is deterministic
 given (spec, horizon, seed) and is the backbone of both the `crosscheck`
 CLI subcommand and the acceptance suite.
 """
@@ -42,16 +43,12 @@ def _result(name: str, max_err: float, tol: float, detail: str = "") -> CheckRes
     return CheckResult(name=name, passed=max_err <= tol, max_err=max_err, tol=tol, detail=detail)
 
 
-def _paths(spec: ModelSpec, n: int):
-    for tail in product(range(spec.alphabet_size), repeat=n):
-        yield (spec.x0,) + tail
-
-
 def check_path_unity(spec: ModelSpec, horizon: int) -> CheckResult:
     """Path probabilities sum to one at every depth."""
     worst = 0.0
     for n in range(1, horizon + 1):
-        total = math.fsum(path_probability(spec, path) for path in _paths(spec, n))
+        paths = [(spec.x0,) + tail for tail in product(range(spec.alphabet_size), repeat=n)]
+        total = math.fsum(path_probability(spec, np.array(paths)).tolist())
         worst = max(worst, abs(total - 1.0))
     return _result("path_unity", worst, 1e-12)
 
@@ -160,18 +157,16 @@ def check_backshift_inversion(spec: ModelSpec, seed: int = 20240) -> CheckResult
     counters = np.arange(1, -(-trials * width // 4) + 1, dtype=np.uint64)
     raw = _philox(np.uint64(seed), np.uint64(0), counters).ravel()[: trials * width]
     u = ((raw >> 11) * 2.0**-53).reshape(trials, width)
-    symbols = (u[:, :-1] * spec.alphabet_size).astype(np.int64)
-    worst = 0.0
-    for window, anchor in zip(map(tuple, symbols.tolist()), u[:, -1].tolist()):
-        try:
-            forward = posterior.change_multistep(spec, window, anchor)
-            back = posterior.change_backshift(spec, window, forward)
-        except SupportError:
-            continue
-        # pairs under which either map is degenerate come back NaN and are masked
-        live = ~np.isnan(back)
-        if np.any(live):
-            worst = max(worst, float(np.max(np.abs(back - anchor)[live])))
+    windows = (u[:, :-1] * spec.alphabet_size).astype(np.int64)
+    anchor = u[:, -1, None, None]
+    # pairs (or whole trials) under which either map is degenerate are NaN, masked
+    try:
+        forward = posterior.change_multistep(spec, windows, anchor)
+        back = posterior.change_backshift(spec, windows, forward)
+    except SupportError:
+        back = np.nan
+    err = np.abs(back - anchor)[~np.isnan(back)]
+    worst = float(err.max()) if err.size else 0.0
     return _result("backshift_inversion", worst, 1e-9)
 
 
@@ -218,22 +213,18 @@ def check_continuation_vs_oracle(
     return _result("continuation_vs_oracle", worst, 1e-12)
 
 
-def check_predictive_chain(spec: ModelSpec, states: dict, horizon: int) -> CheckResult:
+def check_predictive_chain(spec: ModelSpec, horizon: int) -> CheckResult:
     """Predictive density equals the ratio of consecutive path probabilities to the horizon."""
     worst = 0.0
-    for path, state in states.items():
-        if len(path) > horizon:
-            continue
-        pred = posterior.predictive(spec, state)
-        base = path_probability(spec, path) if len(path) > 1 else 1.0
-        for y in range(spec.alphabet_size):
-            ratio = path_probability(spec, path + (y,)) / base
-            worst = max(worst, abs(float(pred[y]) - ratio))
-    # depth-zero predictive against first-step path probabilities
-    root = posterior.state_init(spec)
-    pred = posterior.predictive(spec, root)
-    for y in range(spec.alphabet_size):
-        worst = max(worst, abs(float(pred[y]) - path_probability(spec, (spec.x0, y))))
+    for level in posterior.filter_levels(spec, horizon):
+        if level.pred is None:
+            break
+        base = path_probability(spec, level.paths) if level.n else np.ones(1)
+        a = spec.alphabet_size
+        ys = np.tile(np.arange(a), len(base))
+        children = np.column_stack((level.paths.repeat(a, axis=0), ys))
+        ratio = path_probability(spec, children).reshape(-1, a) / base[:, None]
+        worst = max(worst, float(np.max(np.abs(level.pred - ratio))))
     return _result("predictive_chain", worst, 1e-12)
 
 
@@ -251,7 +242,7 @@ def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckRe
         check_multistep_composition(spec, states, min(horizon, 5)),
         check_backshift_inversion(spec, seed=mix_seed(seed, 1)),
         check_continuation_normalization(spec, seed=mix_seed(seed, 2)),
-        check_predictive_chain(spec, states, horizon),
+        check_predictive_chain(spec, horizon),
         check_continuation_vs_oracle(spec, table, states),
     ]
     return results

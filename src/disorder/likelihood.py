@@ -4,7 +4,9 @@ A window is an ordered tuple of symbols (x_k, ..., x_n).  The building block
 is the split likelihood L_m: the product of transition densities along the
 window where the last m transitions use the post-change kernel and all
 earlier ones use the pre-change kernel (empty products are 1).  Every
-function here returns one value per kernel pair, as an (l0, l1) grid.
+function here returns one value per kernel pair, as an (l0, l1) grid; all
+but the ratio chain also take a batch of windows, an (N, T + 1) int array,
+in one numpy pass, and a tuple is the one-row case, equal to it bit for bit.
 
 Mixing split likelihoods over the position of the change under the geometric
 hazard gives the marginal window density.  The hazard looks different seen
@@ -38,12 +40,20 @@ Window = tuple[int, ...]
 _DENOM_FLOOR = 1e-300
 
 
-def _check_window(spec: ModelSpec, window: Window) -> None:
-    if len(window) < 1:
+def _check_window(spec: ModelSpec, window) -> np.ndarray:
+    window = np.asarray(window)
+    if window.shape[-1] < 1:
         raise ValueError("window must contain at least one symbol")
-    for s in window:
-        if not 0 <= s < spec.alphabet_size:
-            raise ValueError(f"symbol {s} outside alphabet")
+    bad = (window < 0) | (window >= spec.alphabet_size)
+    if bad.any():
+        raise ValueError(f"symbol {window[bad][0]} outside alphabet")
+    return window
+
+
+def _fsum_grids(terms: np.ndarray) -> np.ndarray:
+    """math.fsum over the last two (pair-grid) axes, one sum per leading index."""
+    rows = terms.reshape(-1, terms.shape[-2] * terms.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(terms.shape[:-2])
 
 
 def _powers(p: np.ndarray, e: int) -> np.ndarray:
@@ -52,37 +62,38 @@ def _powers(p: np.ndarray, e: int) -> np.ndarray:
     return np.array([x**e for x in p.ravel().tolist()]).reshape(p.shape)
 
 
-def split_likelihoods(spec: ModelSpec, window: Window) -> np.ndarray:
+def split_likelihoods(spec: ModelSpec, window) -> np.ndarray:
     """All split likelihoods L_0 .. L_T over `window`, shape (l0, l1, T + 1).
 
     Entry [i, j, m] uses post-change kernel j for the last m transitions and
-    pre-change kernel i for the rest, T = len(window) - 1.
+    pre-change kernel i for the rest, T = len(window) - 1; a batch adds axis N.
     """
-    _check_window(spec, window)
-    src, dst = list(window[:-1]), list(window[1:])
-    f0 = spec.pre_kernels[:, src, dst]
-    f1 = spec.post_kernels[:, src, dst]
-    # prefix[:, r]: pre factors of the first r transitions; suffix[:, r]:
-    # post factors of the transitions after r.  L_m = prefix * suffix at T - m.
-    prefix = np.concatenate((np.ones((spec.l0, 1)), np.cumprod(f0, axis=1)), axis=1)
-    suffix = np.concatenate((np.cumprod(f1[:, ::-1], axis=1)[:, ::-1], np.ones((spec.l1, 1))), axis=1)
-    return prefix[:, None, ::-1] * suffix[None, :, ::-1]
+    window = _check_window(spec, window)
+    src, dst = window[..., :-1], window[..., 1:]
+    f0 = np.moveaxis(spec.pre_kernels[:, src, dst], 0, -2)
+    f1 = np.moveaxis(spec.post_kernels[:, src, dst], 0, -2)
+    # prefix[..., r]: pre factors of the first r transitions; tail[..., m]:
+    # post factors of the last m.  L_m = prefix at T - m times tail at m.
+    prefix = np.concatenate((np.ones(f0.shape[:-1] + (1,)), np.cumprod(f0, -1)), axis=-1)
+    tail = np.concatenate((np.ones(f1.shape[:-1] + (1,)), np.cumprod(f1[..., ::-1], -1)), axis=-1)
+    return prefix[..., :, None, ::-1] * tail[..., None, :, :]
 
 
 def window_mixture(
-    spec: ModelSpec, window: Window, alpha, origin: bool = False
+    spec: ModelSpec, window, alpha, origin: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair (changed, total) window densities, each an (l0, l1) grid.
 
     `total` mixes the split likelihoods over the change position; `changed`
     keeps only the terms where the change has happened by the window's end.
     `alpha` (scalar or grid) is the change mass at the window anchor, and
-    `origin` selects the hazard form of a window anchored at time 0.
+    `origin` selects the hazard form of a window anchored at time 0.  A
+    batch gives (N, l0, l1) grids, `alpha` broadcast against them.
     """
-    if len(window) < 2:
-        raise ValueError("window must contain at least two symbols")
     splits = split_likelihoods(spec, window)
-    t = len(window) - 1
+    t = splits.shape[-1] - 1
+    if t < 1:
+        raise ValueError("window must contain at least two symbols")
     h = t - 1 if origin else t
     p = spec.p
     q = 1.0 - p
@@ -96,15 +107,16 @@ def window_mixture(
     return changed, total
 
 
-def path_probability(spec: ModelSpec, observations: Window) -> float:
-    """Exact probability of an observation path starting at the fixed x0."""
-    observations = tuple(observations)
-    if len(observations) < 2:
+def path_probability(spec: ModelSpec, observations):
+    """Exact probability of an observation path starting at the fixed x0, per row of a batch."""
+    observations = np.asarray(observations)
+    if observations.shape[-1] < 2:
         raise ValueError("need at least one transition after the initial symbol")
-    if observations[0] != spec.x0:
+    if np.any(observations[..., 0] != spec.x0):
         raise ValueError(f"path must start at x0={spec.x0}")
     _, total = window_mixture(spec, observations, spec.pi, origin=True)
-    return math.fsum((spec.b * total).ravel().tolist())
+    probs = _fsum_grids(spec.b * total)
+    return probs if probs.ndim else float(probs)
 
 
 def likelihood_ratio_chain(spec: ModelSpec, window: Window, m_max: int) -> np.ndarray:

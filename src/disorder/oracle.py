@@ -10,7 +10,7 @@ On top of the table sit definition-level posteriors (plain Bayes, no
 recursion), exact evaluation of arbitrary adapted rules, and finite-horizon
 backward induction for the optimal value, with an independent state-indexed
 induction, optimal_value_state_indexed(spec, horizon), as an implementation
-cross-check.
+cross-check, run level by level on batched filter levels.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from .errors import BudgetError
 from .likelihood import Window
 from .model import ModelSpec
-from .payoff import state_payoff
-from .posterior import predictive, state_init, state_step
+from .payoff import level_payoffs
+from .posterior import filter_levels
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
@@ -216,42 +216,32 @@ def optimal_value_state_indexed(spec: ModelSpec, horizon: int) -> float:
 
     Independent route: stop payoffs come from the payoff transform of the
     filter state and transition weights from the one-step predictive, no
-    joint table involved; equal states reached by different paths are valued
-    once.  Stops are allowed from d + 1 on, as in exact_optimal_rule, and the
-    two must agree to near machine precision on valid instances.
+    joint table involved.  The filter tree is walked level by level, and
+    each level is backed up from the horizon in one pass, adding w_y * v_y
+    over the next symbols y in order and skipping w_y = 0.  Stops are
+    allowed from d + 1 on, as in exact_optimal_rule, and the two must agree
+    to near machine precision on valid instances.  Raises BudgetError when
+    the tree's grid cells exceed DEFAULT_CELL_BUDGET.
     """
     if horizon < spec.d + 2:
         raise ValueError("state-indexed induction needs horizon >= d + 2")
-
-    memo: dict = {}
-
-    def state_key(state):
-        return (
-            state.n,
-            state.window,
-            state.change_prob.tobytes(),
-            state.pair_prob.tobytes(),
-        )
-
-    def value(state) -> float:
-        key = state_key(state)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if state.n == horizon:
-            v = state_payoff(spec, state)
-        else:
-            pred = predictive(spec, state)
-            cont = 0.0
-            for y in range(spec.alphabet_size):
-                w = float(pred[y])
-                if w > 0.0:
-                    cont += w * value(state_step(spec, state, y))
-            v = max(state_payoff(spec, state), cont) if state.n > spec.d else cont
-        memo[key] = v
-        return v
-
-    return value(state_init(spec))
+    cells = sum(spec.alphabet_size**n for n in range(horizon + 1)) * spec.l0 * spec.l1
+    if cells > DEFAULT_CELL_BUDGET:
+        raise BudgetError(f"filter tree needs {cells} cells, budget is {DEFAULT_CELL_BUDGET}")
+    levels = [
+        (level.pred, level_payoffs(spec, level) if level.n > spec.d else None)
+        for level in filter_levels(spec, horizon)
+    ]
+    value = levels.pop()[1]
+    for pred, stop in reversed(levels):
+        # rows of the next level are the positive entries of pred, row-major
+        child = (np.cumsum(pred > 0.0) - 1).reshape(pred.shape)
+        cont = np.zeros(len(pred))
+        for y in range(spec.alphabet_size):
+            live = pred[:, y] > 0.0
+            cont[live] += pred[live, y] * value[child[live, y]]
+        value = cont if stop is None else np.maximum(stop, cont)
+    return float(value[0])
 
 
 def dump_joint(table: JointTable, directory: str | Path) -> list[Path]:

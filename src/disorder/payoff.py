@@ -10,10 +10,11 @@ posterior grids:
 with all split likelihoods over w.  At the earliest admissible stop n = d + 1
 no change can predate the precision window, and the payoff collapses to the
 window-free form stop_payoff_boundary; state_payoff applies the form due at
-a filter state's own time.  criterion_probability evaluates the unconditional
-success probability of a fixed-time stop both from the prior and as the
-exact expectation of the payoff over the filter tree; the two must agree,
-which is the module's core identity.
+a filter state's own time, and level_payoffs to a filter level, once per
+distinct window.  criterion_probability evaluates the unconditional success
+probability of a fixed-time stop both from the prior and as the exact
+expectation of the payoff over the filter tree; the two must agree, which
+is the module's core identity.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .likelihood import Window, likelihood_ratio_chain, path_probability
+from .likelihood import Window, _fsum_grids, likelihood_ratio_chain, path_probability
 from .model import ModelSpec, change_time_pmf
-from .posterior import PosteriorState, filter_tree
+from .posterior import FilterLevel, PosteriorState, filter_levels
 
 
 def detection_coeff_matrix(spec: ModelSpec, window: Window) -> np.ndarray:
@@ -47,10 +48,11 @@ def stop_payoff(
 
 
 def stop_payoff_boundary(spec: ModelSpec, gamma: np.ndarray, delta: np.ndarray) -> float:
-    """Conditional success probability of stopping at the boundary time d + 1."""
+    """Conditional success probability of stopping at the boundary time d + 1, per batch row."""
     gamma = np.asarray(gamma, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    return math.fsum(((1.0 - spec.p**spec.d * (1.0 - gamma)) * delta).ravel())
+    value = _fsum_grids((1.0 - spec.p**spec.d * (1.0 - gamma)) * delta)
+    return value if value.ndim else float(value)
 
 
 def state_payoff(spec: ModelSpec, state: PosteriorState) -> float:
@@ -60,6 +62,15 @@ def state_payoff(spec: ModelSpec, state: PosteriorState) -> float:
     if state.n == spec.d + 1:
         return stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
     return stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
+
+
+def level_payoffs(spec: ModelSpec, level: FilterLevel) -> np.ndarray:
+    """state_payoff of every row of a filter level at time n >= d + 1, bit for bit."""
+    if level.n == spec.d + 1:
+        return stop_payoff_boundary(spec, level.change, level.pair)
+    windows, rows = np.unique(level.paths[:, -(spec.d + 2) :], axis=0, return_inverse=True)
+    coeff = np.array([detection_coeff_matrix(spec, tuple(w)) for w in windows.tolist()])
+    return _fsum_grids(coeff[rows.reshape(-1)] * (1.0 - level.change) * level.pair)
 
 
 class CriterionCheck(NamedTuple):
@@ -79,9 +90,6 @@ def criterion_probability(spec: ModelSpec, n: int) -> CriterionCheck:
     lo = max(1, n - spec.d)
     prior = math.fsum(change_time_pmf(spec, k) for k in range(lo, n + spec.d + 1))
 
-    terms = [
-        path_probability(spec, path) * state_payoff(spec, state)
-        for path, state in filter_tree(spec, n).items()
-        if state.n == n
-    ]
-    return CriterionCheck(prior_value=prior, payoff_value=math.fsum(terms))
+    *_, level = filter_levels(spec, n)
+    terms = path_probability(spec, level.paths) * level_payoffs(spec, level)
+    return CriterionCheck(prior_value=prior, payoff_value=math.fsum(terms.tolist()))

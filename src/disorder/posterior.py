@@ -11,8 +11,10 @@ observation, computed for the whole pair grid at once by one helper that
 also broadcasts over a leading batch axis, so the Monte Carlo rules filter
 many paths in lockstep with the arithmetic of `state_step`; multi-step,
 back-shift and lagged variants expose the same posterior through window
-mixtures and are used to cross-check the recursion.  filter_tree filters
-every path of positive probability up to a horizon, for the exact checks.
+mixtures and are used to cross-check the recursion, a batch of windows at
+a time.  filter_levels filters every path of positive probability up to a
+horizon level by level, one batched step and predictive per level, for the
+exact checks; filter_tree is its path -> state view.
 
 Zero-probability observations (outside the common kernel support) raise
 SupportError rather than being renormalised away; under the model assumptions
@@ -21,13 +23,13 @@ they cannot occur, so they signal a model violation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SupportError
-from .likelihood import _DENOM_FLOOR, Window, likelihood_ratio_chain, window_mixture
+from .likelihood import _DENOM_FLOOR, Window, _fsum_grids, likelihood_ratio_chain, window_mixture
 from .model import ModelSpec
 
 
@@ -85,7 +87,8 @@ def _filter_step(spec: ModelSpec, change, pair, x_prev, x_next):
 
 def _grid_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     # num / den per pair, NaN where the pair's denominator vanishes; a window
-    # dead for every pair is a SupportError.
+    # dead for every pair is a SupportError; in a batch, such a row is all
+    # NaN unless every row is dead.
     dead = np.abs(den) < _DENOM_FLOOR
     if dead.all():
         raise SupportError(what)
@@ -103,7 +106,7 @@ def change_multistep(spec: ModelSpec, window: Window, anchor) -> np.ndarray:
 
     Valid when the anchor sits strictly inside the sequence (time >= 1); the
     anchored-at-origin case is change_from_origin.  `anchor` is a scalar or
-    an (l0, l1) grid.
+    an (l0, l1) grid, broadcast against (N, l0, l1) for an (N, T + 1) batch.
     """
     _check_unit("anchor", anchor)
     changed, total = window_mixture(spec, window, anchor)
@@ -126,9 +129,9 @@ def change_backshift(spec: ModelSpec, window: Window, current) -> np.ndarray:
     Inverts the (d+1)-step forward map on the same window; `window` must have
     length d + 2 and `current` is the posterior at its last symbol.  The
     forward map is a ratio of two functions affine in the anchor, read off
-    window_mixture at anchors 0 and 1.
+    window_mixture at anchors 0 and 1.  Batches as change_multistep does.
     """
-    if len(window) != spec.d + 2:
+    if np.shape(window)[-1] != spec.d + 2:
         raise ValueError(f"window must have length {spec.d + 2}")
     _check_unit("current", current)
     changed, total = window_mixture(spec, window, 0.0)
@@ -181,25 +184,60 @@ def state_step(spec: ModelSpec, state: PosteriorState, x_next: int) -> Posterior
     return PosteriorState(state.n + 1, window, change, pair)
 
 
+def _predictive(spec: ModelSpec, change, pair, x) -> np.ndarray:
+    # (N, A) next-symbol law of rows with last symbols x, change None at time
+    # 0 as in _filter_step; each entry is an fsum over the pair grid
+    f0 = spec.pre_kernels[:, x, :].transpose(1, 2, 0)[..., None]
+    f1 = spec.post_kernels[:, x, :].transpose(1, 2, 0)[..., None, :]
+    mix = _transition_mixture(spec, None if change is None else change[:, None], f0, f1)
+    return _fsum_grids(pair[:, None] * mix)
+
+
 def predictive(spec: ModelSpec, state: PosteriorState) -> np.ndarray:
     """One-step predictive distribution of the next symbol given the state."""
-    x = state.window[-1]
-    f0 = spec.pre_kernels[:, x, :].T[:, :, None]
-    f1 = spec.post_kernels[:, x, :].T[:, None, :]
-    change = None if state.n == 0 else state.change_prob
-    terms = state.pair_prob * _transition_mixture(spec, change, f0, f1)
-    return np.array([math.fsum(row) for row in terms.reshape(spec.alphabet_size, -1).tolist()])
+    change = None if state.n == 0 else state.change_prob[None]
+    return _predictive(spec, change, state.pair_prob[None], np.array([state.window[-1]]))[0]
+
+
+class FilterLevel(NamedTuple):
+    """The paths of n steps with positive probability, (N, n + 1), in table
+    order; their (N, l0, l1) grids (change None at n = 0); and their (N, A)
+    next-symbol predictive, None at the last level of a pass."""
+
+    n: int
+    paths: np.ndarray
+    change: np.ndarray | None
+    pair: np.ndarray
+    pred: np.ndarray | None
+
+
+def filter_levels(spec: ModelSpec, horizon: int):
+    """Yield the filter tree's levels 0 .. horizon, one batched step per level.
+
+    A level's rows are the children, in symbol order, of the previous level's
+    rows with positive predictive mass; each row's grids equal state_step
+    along its path bit for bit.
+    """
+    paths, change, pair = np.array([[spec.x0]]), None, spec.b[None]
+    for n in range(horizon + 1):
+        x = paths[:, -1]
+        pred = _predictive(spec, change, pair, x) if n < horizon else None
+        yield FilterLevel(n, paths, change, pair, pred)
+        if pred is None:
+            return
+        rows, ys = np.nonzero(pred > 0.0)
+        change = None if change is None else change[rows]
+        change, pair, dead = _filter_step(spec, change, pair[rows], x[rows], ys)
+        if dead is not None:
+            raise SupportError("observation outside common support")
+        paths = np.column_stack((paths[rows], ys))
 
 
 def filter_tree(spec: ModelSpec, horizon: int) -> dict:
     """path -> filter state of each path of 1 .. horizon steps, breadth first, zero mass skipped."""
-    states: dict = {}
-    frontier = {(spec.x0,): state_init(spec)}
-    for _ in range(horizon):
-        frontier = {
-            path + (y,): state_step(spec, state, y)
-            for path, state in frontier.items()
-            for y in np.flatnonzero(predictive(spec, state) > 0.0).tolist()
-        }
-        states.update(frontier)
-    return states
+    return {
+        path: PosteriorState(level.n, path[-(spec.d + 2) :], level.change[row], level.pair[row])
+        for level in filter_levels(spec, horizon)
+        if level.n
+        for row, path in enumerate(map(tuple, level.paths.tolist()))
+    }

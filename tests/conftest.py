@@ -132,6 +132,17 @@ def random_spec(rng: np.random.Generator, alphabet: int = 2, l0: int = 2, l1: in
     )
 
 
+def with_shared_zero(spec: ModelSpec, x: int, y: int) -> ModelSpec:
+    """The spec with the transition x -> y impossible under every kernel, rows renormalised."""
+    payload = spec_to_dict(spec)
+    for kernels in (payload["pre_kernels"], payload["post_kernels"]):
+        for kernel in kernels:
+            kernel[x][y] = 0.0
+            total = sum(kernel[x])
+            kernel[x] = [v / total for v in kernel[x]]
+    return spec_from_dict(payload)
+
+
 def step_from(spec: ModelSpec, prev, x_prev: int, x_next: int) -> np.ndarray:
     """Change posterior grid after one in-sequence filter step from `prev`.
 

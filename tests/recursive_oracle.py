@@ -1,0 +1,46 @@
+"""Recursive state-indexed induction, one filter state per call.
+
+This is the per-state recursion that `disorder.oracle.optimal_value_state_indexed`
+replaces with one batched pass per tree level, kept here as the reference
+the batched induction must equal bit for bit: values from the horizon back,
+the continuation adding w_y * value(child) over y in order with w_y = 0
+skipped, stops allowed from d + 1 on, and equal states valued once.
+"""
+
+from disorder import predictive, state_init, state_payoff, state_step
+
+
+def optimal_value_state_indexed(spec, horizon):
+    """Optimal value of stopping by `horizon`, by recursion on filter states."""
+    if horizon < spec.d + 2:
+        raise ValueError("state-indexed induction needs horizon >= d + 2")
+
+    memo: dict = {}
+
+    def state_key(state):
+        return (
+            state.n,
+            state.window,
+            state.change_prob.tobytes(),
+            state.pair_prob.tobytes(),
+        )
+
+    def value(state) -> float:
+        key = state_key(state)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if state.n == horizon:
+            v = state_payoff(spec, state)
+        else:
+            pred = predictive(spec, state)
+            cont = 0.0
+            for y in range(spec.alphabet_size):
+                w = float(pred[y])
+                if w > 0.0:
+                    cont += w * value(state_step(spec, state, y))
+            v = max(state_payoff(spec, state), cont) if state.n > spec.d else cont
+        memo[key] = v
+        return v
+
+    return value(state_init(spec))

@@ -1,8 +1,11 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disorder import (
     BudgetError,
@@ -27,10 +30,14 @@ from disorder import (
     ValueIterConfig,
     monte_carlo_eval,
     posterior_threshold_rule,
+    load_spec,
     validate,
 )
 
-from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support
+import recursive_oracle
+from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support, random_spec, with_shared_zero
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 
 
 def all_paths(spec, n):
@@ -204,14 +211,20 @@ class TestExactOptimalRule:
         for rule in (lambda p: 1, lambda p: 3, lambda p: 6, lambda p: None):
             assert v_opt >= exact_rule_value(table, rule) - 1e-12
 
-    @pytest.mark.parametrize("make", [make_m2, make_m3])
+    @pytest.mark.parametrize("make", [make_m2, make_m3, make_m1, make_m4])
     @pytest.mark.parametrize("d", [0, 1])
     def test_state_indexed_induction_agrees(self, make, d):
         spec = make(d)
-        table = build_joint(spec, 6)
+        horizon = 8 if make in (make_m1, make_m4) else 6
+        table = build_joint(spec, horizon)
         v_path, _ = exact_optimal_rule(table, restrict_after_d=True)
-        v_state = optimal_value_state_indexed(spec, 6)
+        v_state = optimal_value_state_indexed(spec, horizon)
         assert abs(v_path - v_state) <= 1e-12
+
+    def test_state_indexed_budget_guard(self, m4):
+        # the tree to horizon 14 holds (3^15 - 1) / 2 * 2 > 10^7 grid cells
+        with pytest.raises(BudgetError, match="filter tree needs 14348906 cells"):
+            optimal_value_state_indexed(m4, 14)
 
     def test_tree_invariants(self, m2):
         table = build_joint(m2, 5)
@@ -319,3 +332,35 @@ class TestZeroSupport:
         rules = {"optimal": OptimalStoppingRule(spec, ValueIterConfig(k_max=5))}
         report = monte_carlo_eval(spec, rules, 300, 6, 5)
         assert 0.0 < report.rules["optimal"].estimate <= 1.0
+
+
+class TestStateIndexedAgainstRecursion:
+    """The level-by-level induction equals the per-state recursion bit for bit."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_reference_configs(self, config):
+        spec = load_spec(config)
+        for horizon in range(spec.d + 2, 9):
+            assert optimal_value_state_indexed(spec, horizon) == recursive_oracle.optimal_value_state_indexed(
+                spec, horizon
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        alphabet=st.integers(2, 3),
+        l0=st.integers(1, 2),
+        l1=st.integers(1, 2),
+        d=st.integers(0, 2),
+        extra=st.integers(0, 4),
+        zero=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    def test_random_specs(self, seed, alphabet, l0, l1, d, extra, zero):
+        spec = random_spec(np.random.default_rng(seed), alphabet, l0, l1, d)
+        if zero is not None:
+            spec = with_shared_zero(spec, zero[0] % alphabet, zero[1] % alphabet)
+            assert validate(spec) == []
+        horizon = min(d + 2 + extra, 6)
+        assert optimal_value_state_indexed(spec, horizon) == recursive_oracle.optimal_value_state_indexed(
+            spec, horizon
+        )

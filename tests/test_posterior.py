@@ -15,17 +15,28 @@ from disorder import (
     change_multistep,
     filter_tree,
     path_probability,
+    spec_from_dict,
+    spec_to_dict,
     predictive,
     split_likelihoods,
     state_init,
     state_step,
     window_mixture,
 )
-from disorder import oracle
-from disorder.posterior import _filter_step
+from disorder import crosscheck, oracle
+from disorder.posterior import _filter_step, filter_levels
 
 import scalar_filter
-from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support, random_spec, step_from
+from conftest import (
+    make_m1,
+    make_m2,
+    make_m3,
+    make_m4,
+    make_zero_support,
+    random_spec,
+    step_from,
+    with_shared_zero,
+)
 
 
 def filter_through(spec, path):
@@ -160,6 +171,34 @@ class TestBackshift:
         with pytest.raises(ValueError):
             change_backshift(m1, (0, 1, 0), 0.5)
 
+    @pytest.mark.parametrize(
+        "spec, dead",
+        [(make(d), False) for make in (make_m1, make_m3, make_m4) for d in (0, 1)]
+        + [(make_zero_support(), True)],
+    )
+    def test_batched_check_equals_per_window_loop(self, spec, dead):
+        # the battery's one-call check against its per-window form: the same
+        # draws, windows skipped on SupportError (only where 1 -> 1 is
+        # impossible), NaN pairs masked
+        for seed in (1, 7):
+            width, trials = spec.d + 3, 200
+            counters = np.arange(1, -(-trials * width // 4) + 1, dtype=np.uint64)
+            raw = crosscheck._philox(np.uint64(seed), np.uint64(0), counters).ravel()[: trials * width]
+            u = ((raw >> 11) * 2.0**-53).reshape(trials, width)
+            symbols = (u[:, :-1] * spec.alphabet_size).astype(np.int64)
+            worst, skipped = 0.0, 0
+            for window, anchor in zip(map(tuple, symbols.tolist()), u[:, -1].tolist()):
+                try:
+                    back = change_backshift(spec, window, change_multistep(spec, window, anchor))
+                except SupportError:
+                    skipped += 1
+                    continue
+                live = ~np.isnan(back)
+                if np.any(live):
+                    worst = max(worst, float(np.max(np.abs(back - anchor)[live])))
+            assert (skipped > 0) == dead
+            assert crosscheck.check_backshift_inversion(spec, seed=seed).max_err == worst
+
 
 class TestPairStep:
     def test_singleton_grid_stays_one(self, m1):
@@ -243,6 +282,30 @@ class TestFilterTree:
             assert (state.n, state.window) == (ref.n, ref.window)
             assert np.array_equal(state.change_prob, ref.change_prob)
             assert np.array_equal(state.pair_prob, ref.pair_prob)
+
+    @pytest.mark.parametrize("spec", [make_m3(1), make_m4(0), make_zero_support()])
+    def test_level_predictive_is_per_state_predictive(self, spec):
+        levels = list(filter_levels(spec, 4))
+        assert [level.n for level in levels] == [0, 1, 2, 3, 4]
+        assert levels[-1].pred is None
+        tree = filter_tree(spec, 4)
+        for level in levels[:-1]:
+            for row, path in enumerate(map(tuple, level.paths.tolist())):
+                state = tree[path] if level.n else state_init(spec)
+                assert _bits(level.pred[row]) == _bits(predictive(spec, state))
+
+    def test_dead_row_raises_like_state_step(self):
+        # an invalid spec: 0 -> 1 impossible under pair (0, 0) only, so it
+        # has positive predictive mass while pair (0, 0) has none
+        payload = spec_to_dict(make_m3())
+        payload["pre_kernels"][0][0] = [1.0, 0.0]
+        payload["post_kernels"][0][0] = [1.0, 0.0]
+        spec = spec_from_dict(payload)
+        assert predictive(spec, state_init(spec))[1] > 0.0
+        with pytest.raises(SupportError):
+            state_step(spec, state_init(spec), 1)
+        with pytest.raises(SupportError):
+            filter_tree(spec, 2)
 
 
 class TestLagged:
@@ -386,3 +449,58 @@ def test_batched_step_equals_scalar_reference(seed, alphabet, l0, l1, horizon):
             assert _bits(change[row]) == _bits(ref.change_prob)
             assert _bits(pair[row]) == _bits(ref.pair_prob)
             assert mass[row] == float(np.sum(ref.change_prob * ref.pair_prob))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    alphabet=st.integers(2, 3),
+    l0=st.integers(1, 2),
+    l1=st.integers(1, 2),
+    d=st.integers(0, 2),
+    zero=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+@example(seed=0, alphabet=2, l0=2, l1=2, d=0, zero=(1, 1))
+def test_batched_window_forms_equal_per_window(seed, alphabet, l0, l1, d, zero):
+    # each row of a window batch is the per-window call bit for bit; a row
+    # the per-window call rejects with SupportError comes back all NaN, and
+    # a batch of such rows only raises SupportError
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, alphabet, l0, l1, d)
+    windows = rng.integers(0, alphabet, size=(12, d + 2))
+    if zero is not None:
+        x, y = zero[0] % alphabet, zero[1] % alphabet
+        spec = with_shared_zero(spec, x, y)
+        windows[:3, :2] = (x, y)
+    rows = list(map(tuple, windows.tolist()))
+    grids = rng.uniform(0.0, 1.0, size=(2, 12, l0, l1))
+    for origin in (False, True):
+        changed, total = window_mixture(spec, windows, grids[0], origin)
+        for r, window in enumerate(rows):
+            one = window_mixture(spec, window, grids[0][r], origin)
+            assert (_bits(changed[r]), _bits(total[r])) == (_bits(one[0]), _bits(one[1]))
+    paths = np.column_stack((np.full(12, spec.x0), windows))
+    probs = path_probability(spec, paths)
+    assert [float(v) for v in probs] == [path_probability(spec, path) for path in paths.tolist()]
+    for form, grid, name in ((change_multistep, grids[0], "anchor"), (change_backshift, grids[1], "current")):
+        for batch in (windows, windows[:3]):
+            try:
+                got = form(spec, batch, grid[: len(batch)])
+            except SupportError:
+                got = None
+            for r, window in enumerate(map(tuple, batch.tolist())):
+                try:
+                    one = form(spec, window, grid[r])
+                except SupportError:
+                    assert got is None or np.isnan(got[r]).all()
+                else:
+                    assert got is not None and _bits(got[r]) == _bits(one)
+        bad = windows.copy()
+        bad[5, -1] = alphabet
+        with pytest.raises(ValueError, match=f"symbol {alphabet} outside alphabet"):
+            form(spec, bad, grid)
+        for value in (-0.25, 1.5):
+            off = grid.copy()
+            off[7, 0, 0] = value
+            with pytest.raises(ValueError, match=f"{name} posterior must lie in"):
+                form(spec, windows, off)
