@@ -33,7 +33,6 @@ from .posterior import (
     change_from_origin,
     change_lagged,
     change_multistep,
-    filter_tree,
     predictive,
     state_init,
     state_step,

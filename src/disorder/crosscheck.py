@@ -1,11 +1,11 @@
 """Identity battery tying the recursive filter to the enumeration oracle.
 
 Each check sweeps every path up to a horizon (or a seeded random sample
-where noted), measures the worst absolute deviation of one exact identity
-and compares it against a fixed tolerance; some run a depth or a window
-batch at a time, with the per-path arithmetic.  The battery is deterministic
-given (spec, horizon, seed) and is the backbone of both the `crosscheck`
-CLI subcommand and the acceptance suite.
+where noted), a tree level or a window batch at a time, measures the worst
+absolute deviation of one exact identity and compares it against a fixed
+tolerance; the joint-table checks read each filter level against the table
+rows of its paths.  The battery is deterministic given (spec, horizon, seed)
+and backs both the `crosscheck` CLI subcommand and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracle, payoff, posterior, stopping
 from .errors import SupportError
-from .likelihood import path_probability
+from .likelihood import _fsum_grids, path_probability
 from .model import ModelSpec, change_time_pmf
 from .simulate import TrajectorySampler, _philox, mix_seed, mix_seeds
 
@@ -56,70 +56,55 @@ def check_path_unity(spec: ModelSpec, horizon: int) -> CheckResult:
 def check_joint_consistency(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
     """Table mass, marginalisation across depths and the change-time marginal."""
     worst = 0.0
-    for level in table.levels:
-        total = math.fsum(oracle.path_prob(table, path) for path in level)
-        worst = max(worst, abs(total - 1.0))
-    for n in range(table.horizon):
-        for path, joint in table.levels[n].items():
-            merged = sum(
-                table.levels[n + 1][path + (y,)] for y in range(spec.alphabet_size)
-            )
-            worst = max(worst, float(np.max(np.abs(merged - joint))))
-    deep = table.levels[table.horizon]
-    for t in range(1, table.max_theta + 1):
-        mass = math.fsum(float(joint[t - 1].sum()) for joint in deep.values())
-        worst = max(worst, abs(mass - change_time_pmf(spec, t)))
-    for path in deep:
-        worst = max(
-            worst, abs(oracle.path_prob(table, path) - path_probability(spec, path))
-        )
+    for joint in table.arrays:
+        worst = max(worst, abs(math.fsum(_fsum_grids(joint, 3).tolist()) - 1.0))
+    for joint, children in zip(table.arrays, table.arrays[1:]):
+        merged = children.reshape((len(joint), spec.alphabet_size) + joint.shape[1:]).sum(axis=1)
+        worst = max(worst, float(np.max(np.abs(merged - joint))))
+    deep = table.arrays[table.horizon]
+    masses = _fsum_grids(deep[:, :-1].sum(axis=(2, 3)).T, 1)
+    pmf = [change_time_pmf(spec, t) for t in range(1, table.max_theta + 1)]
+    worst = max(worst, float(np.max(np.abs(masses - pmf))))
+    paths = np.array(list(table.levels[table.horizon]))
+    worst = max(worst, float(np.max(np.abs(_fsum_grids(deep, 3) - path_probability(spec, paths)))))
     return _result("joint_consistency", worst, 1e-12)
 
 
-def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable, states: dict) -> CheckResult:
+def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
     """Recursive posteriors match definition-level posteriors on every path."""
     worst = 0.0
-    for path, state in states.items():
-        change, pair = oracle.exact_posterior(table, path)
-        live = state.pair_prob > 1e-15
-        worst = max(worst, float(np.max(np.abs(pair - state.pair_prob))))
-        if np.any(live):
-            worst = max(worst, float(np.max(np.abs((change - state.change_prob))[live])))
+    for level in list(posterior.filter_levels(spec, table.horizon))[1:]:
+        change, pair = oracle.exact_posterior(table, level.paths)
+        live = level.pair > 1e-15
+        worst = max(worst, float(np.max(np.abs(pair - level.pair))))
+        worst = max(worst, float(np.max(np.abs(change - level.change)[live], initial=0.0)))
     return _result("filter_vs_oracle", worst, 1e-10)
 
 
-def check_survival_projection(
-    spec: ModelSpec, table: oracle.JointTable, states: dict
-) -> CheckResult:
+def check_survival_projection(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
     """P(theta <= n + k | path, pair) = 1 - p^k (1 - change_prob)."""
     worst = 0.0
-    for path, state in states.items():
-        n = len(path) - 1
-        for k in range(1, _LAG_MAX + 1):
-            if n + k > table.max_theta:
-                break
-            expected = 1.0 - spec.p**k * (1.0 - state.change_prob)
-            got = oracle.change_cdf_given_pair(table, path, n + k)
-            live = state.pair_prob > 1e-15
-            if np.any(live):
-                worst = max(worst, float(np.max(np.abs(got - expected)[live])))
+    for level in list(posterior.filter_levels(spec, table.horizon))[1:]:
+        live = level.pair > 1e-15
+        for k in range(1, min(_LAG_MAX, table.max_theta - level.n) + 1):
+            expected = 1.0 - spec.p**k * (1.0 - level.change)
+            got = oracle.change_cdf_given_pair(table, level.paths, level.n + k)
+            worst = max(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
     return _result("survival_projection", worst, 1e-10)
 
 
-def check_lagged_change(spec: ModelSpec, table: oracle.JointTable, states: dict) -> CheckResult:
+def check_lagged_change(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
     """Posterior of an old change from the current posterior and ratios."""
     worst = 0.0
-    for path, state in states.items():
-        n = len(path) - 1
-        live = state.pair_prob > 1e-15
-        for k in range(0, _LAG_MAX + 1):
+    for level in list(posterior.filter_levels(spec, table.horizon))[1:]:
+        n, live = level.n, level.pair > 1e-15
+        for k in range(0, min(_LAG_MAX, n - 1) + 1):
+            got = oracle.change_cdf_given_pair(table, level.paths, n - k - 1)
             if n == k + 1:
-                got = oracle.change_cdf_given_pair(table, path, 0)
                 worst = max(worst, float(np.max(np.abs(got))))
-            elif n >= k + 2 and np.any(live):
-                got = oracle.change_cdf_given_pair(table, path, n - k - 1)
-                expected = posterior.change_lagged(spec, k, path, state.change_prob)
-                worst = max(worst, float(np.max(np.abs(got - expected)[live])))
+            else:
+                expected = posterior.change_lagged(spec, k, level.paths, level.change)
+                worst = max(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
     return _result("lagged_change", worst, 1e-10)
 
 
@@ -132,20 +117,20 @@ def check_payoff_criterion(spec: ModelSpec, horizon: int) -> CheckResult:
     return _result("payoff_criterion", worst, 1e-10)
 
 
-def check_multistep_composition(spec: ModelSpec, states: dict, horizon: int) -> CheckResult:
+def check_multistep_composition(spec: ModelSpec, horizon: int) -> CheckResult:
     """Multi-step posterior updates equal composed one-step updates, up to the horizon."""
     worst = 0.0
-    for path, state in states.items():
-        n = len(path) - 1
-        if n > horizon:
-            continue
-        for l in range(0, min(n - 1, spec.d + 1)):
-            window = path[n - l - 1 :]
-            anchor = states[path[: n - l]].change_prob
-            multi = posterior.change_multistep(spec, window, anchor)
-            worst = max(worst, float(np.max(np.abs(multi - state.change_prob))))
-        from_origin = posterior.change_from_origin(spec, path)
-        worst = max(worst, float(np.max(np.abs(from_origin - state.change_prob))))
+    levels = list(posterior.filter_levels(spec, horizon))
+    ranks = [oracle.path_rank(spec, level.paths) for level in levels]
+    for level in levels[1:]:
+        n = level.n
+        for m in range(max(1, n - spec.d - 1), n):
+            # the anchor is the filter row of the path's prefix of m steps
+            row = np.searchsorted(ranks[m], ranks[n] // spec.alphabet_size ** (n - m))
+            multi = posterior.change_multistep(spec, level.paths[:, m:], levels[m].change[row])
+            worst = max(worst, float(np.max(np.abs(multi - level.change))))
+        from_origin = posterior.change_from_origin(spec, level.paths)
+        worst = max(worst, float(np.max(np.abs(from_origin - level.change))))
     return _result("multistep_composition", worst, 1e-12)
 
 
@@ -198,18 +183,22 @@ def check_continuation_normalization(spec: ModelSpec, seed: int = 31337) -> Chec
     return _result("continuation_normalization", worst, 1e-9)
 
 
-def check_continuation_vs_oracle(
-    spec: ModelSpec, table: oracle.JointTable, states: dict
-) -> CheckResult:
+def check_continuation_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
     """The oracle's continuation at a node n >= d + 2 is s_{H - n - 1} at its filter state."""
     _, tree = oracle.exact_optimal_rule(table)
     values = stopping.ValueTable(spec)
     worst = 0.0
-    for path, state in states.items():
-        if spec.d + 2 <= state.n < table.horizon:
-            u = values.weight(state.change_prob, state.pair_prob)
-            s_k = values.value(table.horizon - state.n - 1, state.window, u)
-            worst = max(worst, abs(tree.node(path).continuation - s_k))
+    for level in list(posterior.filter_levels(spec, table.horizon - 1))[spec.d + 2 :]:
+        u = values.weight(level.change, level.pair).reshape(len(level.paths), -1)
+        tails, which = np.unique(level.paths[:, -(spec.d + 1) :], axis=0, return_inverse=True)
+        s_k = np.empty(len(level.paths))
+        for i, tail in enumerate(tails.tolist()):
+            rows = which.reshape(-1) == i
+            vectors = values.vectors(table.horizon - level.n - 1, tuple(tail))
+            # one matrix-vector product per row, the arithmetic of ValueTable.value
+            s_k[rows] = np.max(vectors @ u[rows, :, None], axis=(1, 2))
+        cont = tree.levels[level.n].continuation[oracle.path_rank(spec, level.paths)]
+        worst = max(worst, float(np.max(np.abs(cont - s_k))))
     return _result("continuation_vs_oracle", worst, 1e-12)
 
 
@@ -231,18 +220,17 @@ def check_predictive_chain(spec: ModelSpec, horizon: int) -> CheckResult:
 def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckResult]:
     """Run the full battery; deterministic given (spec, horizon, seed)."""
     table = oracle.build_joint(spec, horizon, max_theta=horizon + spec.d + 4)
-    states = posterior.filter_tree(spec, horizon)
     results = [
         check_path_unity(spec, horizon),
         check_joint_consistency(spec, table),
-        check_filter_vs_oracle(spec, table, states),
-        check_survival_projection(spec, table, states),
-        check_lagged_change(spec, table, states),
+        check_filter_vs_oracle(spec, table),
+        check_survival_projection(spec, table),
+        check_lagged_change(spec, table),
         check_payoff_criterion(spec, min(horizon, 6)),
-        check_multistep_composition(spec, states, min(horizon, 5)),
+        check_multistep_composition(spec, min(horizon, 5)),
         check_backshift_inversion(spec, seed=mix_seed(seed, 1)),
         check_continuation_normalization(spec, seed=mix_seed(seed, 2)),
         check_predictive_chain(spec, horizon),
-        check_continuation_vs_oracle(spec, table, states),
+        check_continuation_vs_oracle(spec, table),
     ]
     return results

@@ -4,9 +4,9 @@ A window is an ordered tuple of symbols (x_k, ..., x_n).  The building block
 is the split likelihood L_m: the product of transition densities along the
 window where the last m transitions use the post-change kernel and all
 earlier ones use the pre-change kernel (empty products are 1).  Every
-function here returns one value per kernel pair, as an (l0, l1) grid; all
-but the ratio chain also take a batch of windows, an (N, T + 1) int array,
-in one numpy pass, and a tuple is the one-row case, equal to it bit for bit.
+function here returns one value per kernel pair, as an (l0, l1) grid, and
+also takes a batch of windows, an (N, T + 1) int array, in one numpy pass;
+a tuple is the one-row case, equal to it bit for bit.
 
 Mixing split likelihoods over the position of the change under the geometric
 hazard gives the marginal window density.  The hazard looks different seen
@@ -50,10 +50,12 @@ def _check_window(spec: ModelSpec, window) -> np.ndarray:
     return window
 
 
-def _fsum_grids(terms: np.ndarray) -> np.ndarray:
-    """math.fsum over the last two (pair-grid) axes, one sum per leading index."""
-    rows = terms.reshape(-1, terms.shape[-2] * terms.shape[-1]).tolist()
-    return np.array([math.fsum(row) for row in rows]).reshape(terms.shape[:-2])
+def _fsum_grids(terms: np.ndarray, axes: int = 2) -> np.ndarray:
+    """math.fsum over the last `axes` axes (the pair grid), one sum per leading index."""
+    lead = terms.shape[: terms.ndim - axes]
+    # one row at a time: a whole tree level as Python floats would hold megabytes
+    rows = terms.reshape(math.prod(lead), -1)
+    return np.array([math.fsum(row.tolist()) for row in rows]).reshape(lead)
 
 
 def _powers(p: np.ndarray, e: int) -> np.ndarray:
@@ -119,25 +121,27 @@ def path_probability(spec: ModelSpec, observations):
     return probs if probs.ndim else float(probs)
 
 
-def likelihood_ratio_chain(spec: ModelSpec, window: Window, m_max: int) -> np.ndarray:
+def likelihood_ratio_chain(spec: ModelSpec, window, m_max: int) -> np.ndarray:
     """Matrix of sum_{t=1..m_max} (L_t / L_0) / p^t over the window suffixes.
 
     L_t / L_0 telescopes to the product of post/pre density ratios along the
     last t transitions, so the whole family is one backward sweep.  Raises
-    SupportError when a pre-change transition density vanishes.
+    SupportError when a pre-change density of those transitions vanishes.
     """
-    _check_window(spec, window)
-    t = len(window) - 1
+    window = _check_window(spec, window)
+    t = window.shape[-1] - 1
     if m_max > t:
         raise ValueError(f"m_max={m_max} exceeds the {t} transitions available")
-    total = np.zeros((spec.l0, spec.l1))
-    acc = np.ones((spec.l0, spec.l1))
+    src, dst = window[..., t - m_max : -1], window[..., t - m_max + 1 :]
+    f0 = spec.pre_kernels.T[dst, src]
+    dead = (f0 < _DENOM_FLOOR).any(axis=-1)
+    if dead.any():
+        raise SupportError(f"transition {src[dead][0]}->{dst[dead][0]} outside common support")
+    f1 = spec.post_kernels.T[dst, src]
+    ratio = f1[..., None, :] / f0[..., :, None]
+    total = np.zeros(window.shape[:-1] + (spec.l0, spec.l1))
+    acc = np.ones_like(total)
     for m in range(1, m_max + 1):
-        x_prev, x_next = window[t - m], window[t - m + 1]
-        f0 = spec.pre_kernels[:, x_prev, x_next]
-        if np.any(f0 < _DENOM_FLOOR):
-            raise SupportError(f"transition {x_prev}->{x_next} outside common support")
-        f1 = spec.post_kernels[:, x_prev, x_next]
-        acc = acc * (f1[None, :] / f0[:, None]) / spec.p
+        acc = acc * ratio[..., m_max - m, :, :] / spec.p
         total = total + acc
     return total

@@ -1,15 +1,19 @@
 """Exact ground truth by enumeration, for desk-scale instances.
 
 build_joint materialises the joint law of (change time, kernel pair, path)
-over every observation path up to a horizon.  Change times are bucketed as
+over every observation path up to a horizon, one array per depth.  A depth's
+rows are its paths in lexicographic order, so the row of a path is its
+symbols after x0 read in base A (path_rank), and the children of row r are
+rows r*A .. r*A + A - 1 of the next depth.  Change times are bucketed as
 {1, ..., max_theta} plus one closed-form tail bucket carrying the geometric
 remainder, so every probability in the table is exact despite truncation.
 Detection events {|theta - n| <= d} for n <= horizon never touch the tail.
 
 On top of the table sit definition-level posteriors (plain Bayes, no
 recursion), exact evaluation of arbitrary adapted rules, and finite-horizon
-backward induction for the optimal value, with an independent state-indexed
-induction, optimal_value_state_indexed(spec, horizon), as an implementation
+backward induction for the optimal value, each depth backed up in one pass
+from the horizon.  An independent state-indexed induction,
+optimal_value_state_indexed(spec, horizon), is the implementation
 cross-check, run level by level on batched filter levels.
 """
 
@@ -17,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, product
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetError
-from .likelihood import Window
+from .likelihood import Window, _check_window, _fsum_grids
 from .model import ModelSpec
 from .payoff import level_payoffs
 from .posterior import filter_levels
@@ -35,15 +40,27 @@ DEFAULT_CELL_BUDGET = 10_000_000
 class JointTable:
     """Joint probabilities per path and change-time bucket.
 
-    levels[n] maps each path of length n + 1 (including x0) to an array of
-    shape (max_theta + 1, l0, l1): bucket t - 1 holds P(theta = t, pair, path)
-    for t <= max_theta, the last bucket holds P(theta > max_theta, pair, path).
+    arrays[n] has shape (A^n, max_theta + 1, l0, l1), one row per path of
+    length n + 1 (including x0) in lexicographic order: bucket t - 1 holds
+    P(theta = t, pair, path) for t <= max_theta, the last bucket holds
+    P(theta > max_theta, pair, path).  levels[n] maps each path to a view of
+    its row.
     """
 
     spec: ModelSpec
     horizon: int
     max_theta: int
+    arrays: tuple[np.ndarray, ...]
     levels: tuple[dict, ...]
+
+
+def path_rank(spec: ModelSpec, paths) -> np.ndarray:
+    """Row of a path in its depth's arrays, per row of an (N, n + 1) batch."""
+    paths = _check_window(spec, paths)
+    if np.any(paths[..., 0] != spec.x0):
+        raise ValueError(f"path must start at x0={spec.x0}")
+    n = paths.shape[-1] - 1
+    return paths[..., 1:] @ spec.alphabet_size ** np.arange(n - 1, -1, -1)
 
 
 def build_joint(
@@ -59,70 +76,76 @@ def build_joint(
         max_theta = horizon + spec.d
     if max_theta < horizon:
         raise ValueError("max_theta must cover the horizon")
-    cells = spec.alphabet_size**horizon * spec.l0 * spec.l1 * (max_theta + 1)
+    a = spec.alphabet_size
+    cells = spec.l0 * spec.l1 * (max_theta + 1) * sum(a**n for n in range(horizon + 1))
     if cells > budget:
         raise BudgetError(f"joint table needs {cells} cells, budget is {budget}")
 
-    n_buckets = max_theta + 1
-    root = np.empty((n_buckets, spec.l0, spec.l1))
+    root = np.empty((max_theta + 1, spec.l0, spec.l1))
     q = 1.0 - spec.p
-    for t in range(1, max_theta + 1):
-        if t == 1:
-            root[t - 1] = spec.pi * spec.b
-        else:
-            root[t - 1] = (1.0 - spec.pi) * spec.p ** (t - 2) * q * spec.b
+    root[0] = spec.pi * spec.b
+    for t in range(2, max_theta + 1):
+        root[t - 1] = (1.0 - spec.pi) * spec.p ** (t - 2) * q * spec.b
     root[max_theta] = (1.0 - spec.pi) * spec.p ** (max_theta - 1) * spec.b
 
-    levels: list[dict] = [{(spec.x0,): root}]
+    arrays = [root[None]]
     for n in range(1, horizon + 1):
-        prev = levels[n - 1]
-        level: dict = {}
-        for path, joint in prev.items():
-            x_prev = path[-1]
-            for y in range(spec.alphabet_size):
-                child = np.empty_like(joint)
-                # buckets with theta <= n: the transition into X_n is post-change
-                child[:n] = joint[:n] * spec.post_kernels[:, x_prev, y][None, None, :]
-                child[n:] = joint[n:] * spec.pre_kernels[:, x_prev, y][None, :, None]
-                level[path + (y,)] = child
-        levels.append(level)
-    return JointTable(spec=spec, horizon=horizon, max_theta=max_theta, levels=tuple(levels))
+        prev = arrays[-1][:, None]
+        x_prev = np.arange(len(prev)) % a if n > 1 else np.array([spec.x0])
+        # kernel factors of x_prev -> y per row and next symbol y, on the grid axis they index
+        pre = spec.pre_kernels[:, x_prev].transpose(1, 2, 0)[:, :, None, :, None]
+        post = spec.post_kernels[:, x_prev].transpose(1, 2, 0)[:, :, None, None, :]
+        # buckets with theta <= n: the transition into X_n is post-change
+        level = np.concatenate((prev[:, :, :n] * post, prev[:, :, n:] * pre), axis=2)
+        arrays.append(level.reshape((-1,) + root.shape))
+    levels = tuple(dict(zip(_paths(spec, n), joint)) for n, joint in enumerate(arrays))
+    return JointTable(spec=spec, horizon=horizon, max_theta=max_theta, arrays=tuple(arrays), levels=levels)
+
+
+def _paths(spec: ModelSpec, n: int) -> list[Window]:
+    # the paths of n steps, in row order
+    return [(spec.x0,) + tail for tail in product(range(spec.alphabet_size), repeat=n)]
+
+
+def _joint(table: JointTable, path) -> np.ndarray:
+    # the joint row of a path, or the rows of an (N, n + 1) batch of paths
+    return table.arrays[np.shape(path)[-1] - 1][path_rank(table.spec, path)]
 
 
 def path_prob(table: JointTable, path: Window) -> float:
     """Exact probability of the path, summed over all latent buckets."""
-    joint = table.levels[len(path) - 1][tuple(path)]
-    return math.fsum(joint.ravel())
+    return math.fsum(_joint(table, path).ravel())
 
 
 def exact_posterior(table: JointTable, path: Window) -> tuple[np.ndarray, np.ndarray]:
-    """Definition-level posteriors (change grid, pair grid) given the path."""
-    path = tuple(path)
-    per_pair = table.levels[len(path) - 1][path].sum(axis=0)
-    total = math.fsum(per_pair.ravel())
-    if total < 1e-300:
+    """Definition-level posteriors (change grid, pair grid) given the path, per row of a batch."""
+    per_pair = _joint(table, path).sum(axis=-3)
+    total = _fsum_grids(per_pair)
+    if np.any(total < 1e-300):
         raise ValueError("path has zero probability")
-    return change_cdf_given_pair(table, path, len(path) - 1), per_pair / total
+    return change_cdf_given_pair(table, path, np.shape(path)[-1] - 1), per_pair / total[..., None, None]
 
 
 def change_cdf_given_pair(table: JointTable, path: Window, m: int) -> np.ndarray:
-    """P(theta <= m | path, pair) for every pair, from the table."""
-    path = tuple(path)
+    """P(theta <= m | path, pair) for every pair, from the table, per row of a batch."""
     if not 0 <= m <= table.max_theta:
         raise ValueError(f"m must lie in [0, {table.max_theta}]")
-    joint = table.levels[len(path) - 1][path]
-    per_pair = joint.sum(axis=0)
+    joint = _joint(table, path)
+    per_pair = joint.sum(axis=-3)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(per_pair > 0.0, joint[:m].sum(axis=0) / per_pair, 0.0)
+        return np.where(per_pair > 0.0, joint[..., :m, :, :].sum(axis=-3) / per_pair, 0.0)
 
 
 def detection_mass(table: JointTable, path: Window, n: int) -> float:
     """Unnormalised joint weight of the path and {|theta - n| <= d}."""
-    spec = table.spec
-    joint = table.levels[len(path) - 1][tuple(path)]
-    lo = max(1, n - spec.d)
-    hi = min(n + spec.d, table.max_theta)
-    return math.fsum(joint[lo - 1 : hi].ravel())
+    return float(_detection_masses(table, _joint(table, path)[None], n)[0])
+
+
+def _detection_masses(table: JointTable, joint: np.ndarray, n) -> np.ndarray:
+    # detection_mass of each row of joint, (rows, max_theta + 1, l0, l1), at
+    # time n or at one time per row; the tail bucket never counts
+    near = np.abs(np.arange(1, table.max_theta + 1) - np.reshape(n, (-1, 1))) <= table.spec.d
+    return _fsum_grids(joint[:, :-1] * near[:, :, None, None], 3)
 
 
 def exact_rule_value(table: JointTable, rule: Callable[[Window], Optional[int]]) -> float:
@@ -135,17 +158,17 @@ def exact_rule_value(table: JointTable, rule: Callable[[Window], Optional[int]])
     detection mass and are skipped; the rule is never called on them.
     """
     h = table.horizon
-    terms = []
-    for path, joint in table.levels[h].items():
-        if not joint.any():
-            continue
+    joint = table.arrays[h]
+    live = joint.any(axis=(1, 2, 3))
+    stops = []
+    for path in compress(table.levels[h], live):
         tau = rule(path)
         if tau is None:
             tau = h
         if not 0 <= tau <= h:
             raise ValueError(f"rule returned stop time {tau} outside [0, {h}]")
-        terms.append(detection_mass(table, path, tau))
-    return math.fsum(terms)
+        stops.append(tau)
+    return math.fsum(_detection_masses(table, joint[live], np.array(stops)).tolist())
 
 
 @dataclass(frozen=True)
@@ -160,12 +183,18 @@ class NodeValue:
 
 @dataclass(frozen=True)
 class HistoryTreeValue:
-    """Per-path stop payoff, continuation and optimal action, all normalised."""
+    """Per-path stop payoff, continuation and optimal action, all normalised.
 
-    levels: tuple[dict, ...]
+    levels[n] is a record array over the paths of depth n in joint-table
+    order, with fields z, continuation (NaN at the horizon), value and stop.
+    """
+
+    spec: ModelSpec
+    levels: tuple[np.recarray, ...]
 
     def node(self, path: Window) -> NodeValue:
-        return self.levels[len(path) - 1][tuple(path)]
+        z, cont, value, stop = self.levels[len(path) - 1][path_rank(self.spec, path)].tolist()
+        return NodeValue(z, None if math.isnan(cont) else cont, value, stop)
 
 
 def exact_optimal_rule(
@@ -176,39 +205,30 @@ def exact_optimal_rule(
     With restrict_after_d, stopping is allowed only from time d + 1 on (which
     provably loses nothing); otherwise any time from 0 on may stop.  The
     horizon forces a stop.  Returns the optimal value and the full tree.
+    Paths of probability 0 get z = continuation = value = 0 and continue,
+    except at the horizon.
     """
     spec = table.spec
-    h = table.horizon
-    w_levels: list[dict] = [dict() for _ in range(h + 1)]
-    out_levels: list[dict] = [dict() for _ in range(h + 1)]
-    for n in range(h, -1, -1):
-        for path in table.levels[n]:
-            pp = path_prob(table, path)
-            uz = detection_mass(table, path, n)
-            if n == h:
-                w = uz
-                w_levels[n][path] = w
-                out_levels[n][path] = NodeValue(
-                    z=uz / pp if pp > 0 else 0.0, continuation=None, value=w / pp if pp > 0 else 0.0, stop=True
-                )
-                continue
-            uc = math.fsum(
-                w_levels[n + 1][path + (y,)] for y in range(spec.alphabet_size)
-            )
+    levels = []
+    w = None
+    for n in range(table.horizon, -1, -1):
+        joint = table.arrays[n]
+        pp = _fsum_grids(joint, 3)
+        uz = _detection_masses(table, joint, n)
+        live = pp > 0.0
+        per = np.where(live, pp, 1.0)
+        if w is None:
+            w, cont, stop = uz, np.full(len(pp), np.nan), np.ones(len(pp), dtype=bool)
+        else:
+            # unnormalised continuation: the children's values, in symbol order
+            uc = _fsum_grids(w.reshape(len(pp), spec.alphabet_size), 1)
             allowed = n >= spec.d + 1 if restrict_after_d else True
-            w = max(uz, uc) if allowed else uc
-            w_levels[n][path] = w
-            if pp > 0:
-                out_levels[n][path] = NodeValue(
-                    z=uz / pp,
-                    continuation=uc / pp,
-                    value=w / pp,
-                    stop=bool(allowed and uz >= uc),
-                )
-            else:
-                out_levels[n][path] = NodeValue(z=0.0, continuation=0.0, value=0.0, stop=False)
-    value = w_levels[0][(spec.x0,)]
-    return value, HistoryTreeValue(levels=tuple(out_levels))
+            w = np.maximum(uz, uc) if allowed else uc
+            cont = np.where(live, uc / per, 0.0)
+            stop = live & allowed & (uz >= uc)
+        fields = (np.where(live, uz / per, 0.0), cont, np.where(live, w / per, 0.0), stop)
+        levels.append(np.rec.fromarrays(fields, names="z,continuation,value,stop"))
+    return float(w[0]), HistoryTreeValue(spec, tuple(reversed(levels)))
 
 
 def optimal_value_state_indexed(spec: ModelSpec, horizon: int) -> float:
@@ -248,18 +268,16 @@ def dump_joint(table: JointTable, directory: str | Path) -> list[Path]:
     """Write the table as one CSV per depth: path, bucket, probability."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    labels = [str(t) for t in range(1, table.max_theta + 1)] + ["tail"]
     written = []
-    for n, level in enumerate(table.levels):
+    for n, joint in enumerate(table.arrays):
+        masses = _fsum_grids(joint)
         out = directory / f"joint_level_{n}.csv"
         with out.open("w") as fh:
             fh.write("path,bucket,probability\n")
-            for path in sorted(level):
-                joint = level[path]
+            for path, row in zip(table.levels[n], masses.tolist()):
                 pstr = "-".join(str(s) for s in path)
-                for t in range(table.max_theta + 1):
-                    label = str(t + 1) if t < table.max_theta else "tail"
-                    mass = math.fsum(joint[t].ravel())
-                    fh.write(f"{pstr},{label},{mass:.17g}\n")
+                fh.writelines(f"{pstr},{label},{mass:.17g}\n" for label, mass in zip(labels, row))
         written.append(out)
     return written
 
@@ -271,9 +289,9 @@ def dump_tree(tree: HistoryTreeValue, directory: str | Path) -> Path:
     out = directory / "value_tree.csv"
     with out.open("w") as fh:
         fh.write("path,z,continuation,value,action\n")
-        for level in tree.levels:
-            for path in sorted(level):
-                node = level[path]
+        for n in range(len(tree.levels)):
+            for path in _paths(tree.spec, n):
+                node = tree.node(path)
                 pstr = "-".join(str(s) for s in path)
                 cont = "" if node.continuation is None else f"{node.continuation:.17g}"
                 action = "stop" if node.stop else "continue"

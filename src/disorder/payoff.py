@@ -10,8 +10,8 @@ posterior grids:
 with all split likelihoods over w.  At the earliest admissible stop n = d + 1
 no change can predate the precision window, and the payoff collapses to the
 window-free form stop_payoff_boundary; state_payoff applies the form due at
-a filter state's own time, and level_payoffs to a filter level, once per
-distinct window.  criterion_probability evaluates the unconditional success
+a filter state's own time, and level_payoffs to every row of a filter
+level.  criterion_probability evaluates the unconditional success
 probability of a fixed-time stop both from the prior and as the exact
 expectation of the payoff over the filter tree; the two must agree, which
 is the module's core identity.
@@ -30,8 +30,8 @@ from .posterior import FilterLevel, PosteriorState, filter_levels
 
 
 def detection_coeff_matrix(spec: ModelSpec, window: Window) -> np.ndarray:
-    """Per-pair payoff coefficients 1 - p^d + q * sum L_k / (p^k L_0)."""
-    if len(window) != spec.d + 2:
+    """Per-pair payoff coefficients 1 - p^d + q * sum L_k / (p^k L_0), per row of a batch."""
+    if np.shape(window)[-1] != spec.d + 2:
         raise ValueError(f"window must have length {spec.d + 2}")
     q = 1.0 - spec.p
     return 1.0 - spec.p**spec.d + q * likelihood_ratio_chain(spec, window, spec.d + 1)
@@ -68,9 +68,8 @@ def level_payoffs(spec: ModelSpec, level: FilterLevel) -> np.ndarray:
     """state_payoff of every row of a filter level at time n >= d + 1, bit for bit."""
     if level.n == spec.d + 1:
         return stop_payoff_boundary(spec, level.change, level.pair)
-    windows, rows = np.unique(level.paths[:, -(spec.d + 2) :], axis=0, return_inverse=True)
-    coeff = np.array([detection_coeff_matrix(spec, tuple(w)) for w in windows.tolist()])
-    return _fsum_grids(coeff[rows.reshape(-1)] * (1.0 - level.change) * level.pair)
+    coeff = detection_coeff_matrix(spec, level.paths[:, -(spec.d + 2) :])
+    return _fsum_grids(coeff * (1.0 - level.change) * level.pair)
 
 
 class CriterionCheck(NamedTuple):

@@ -14,7 +14,7 @@ back-shift and lagged variants expose the same posterior through window
 mixtures and are used to cross-check the recursion, a batch of windows at
 a time.  filter_levels filters every path of positive probability up to a
 horizon level by level, one batched step and predictive per level, for the
-exact checks; filter_tree is its path -> state view.
+exact checks.
 
 Zero-probability observations (outside the common kernel support) raise
 SupportError rather than being renormalised away; under the model assumptions
@@ -145,13 +145,13 @@ def change_lagged(spec: ModelSpec, k: int, window: Window, current) -> np.ndarra
     """Grid of P(change happened at least k + 1 steps before now | pair, data).
 
     Expressed through the current posterior and the likelihood ratios of the
-    last k + 1 transitions; `window` must supply at least k + 1 transitions
-    and the current time n must satisfy n >= k + 2 for the expression to be
-    exact (at n = k + 1 the probability is identically 0).
+    last k + 1 transitions of `window`, batched as in change_multistep; the
+    current time n must satisfy n >= k + 2 for the expression to be exact
+    (at n = k + 1 the probability is identically 0).
     """
     if k < 0:
         raise ValueError("lag must be non-negative")
-    if len(window) < k + 2:
+    if np.shape(window)[-1] < k + 2:
         raise ValueError(f"window must supply at least {k + 1} transitions")
     chain = likelihood_ratio_chain(spec, window, k + 1)
     return 1.0 - (1.0 - current) * (1.0 + (1.0 - spec.p) * chain)
@@ -232,12 +232,3 @@ def filter_levels(spec: ModelSpec, horizon: int):
             raise SupportError("observation outside common support")
         paths = np.column_stack((paths[rows], ys))
 
-
-def filter_tree(spec: ModelSpec, horizon: int) -> dict:
-    """path -> filter state of each path of 1 .. horizon steps, breadth first, zero mass skipped."""
-    return {
-        path: PosteriorState(level.n, path[-(spec.d + 2) :], level.change[row], level.pair[row])
-        for level in filter_levels(spec, horizon)
-        if level.n
-        for row, path in enumerate(map(tuple, level.paths.tolist()))
-    }

@@ -1,0 +1,36 @@
+"""What the benchmark's exact_verify workload reads of the package.
+
+perfbench/worker.py counts the paths of the joint table's deepest level as
+its trajectories, reduces each traced table to its cell count, and gates a
+rep on check_exact; this runs one rep at the self-test size.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from disorder import build_joint
+
+WORKER = Path(__file__).parents[1] / "perfbench" / "worker.py"
+
+
+@pytest.fixture(scope="module")
+def worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exact_rep_at_tiny_size(worker):
+    ctx = worker.setup("exact_verify", "tiny")
+    spec, h = ctx["spec"], ctx["params"]["horizon"]
+    rep = worker.exact_rep(ctx, worker.make_rules(ctx), seed=1)
+    assert worker.check_exact(rep) == []
+    assert rep["trajectories"] == spec.alphabet_size**h
+
+    table = build_joint(spec, h)
+    paths = sum(spec.alphabet_size**n for n in range(h + 1))
+    cells = spec.l0 * spec.l1 * (table.max_theta + 1) * paths
+    assert worker.reducers()["oracle.build_joint"](table) == cells

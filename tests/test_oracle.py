@@ -34,10 +34,12 @@ from disorder import (
     validate,
 )
 
+import dict_oracle
 import recursive_oracle
 from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support, random_spec, with_shared_zero
 
-CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+CONFIGS_DIR = Path(__file__).parents[1] / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 
 
 def all_paths(spec, n):
@@ -103,6 +105,14 @@ class TestBuildJoint:
         with pytest.raises(BudgetError):
             build_joint(m1, 8, budget=100)
 
+    def test_budget_counts_every_depth(self):
+        # m3_d1 to horizon 7: 2 x 2 pairs, 9 buckets, 1 + 2 + ... + 2^7 paths
+        spec = load_spec(CONFIGS_DIR / "m3_d1.json")
+        with pytest.raises(BudgetError, match="needs 9180 cells"):
+            build_joint(spec, 7, budget=9179)
+        table = build_joint(spec, 7, budget=9180)
+        assert sum(joint.size for joint in table.arrays) == 9180
+
     def test_max_theta_must_cover_horizon(self, m1):
         with pytest.raises(ValueError):
             build_joint(m1, 5, max_theta=3)
@@ -148,6 +158,12 @@ class TestExactPosterior:
         table = build_joint(spec, 2)
         with pytest.raises(ValueError):
             exact_posterior(table, (0, 1, 0))
+
+    def test_path_outside_table_rejected(self, m3):
+        table = build_joint(m3, 3)
+        for path in ((1, 0), (0, 0, 2)):
+            with pytest.raises(ValueError):
+                exact_posterior(table, path)
 
     def test_cdf_given_pair_monotone(self, m4):
         table = build_joint(m4, 3)
@@ -229,8 +245,9 @@ class TestExactOptimalRule:
     def test_tree_invariants(self, m2):
         table = build_joint(m2, 5)
         value, tree = exact_optimal_rule(table)
-        for n, level in enumerate(tree.levels):
-            for path, node in level.items():
+        for n in range(6):
+            for path in all_paths(m2, n):
+                node = tree.node(path)
                 if n == 5:
                     assert node.continuation is None
                     assert node.value == node.z
@@ -364,3 +381,43 @@ class TestStateIndexedAgainstRecursion:
         assert optimal_value_state_indexed(spec, horizon) == recursive_oracle.optimal_value_state_indexed(
             spec, horizon
         )
+
+
+def assert_matches_dict_oracle(spec, horizon):
+    table = build_joint(spec, horizon)
+    ref_levels = dict_oracle.build_joint(spec, horizon, table.max_theta)
+    for joint, ref in zip(table.arrays, ref_levels, strict=True):
+        assert joint.tobytes() == np.array(list(ref.values())).tobytes()
+    for restrict in (True, False):
+        value, tree = exact_optimal_rule(table, restrict_after_d=restrict)
+        ref_value, ref_tree = dict_oracle.exact_optimal_rule(spec, ref_levels, restrict)
+        assert value == ref_value
+        for ref in ref_tree:
+            for path, node in ref.items():
+                assert tree.node(path) == node
+
+
+class TestArraysAgainstDictOracle:
+    """The level-array table and induction equal the per-path dict versions bit for bit."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_reference_configs(self, config):
+        spec = load_spec(config)
+        assert_matches_dict_oracle(spec, 9 if spec.alphabet_size == 2 else 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        alphabet=st.integers(2, 3),
+        l0=st.integers(1, 2),
+        l1=st.integers(1, 2),
+        d=st.integers(0, 2),
+        horizon=st.integers(1, 5),
+        zero=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    def test_random_specs(self, seed, alphabet, l0, l1, d, horizon, zero):
+        spec = random_spec(np.random.default_rng(seed), alphabet, l0, l1, d)
+        if zero is not None:
+            spec = with_shared_zero(spec, zero[0] % alphabet, zero[1] % alphabet)
+            assert validate(spec) == []
+        assert_matches_dict_oracle(spec, horizon)

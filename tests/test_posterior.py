@@ -13,7 +13,6 @@ from disorder import (
     change_from_origin,
     change_lagged,
     change_multistep,
-    filter_tree,
     path_probability,
     spec_from_dict,
     spec_to_dict,
@@ -24,6 +23,8 @@ from disorder import (
     window_mixture,
 )
 from disorder import crosscheck, oracle
+from disorder.likelihood import likelihood_ratio_chain
+from disorder.payoff import detection_coeff_matrix
 from disorder.posterior import _filter_step, filter_levels
 
 import scalar_filter
@@ -266,33 +267,32 @@ class TestFilterTree:
     )
     def test_positive_paths_in_table_order(self, spec):
         # the paths of 1 .. h steps with positive probability, in the joint
-        # table's order, each with the state of filtering it step by step
+        # table's order, each with the grids of filtering it step by step
         horizon = 6 if spec.alphabet_size == 2 else 4
         table = oracle.build_joint(spec, horizon)
-        tree = filter_tree(spec, horizon)
+        levels = list(filter_levels(spec, horizon))[1:]
         expected = [
             path
             for level in table.levels[1:]
             for path in level
             if oracle.path_prob(table, path) > 0.0
         ]
-        assert list(tree) == expected
-        for path, state in tree.items():
-            ref = filter_through(spec, path)
-            assert (state.n, state.window) == (ref.n, ref.window)
-            assert np.array_equal(state.change_prob, ref.change_prob)
-            assert np.array_equal(state.pair_prob, ref.pair_prob)
+        assert [tuple(path) for level in levels for path in level.paths.tolist()] == expected
+        for level in levels:
+            for row, path in enumerate(level.paths.tolist()):
+                ref = filter_through(spec, path)
+                assert level.n == ref.n
+                assert np.array_equal(level.change[row], ref.change_prob)
+                assert np.array_equal(level.pair[row], ref.pair_prob)
 
     @pytest.mark.parametrize("spec", [make_m3(1), make_m4(0), make_zero_support()])
     def test_level_predictive_is_per_state_predictive(self, spec):
         levels = list(filter_levels(spec, 4))
         assert [level.n for level in levels] == [0, 1, 2, 3, 4]
         assert levels[-1].pred is None
-        tree = filter_tree(spec, 4)
         for level in levels[:-1]:
-            for row, path in enumerate(map(tuple, level.paths.tolist())):
-                state = tree[path] if level.n else state_init(spec)
-                assert _bits(level.pred[row]) == _bits(predictive(spec, state))
+            for row, path in enumerate(level.paths.tolist()):
+                assert _bits(level.pred[row]) == _bits(predictive(spec, filter_through(spec, path)))
 
     def test_dead_row_raises_like_state_step(self):
         # an invalid spec: 0 -> 1 impossible under pair (0, 0) only, so it
@@ -305,7 +305,7 @@ class TestFilterTree:
         with pytest.raises(SupportError):
             state_step(spec, state_init(spec), 1)
         with pytest.raises(SupportError):
-            filter_tree(spec, 2)
+            list(filter_levels(spec, 2))
 
 
 class TestLagged:
@@ -479,6 +479,22 @@ def test_batched_window_forms_equal_per_window(seed, alphabet, l0, l1, d, zero):
         for r, window in enumerate(rows):
             one = window_mixture(spec, window, grids[0][r], origin)
             assert (_bits(changed[r]), _bits(total[r])) == (_bits(one[0]), _bits(one[1]))
+    # the ratio chain, and the payoff coefficients and lagged posterior built
+    # on it: a batch raises SupportError when one of its windows does
+    forms = [lambda w, r, m=m: likelihood_ratio_chain(spec, w, m) for m in range(d + 2)]
+    forms += [lambda w, r: detection_coeff_matrix(spec, w), lambda w, r: change_lagged(spec, d, w, grids[0][r])]
+    for form in forms:
+        ones = []
+        for r, window in enumerate(rows):
+            try:
+                ones.append(_bits(form(window, r)))
+            except SupportError:
+                ones.append(None)
+        if None in ones:
+            with pytest.raises(SupportError):
+                form(windows, slice(None))
+        else:
+            assert [_bits(row) for row in form(windows, slice(None))] == ones
     paths = np.column_stack((np.full(12, spec.x0), windows))
     probs = path_probability(spec, paths)
     assert [float(v) for v in probs] == [path_probability(spec, path) for path in paths.tolist()]

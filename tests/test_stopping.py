@@ -12,7 +12,6 @@ from disorder import (
     OptimalStoppingRule,
     StopDecision,
     ValueIterConfig,
-    filter_tree,
     predictive,
     state_init,
     state_step,
@@ -23,6 +22,7 @@ from disorder import (
 )
 from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
+from disorder.posterior import filter_levels
 from disorder.simulate import TrajectorySampler, mix_seeds
 from disorder.stopping import ValueTable, _prune
 
@@ -557,7 +557,8 @@ class TestBoundaryDecision:
         # expectation over filtered next states, from the base level
         # s_0 = sum_y pred_y h_y (K = -1) up
         spec = make(d)
-        states = [s for s in filter_tree(spec, d + 1).values() if s.n == d + 1]
+        *_, level = filter_levels(spec, d + 1)
+        states = [filter_through(spec, path) for path in level.paths.tolist()]
         table = ValueTable(spec)
         for state in states:
             u = table.weight(state.change_prob, state.pair_prob)
