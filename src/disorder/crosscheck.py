@@ -4,8 +4,12 @@ Each check sweeps every path up to a horizon (or a seeded random sample
 where noted), a tree level or a window batch at a time, measures the worst
 absolute deviation of one exact identity and compares it against a fixed
 tolerance; the joint-table checks read each filter level against the table
-rows of its paths.  The battery is deterministic given (spec, horizon, seed)
-and backs both the `crosscheck` CLI subcommand and the acceptance suite.
+rows of its paths, and the sampled trajectories of the normalization check
+are filtered in lockstep, one batched step per time.  Both continuation
+checks read s_k for a batch of rows through one grouped read,
+_continuation_rows.  The battery is deterministic given (spec, horizon,
+seed) and backs both the `crosscheck` CLI subcommand and the acceptance
+suite.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from .model import ModelSpec, change_time_pmf
 from .simulate import TrajectorySampler, _philox, mix_seed, mix_seeds
 
 # Largest lag of the survival and lagged-change identities, back-shift trials,
-# and the normalization check's sampled trajectories and levels k.
+# and the normalization check's sampled trajectories (filtered as one batch)
+# and levels k.
 _LAG_MAX = 4
 _BACKSHIFT_TRIALS = 200
 _NORM_TRAJECTORIES = 50
@@ -56,8 +61,8 @@ def check_path_unity(spec: ModelSpec, horizon: int) -> CheckResult:
 def check_joint_consistency(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
     """Table mass, marginalisation across depths and the change-time marginal."""
     worst = 0.0
-    for joint in table.arrays:
-        worst = max(worst, abs(math.fsum(_fsum_grids(joint, 3).tolist()) - 1.0))
+    for mass in table.mass:
+        worst = max(worst, abs(math.fsum(mass.tolist()) - 1.0))
     for joint, children in zip(table.arrays, table.arrays[1:]):
         merged = children.reshape((len(joint), spec.alphabet_size) + joint.shape[1:]).sum(axis=1)
         worst = max(worst, float(np.max(np.abs(merged - joint))))
@@ -66,7 +71,7 @@ def check_joint_consistency(spec: ModelSpec, table: oracle.JointTable) -> CheckR
     pmf = [change_time_pmf(spec, t) for t in range(1, table.max_theta + 1)]
     worst = max(worst, float(np.max(np.abs(masses - pmf))))
     paths = np.array(list(table.levels[table.horizon]))
-    worst = max(worst, float(np.max(np.abs(_fsum_grids(deep, 3) - path_probability(spec, paths)))))
+    worst = max(worst, float(np.max(np.abs(table.mass[table.horizon] - path_probability(spec, paths)))))
     return _result("joint_consistency", worst, 1e-12)
 
 
@@ -98,13 +103,11 @@ def check_lagged_change(spec: ModelSpec, table: oracle.JointTable) -> CheckResul
     worst = 0.0
     for level in list(posterior.filter_levels(spec, table.horizon))[1:]:
         n, live = level.n, level.pair > 1e-15
-        for k in range(0, min(_LAG_MAX, n - 1) + 1):
+        # to k = n - 2: at k = n - 1 the cdf is the empty bucket sum, 0 by construction
+        for k in range(0, min(_LAG_MAX, n - 2) + 1):
             got = oracle.change_cdf_given_pair(table, level.paths, n - k - 1)
-            if n == k + 1:
-                worst = max(worst, float(np.max(np.abs(got))))
-            else:
-                expected = posterior.change_lagged(spec, k, level.paths, level.change)
-                worst = max(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
+            expected = posterior.change_lagged(spec, k, level.paths, level.change)
+            worst = max(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
     return _result("lagged_change", worst, 1e-10)
 
 
@@ -155,31 +158,52 @@ def check_backshift_inversion(spec: ModelSpec, seed: int = 20240) -> CheckResult
     return _result("backshift_inversion", worst, 1e-9)
 
 
+def _continuation_rows(values: stopping.ValueTable, k: int, tails: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # s_k per row of a batch: tails (N, d + 1) are the rows' last d + 1
+    # symbols and u (N, l0 * l1) their weights (ValueTable.weight); rows
+    # sharing a tail share one Gamma_k
+    groups, which = np.unique(tails, axis=0, return_inverse=True)
+    s_k = np.empty(len(tails))
+    for i, tail in enumerate(groups.tolist()):
+        rows = which.reshape(-1) == i
+        # one matrix-vector product per row, the arithmetic of ValueTable.value
+        s_k[rows] = np.max(values.vectors(k, tuple(tail)) @ u[rows, :, None], axis=(1, 2))
+    return s_k
+
+
 def check_continuation_normalization(spec: ModelSpec, seed: int = 31337) -> CheckResult:
-    """Scaling property of the continuation values along filtered trajectories to d + 4."""
+    """Scaling property of the continuation values along filtered trajectories to d + 4.
+
+    The trajectories are filtered in lockstep with the arithmetic of
+    state_step and predictive.  A transition outside the common support
+    raises state_step's SupportError, naming the earliest such transition
+    (the lowest row among ties).
+    """
     horizon = spec.d + 4
     seeds = mix_seeds(seed, np.arange(_NORM_TRAJECTORIES))
-    paths = TrajectorySampler(spec, horizon).sample_batch(seeds)
-    table = stopping.ValueTable(spec)
+    paths = TrajectorySampler(spec, horizon).sample_batch(seeds).observations
+    values = stopping.ValueTable(spec)
+    rows = np.arange(len(paths))
+    change, pair = None, np.broadcast_to(spec.b, (len(paths),) + spec.b.shape)
     worst = 0.0
-    for path in paths.observations.tolist():
-        state = posterior.state_init(spec)
-        for n in range(1, horizon + 1):
-            prev = state
-            state = posterior.state_step(spec, state, path[n])
-            if state.n <= spec.d + 1:
-                continue
-            x_prev, x_next = path[n - 1], path[n]
-            norm = float(posterior.predictive(spec, prev)[x_next])
-            composed = (
-                spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
-            )
-            u_state = table.weight(state.change_prob, state.pair_prob)
-            u_prev = table.weight(prev.change_prob, composed)
-            for k in _NORM_LEVELS:
-                lhs = table.value(k, state.window, u_state) * norm
-                rhs = table.value(k, state.window, u_prev)
-                worst = max(worst, abs(lhs - rhs))
+    for n in range(1, horizon + 1):
+        x_prev, x_next = paths[:, n - 1], paths[:, n]
+        prev_change, prev_pair = change, pair
+        change, pair, dead = posterior._filter_step(spec, change, pair, x_prev, x_next)
+        if dead is not None:
+            row = np.flatnonzero(dead)[0]
+            raise SupportError(f"observation {x_next[row]} outside common support after {x_prev[row]}")
+        if n <= spec.d + 1:
+            continue
+        norm = posterior._predictive(spec, prev_change, prev_pair, x_prev)[rows, x_next]
+        composed = spec.p * spec.pre_kernels[:, x_prev, x_next].T[:, :, None] * prev_pair
+        u_state = values.weight(change, pair).reshape(len(paths), -1)
+        u_prev = values.weight(prev_change, composed).reshape(len(paths), -1)
+        tails = paths[:, n - spec.d : n + 1]
+        for k in _NORM_LEVELS:
+            lhs = _continuation_rows(values, k, tails, u_state) * norm
+            rhs = _continuation_rows(values, k, tails, u_prev)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return _result("continuation_normalization", worst, 1e-9)
 
 
@@ -190,13 +214,7 @@ def check_continuation_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> C
     worst = 0.0
     for level in list(posterior.filter_levels(spec, table.horizon - 1))[spec.d + 2 :]:
         u = values.weight(level.change, level.pair).reshape(len(level.paths), -1)
-        tails, which = np.unique(level.paths[:, -(spec.d + 1) :], axis=0, return_inverse=True)
-        s_k = np.empty(len(level.paths))
-        for i, tail in enumerate(tails.tolist()):
-            rows = which.reshape(-1) == i
-            vectors = values.vectors(table.horizon - level.n - 1, tuple(tail))
-            # one matrix-vector product per row, the arithmetic of ValueTable.value
-            s_k[rows] = np.max(vectors @ u[rows, :, None], axis=(1, 2))
+        s_k = _continuation_rows(values, table.horizon - level.n - 1, level.paths[:, -(spec.d + 1) :], u)
         cont = tree.levels[level.n].continuation[oracle.path_rank(spec, level.paths)]
         worst = max(worst, float(np.max(np.abs(cont - s_k))))
     return _result("continuation_vs_oracle", worst, 1e-12)

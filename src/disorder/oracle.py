@@ -8,6 +8,8 @@ rows r*A .. r*A + A - 1 of the next depth.  Change times are bucketed as
 {1, ..., max_theta} plus one closed-form tail bucket carrying the geometric
 remainder, so every probability in the table is exact despite truncation.
 Detection events {|theta - n| <= d} for n <= horizon never touch the tail.
+Each depth's path masses and detection masses are summed once, with the
+table, for everything that reads them.
 
 On top of the table sit definition-level posteriors (plain Bayes, no
 recursion), exact evaluation of arbitrary adapted rules, and finite-horizon
@@ -44,7 +46,9 @@ class JointTable:
     length n + 1 (including x0) in lexicographic order: bucket t - 1 holds
     P(theta = t, pair, path) for t <= max_theta, the last bucket holds
     P(theta > max_theta, pair, path).  levels[n] maps each path to a view of
-    its row.
+    its row.  mass[n] holds each row's path probability and detection[n] its
+    joint weight with {|theta - n| <= d}, both fsums over the row's cells,
+    shape (A^n,).
     """
 
     spec: ModelSpec
@@ -52,6 +56,8 @@ class JointTable:
     max_theta: int
     arrays: tuple[np.ndarray, ...]
     levels: tuple[dict, ...]
+    mass: tuple[np.ndarray, ...]
+    detection: tuple[np.ndarray, ...]
 
 
 def path_rank(spec: ModelSpec, paths) -> np.ndarray:
@@ -99,7 +105,9 @@ def build_joint(
         level = np.concatenate((prev[:, :, :n] * post, prev[:, :, n:] * pre), axis=2)
         arrays.append(level.reshape((-1,) + root.shape))
     levels = tuple(dict(zip(_paths(spec, n), joint)) for n, joint in enumerate(arrays))
-    return JointTable(spec=spec, horizon=horizon, max_theta=max_theta, arrays=tuple(arrays), levels=levels)
+    mass = tuple(_fsum_grids(arrays[n], 3) for n in range(horizon + 1))
+    detection = tuple(_detection_masses(spec, arrays[n], n) for n in range(horizon + 1))
+    return JointTable(spec, horizon, max_theta, tuple(arrays), levels, mass, detection)
 
 
 def _paths(spec: ModelSpec, n: int) -> list[Window]:
@@ -114,7 +122,7 @@ def _joint(table: JointTable, path) -> np.ndarray:
 
 def path_prob(table: JointTable, path: Window) -> float:
     """Exact probability of the path, summed over all latent buckets."""
-    return math.fsum(_joint(table, path).ravel())
+    return float(table.mass[np.shape(path)[-1] - 1][path_rank(table.spec, path)])
 
 
 def exact_posterior(table: JointTable, path: Window) -> tuple[np.ndarray, np.ndarray]:
@@ -138,13 +146,13 @@ def change_cdf_given_pair(table: JointTable, path: Window, m: int) -> np.ndarray
 
 def detection_mass(table: JointTable, path: Window, n: int) -> float:
     """Unnormalised joint weight of the path and {|theta - n| <= d}."""
-    return float(_detection_masses(table, _joint(table, path)[None], n)[0])
+    return float(_detection_masses(table.spec, _joint(table, path)[None], n)[0])
 
 
-def _detection_masses(table: JointTable, joint: np.ndarray, n) -> np.ndarray:
+def _detection_masses(spec: ModelSpec, joint: np.ndarray, n) -> np.ndarray:
     # detection_mass of each row of joint, (rows, max_theta + 1, l0, l1), at
     # time n or at one time per row; the tail bucket never counts
-    near = np.abs(np.arange(1, table.max_theta + 1) - np.reshape(n, (-1, 1))) <= table.spec.d
+    near = np.abs(np.arange(1, joint.shape[1]) - np.reshape(n, (-1, 1))) <= spec.d
     return _fsum_grids(joint[:, :-1] * near[:, :, None, None], 3)
 
 
@@ -158,8 +166,7 @@ def exact_rule_value(table: JointTable, rule: Callable[[Window], Optional[int]])
     detection mass and are skipped; the rule is never called on them.
     """
     h = table.horizon
-    joint = table.arrays[h]
-    live = joint.any(axis=(1, 2, 3))
+    live = table.mass[h] > 0.0
     stops = []
     for path in compress(table.levels[h], live):
         tau = rule(path)
@@ -168,7 +175,7 @@ def exact_rule_value(table: JointTable, rule: Callable[[Window], Optional[int]])
         if not 0 <= tau <= h:
             raise ValueError(f"rule returned stop time {tau} outside [0, {h}]")
         stops.append(tau)
-    return math.fsum(_detection_masses(table, joint[live], np.array(stops)).tolist())
+    return math.fsum(_detection_masses(table.spec, table.arrays[h][live], np.array(stops)).tolist())
 
 
 @dataclass(frozen=True)
@@ -212,9 +219,7 @@ def exact_optimal_rule(
     levels = []
     w = None
     for n in range(table.horizon, -1, -1):
-        joint = table.arrays[n]
-        pp = _fsum_grids(joint, 3)
-        uz = _detection_masses(table, joint, n)
+        pp, uz = table.mass[n], table.detection[n]
         live = pp > 0.0
         per = np.where(live, pp, 1.0)
         if w is None:

@@ -1,0 +1,40 @@
+"""The normalization check, one sampled trajectory and one filter state at a time.
+
+This is the per-path loop that `disorder.crosscheck.check_continuation_normalization`
+replaces with lockstep filtering of the whole sample, kept here as the
+reference whose max_err the batched check must equal bit for bit: each
+trajectory is filtered with state_step, the normaliser is the predictive of
+the previous state, and s_k is read with ValueTable.value at every level k.
+"""
+
+import numpy as np
+
+from disorder import posterior, stopping
+from disorder.crosscheck import _NORM_LEVELS, _NORM_TRAJECTORIES
+from disorder.simulate import TrajectorySampler, mix_seeds
+
+
+def normalization_max_err(spec, seed):
+    """Worst |s_k(u_state) * norm - s_k(u_prev)| over the sampled trajectories to d + 4."""
+    horizon = spec.d + 4
+    seeds = mix_seeds(seed, np.arange(_NORM_TRAJECTORIES))
+    paths = TrajectorySampler(spec, horizon).sample_batch(seeds)
+    table = stopping.ValueTable(spec)
+    worst = 0.0
+    for path in paths.observations.tolist():
+        state = posterior.state_init(spec)
+        for n in range(1, horizon + 1):
+            prev = state
+            state = posterior.state_step(spec, state, path[n])
+            if state.n <= spec.d + 1:
+                continue
+            x_prev, x_next = path[n - 1], path[n]
+            norm = float(posterior.predictive(spec, prev)[x_next])
+            composed = spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
+            u_state = table.weight(state.change_prob, state.pair_prob)
+            u_prev = table.weight(prev.change_prob, composed)
+            for k in _NORM_LEVELS:
+                lhs = table.value(k, state.window, u_state) * norm
+                rhs = table.value(k, state.window, u_prev)
+                worst = max(worst, abs(lhs - rhs))
+    return worst

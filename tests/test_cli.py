@@ -1,9 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from disorder import save_spec, spec_to_dict
+from disorder import build_joint, load_spec, save_spec, spec_to_dict
 from disorder.cli import main
 
 from conftest import make_m1, make_m2, make_m3
@@ -280,6 +281,17 @@ class TestOracleCommand:
         assert "optimal value" in out
         assert (dump / "value_tree.csv").exists()
         assert (dump / "joint_level_5.csv").exists()
+
+    @pytest.mark.parametrize("config", ["m2", "m3_d1"])
+    @pytest.mark.parametrize("horizon", [3, 4, 5, 6])
+    def test_total_mass_is_per_path_sum(self, config, horizon, capsys):
+        # the line sums each path's fsum left to right, as one call per path did
+        path = ROOT / "configs" / f"{config}.json"
+        table = build_joint(load_spec(path), horizon)
+        deep_mass = sum(math.fsum(joint.ravel()) for joint in table.levels[horizon].values())
+        assert main(["oracle", "--config", str(path), "--horizon", str(horizon)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"total mass at horizon: {deep_mass:.15f}" in lines
 
 
 class TestCrosscheckCommand:

@@ -388,6 +388,13 @@ def assert_matches_dict_oracle(spec, horizon):
     ref_levels = dict_oracle.build_joint(spec, horizon, table.max_theta)
     for joint, ref in zip(table.arrays, ref_levels, strict=True):
         assert joint.tobytes() == np.array(list(ref.values())).tobytes()
+    # per-depth masses: the per-path fsums of each row, and the public per-path calls
+    for n, ref in enumerate(ref_levels):
+        lo, hi = max(1, n - spec.d), min(n + spec.d, table.max_theta)
+        assert table.mass[n].tolist() == [math.fsum(joint.ravel()) for joint in ref.values()]
+        assert table.mass[n].tolist() == [path_prob(table, path) for path in ref]
+        assert table.detection[n].tolist() == [math.fsum(joint[lo - 1 : hi].ravel()) for joint in ref.values()]
+        assert table.detection[n].tolist() == [detection_mass(table, path, n) for path in ref]
     for restrict in (True, False):
         value, tree = exact_optimal_rule(table, restrict_after_d=restrict)
         ref_value, ref_tree = dict_oracle.exact_optimal_rule(spec, ref_levels, restrict)
