@@ -42,7 +42,6 @@ from .payoff import (
     criterion_probability,
     state_payoff,
     stop_payoff,
-    stop_payoff_boundary,
 )
 from .stopping import (
     OptimalStoppingRule,

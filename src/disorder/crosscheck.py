@@ -3,13 +3,14 @@
 Each check sweeps every path up to a horizon (or a seeded random sample
 where noted), a tree level or a window batch at a time, measures the worst
 absolute deviation of one exact identity and compares it against a fixed
-tolerance; the joint-table checks read each filter level against the table
-rows of its paths, and the sampled trajectories of the normalization check
-are filtered in lockstep, one batched step per time.  Both continuation
-checks read s_k for a batch of rows through one grouped read,
-_continuation_rows.  The battery is deterministic given (spec, horizon,
-seed) and backs both the `crosscheck` CLI subcommand and the acceptance
-suite.
+tolerance.  The battery walks the filter tree once: run_crosscheck lists its
+levels, and each check that reads them takes the levels its horizon needs;
+the joint-table checks read each level against the table rows of its paths.
+The sampled trajectories of the normalization check are filtered in
+lockstep, one batched step per time.  Both continuation checks read s_k for
+a batch of rows through one grouped read, _continuation_rows.  The battery
+is deterministic given (spec, horizon, seed) and backs both the
+`crosscheck` CLI subcommand and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def check_joint_consistency(spec: ModelSpec, table: oracle.JointTable) -> CheckR
     return _result("joint_consistency", worst, 1e-12)
 
 
-def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
+def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable, levels: list) -> CheckResult:
     """Recursive posteriors match definition-level posteriors on every path."""
     worst = 0.0
-    for level in list(posterior.filter_levels(spec, table.horizon))[1:]:
+    for level in levels[1:]:
         change, pair = oracle.exact_posterior(table, level.paths)
         live = level.pair > 1e-15
         worst = max(worst, float(np.max(np.abs(pair - level.pair))))
@@ -86,10 +87,10 @@ def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckRe
     return _result("filter_vs_oracle", worst, 1e-10)
 
 
-def check_survival_projection(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
+def check_survival_projection(spec: ModelSpec, table: oracle.JointTable, levels: list) -> CheckResult:
     """P(theta <= n + k | path, pair) = 1 - p^k (1 - change_prob)."""
     worst = 0.0
-    for level in list(posterior.filter_levels(spec, table.horizon))[1:]:
+    for level in levels[1:]:
         live = level.pair > 1e-15
         for k in range(1, min(_LAG_MAX, table.max_theta - level.n) + 1):
             expected = 1.0 - spec.p**k * (1.0 - level.change)
@@ -98,10 +99,10 @@ def check_survival_projection(spec: ModelSpec, table: oracle.JointTable) -> Chec
     return _result("survival_projection", worst, 1e-10)
 
 
-def check_lagged_change(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
+def check_lagged_change(spec: ModelSpec, table: oracle.JointTable, levels: list) -> CheckResult:
     """Posterior of an old change from the current posterior and ratios."""
     worst = 0.0
-    for level in list(posterior.filter_levels(spec, table.horizon))[1:]:
+    for level in levels[1:]:
         n, live = level.n, level.pair > 1e-15
         # to k = n - 2: at k = n - 1 the cdf is the empty bucket sum, 0 by construction
         for k in range(0, min(_LAG_MAX, n - 2) + 1):
@@ -111,19 +112,18 @@ def check_lagged_change(spec: ModelSpec, table: oracle.JointTable) -> CheckResul
     return _result("lagged_change", worst, 1e-10)
 
 
-def check_payoff_criterion(spec: ModelSpec, horizon: int) -> CheckResult:
-    """Fixed-stop success probability agrees between prior and payoff routes."""
+def check_payoff_criterion(spec: ModelSpec, levels: list) -> CheckResult:
+    """Fixed-stop success probability agrees between prior and payoff routes, from d + 1 on."""
     worst = 0.0
-    for n in range(spec.d + 1, horizon + 1):
-        chk = payoff.criterion_probability(spec, n)
+    for level in levels[spec.d + 1 :]:
+        chk = payoff._criterion(spec, level)
         worst = max(worst, abs(chk.prior_value - chk.payoff_value))
     return _result("payoff_criterion", worst, 1e-10)
 
 
-def check_multistep_composition(spec: ModelSpec, horizon: int) -> CheckResult:
-    """Multi-step posterior updates equal composed one-step updates, up to the horizon."""
+def check_multistep_composition(spec: ModelSpec, levels: list) -> CheckResult:
+    """Multi-step posterior updates equal composed one-step updates, at every level."""
     worst = 0.0
-    levels = list(posterior.filter_levels(spec, horizon))
     ranks = [oracle.path_rank(spec, level.paths) for level in levels]
     for level in levels[1:]:
         n = level.n
@@ -175,9 +175,8 @@ def check_continuation_normalization(spec: ModelSpec, seed: int = 31337) -> Chec
     """Scaling property of the continuation values along filtered trajectories to d + 4.
 
     The trajectories are filtered in lockstep with the arithmetic of
-    state_step and predictive.  A transition outside the common support
-    raises state_step's SupportError, naming the earliest such transition
-    (the lowest row among ties).
+    state_step and predictive, so the earliest transition outside the common
+    support raises state_step's SupportError (the lowest row among ties).
     """
     horizon = spec.d + 4
     seeds = mix_seeds(seed, np.arange(_NORM_TRAJECTORIES))
@@ -189,10 +188,7 @@ def check_continuation_normalization(spec: ModelSpec, seed: int = 31337) -> Chec
     for n in range(1, horizon + 1):
         x_prev, x_next = paths[:, n - 1], paths[:, n]
         prev_change, prev_pair = change, pair
-        change, pair, dead = posterior._filter_step(spec, change, pair, x_prev, x_next)
-        if dead is not None:
-            row = np.flatnonzero(dead)[0]
-            raise SupportError(f"observation {x_next[row]} outside common support after {x_prev[row]}")
+        change, pair = posterior._filter_step(spec, change, pair, x_prev, x_next)
         if n <= spec.d + 1:
             continue
         norm = posterior._predictive(spec, prev_change, prev_pair, x_prev)[rows, x_next]
@@ -207,12 +203,12 @@ def check_continuation_normalization(spec: ModelSpec, seed: int = 31337) -> Chec
     return _result("continuation_normalization", worst, 1e-9)
 
 
-def check_continuation_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> CheckResult:
+def check_continuation_vs_oracle(spec: ModelSpec, table: oracle.JointTable, levels: list) -> CheckResult:
     """The oracle's continuation at a node n >= d + 2 is s_{H - n - 1} at its filter state."""
     _, tree = oracle.exact_optimal_rule(table)
     values = stopping.ValueTable(spec)
     worst = 0.0
-    for level in list(posterior.filter_levels(spec, table.horizon - 1))[spec.d + 2 :]:
+    for level in levels[spec.d + 2 : table.horizon]:
         u = values.weight(level.change, level.pair).reshape(len(level.paths), -1)
         s_k = _continuation_rows(values, table.horizon - level.n - 1, level.paths[:, -(spec.d + 1) :], u)
         cont = tree.levels[level.n].continuation[oracle.path_rank(spec, level.paths)]
@@ -220,12 +216,10 @@ def check_continuation_vs_oracle(spec: ModelSpec, table: oracle.JointTable) -> C
     return _result("continuation_vs_oracle", worst, 1e-12)
 
 
-def check_predictive_chain(spec: ModelSpec, horizon: int) -> CheckResult:
-    """Predictive density equals the ratio of consecutive path probabilities to the horizon."""
+def check_predictive_chain(spec: ModelSpec, levels: list) -> CheckResult:
+    """Predictive density equals the ratio of consecutive path probabilities, level by level."""
     worst = 0.0
-    for level in posterior.filter_levels(spec, horizon):
-        if level.pred is None:
-            break
+    for level in levels[:-1]:
         base = path_probability(spec, level.paths) if level.n else np.ones(1)
         a = spec.alphabet_size
         ys = np.tile(np.arange(a), len(base))
@@ -238,17 +232,18 @@ def check_predictive_chain(spec: ModelSpec, horizon: int) -> CheckResult:
 def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckResult]:
     """Run the full battery; deterministic given (spec, horizon, seed)."""
     table = oracle.build_joint(spec, horizon, max_theta=horizon + spec.d + 4)
+    levels = list(posterior.filter_levels(spec, horizon))
     results = [
         check_path_unity(spec, horizon),
         check_joint_consistency(spec, table),
-        check_filter_vs_oracle(spec, table),
-        check_survival_projection(spec, table),
-        check_lagged_change(spec, table),
-        check_payoff_criterion(spec, min(horizon, 6)),
-        check_multistep_composition(spec, min(horizon, 5)),
+        check_filter_vs_oracle(spec, table, levels),
+        check_survival_projection(spec, table, levels),
+        check_lagged_change(spec, table, levels),
+        check_payoff_criterion(spec, levels[: min(horizon, 6) + 1]),
+        check_multistep_composition(spec, levels[: min(horizon, 5) + 1]),
         check_backshift_inversion(spec, seed=mix_seed(seed, 1)),
         check_continuation_normalization(spec, seed=mix_seed(seed, 2)),
-        check_predictive_chain(spec, horizon),
-        check_continuation_vs_oracle(spec, table),
+        check_predictive_chain(spec, levels),
+        check_continuation_vs_oracle(spec, table, levels),
     ]
     return results

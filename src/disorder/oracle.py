@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BudgetError
 from .likelihood import Window, _check_window, _fsum_grids
 from .model import ModelSpec
-from .payoff import level_payoffs
+from .payoff import stop_payoff
 from .posterior import filter_levels
 
 DEFAULT_CELL_BUDGET = 10_000_000
@@ -127,21 +127,26 @@ def path_prob(table: JointTable, path: Window) -> float:
 
 def exact_posterior(table: JointTable, path: Window) -> tuple[np.ndarray, np.ndarray]:
     """Definition-level posteriors (change grid, pair grid) given the path, per row of a batch."""
-    per_pair = _joint(table, path).sum(axis=-3)
+    change, per_pair = _change_cdf(table, path, np.shape(path)[-1] - 1)
     total = _fsum_grids(per_pair)
     if np.any(total < 1e-300):
         raise ValueError("path has zero probability")
-    return change_cdf_given_pair(table, path, np.shape(path)[-1] - 1), per_pair / total[..., None, None]
+    return change, per_pair / total[..., None, None]
 
 
 def change_cdf_given_pair(table: JointTable, path: Window, m: int) -> np.ndarray:
     """P(theta <= m | path, pair) for every pair, from the table, per row of a batch."""
     if not 0 <= m <= table.max_theta:
         raise ValueError(f"m must lie in [0, {table.max_theta}]")
+    return _change_cdf(table, path, m)[0]
+
+
+def _change_cdf(table: JointTable, path, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # one gather and bucket sum: the cdf at m (0 on zero-mass pairs) and the per-pair masses
     joint = _joint(table, path)
     per_pair = joint.sum(axis=-3)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(per_pair > 0.0, joint[..., :m, :, :].sum(axis=-3) / per_pair, 0.0)
+        return np.where(per_pair > 0.0, joint[..., :m, :, :].sum(axis=-3) / per_pair, 0.0), per_pair
 
 
 def detection_mass(table: JointTable, path: Window, n: int) -> float:
@@ -253,10 +258,11 @@ def optimal_value_state_indexed(spec: ModelSpec, horizon: int) -> float:
     cells = sum(spec.alphabet_size**n for n in range(horizon + 1)) * spec.l0 * spec.l1
     if cells > DEFAULT_CELL_BUDGET:
         raise BudgetError(f"filter tree needs {cells} cells, budget is {DEFAULT_CELL_BUDGET}")
-    levels = [
-        (level.pred, level_payoffs(spec, level) if level.n > spec.d else None)
-        for level in filter_levels(spec, horizon)
-    ]
+    levels = []
+    for level in filter_levels(spec, horizon):
+        window = level.paths[:, -(spec.d + 2) :]
+        stop = stop_payoff(spec, level.n, window, level.change, level.pair) if level.n > spec.d else None
+        levels.append((level.pred, stop))
     value = levels.pop()[1]
     for pred, stop in reversed(levels):
         # rows of the next level are the positive entries of pred, row-major

@@ -16,9 +16,10 @@ a time.  filter_levels filters every path of positive probability up to a
 horizon level by level, one batched step and predictive per level, for the
 exact checks.
 
-Zero-probability observations (outside the common kernel support) raise
-SupportError rather than being renormalised away; under the model assumptions
-they cannot occur, so they signal a model violation.
+A zero-probability observation (outside the common kernel support) is not
+renormalised away: the one-step update itself raises SupportError naming the
+transition, for every filter built on it.  Under the model assumptions such
+observations cannot occur, so they signal a model violation.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ def _filter_step(spec: ModelSpec, change, pair, x_prev, x_next):
     where the initial hazard pi replaces the geometric hazard q = 1 - p on
     the previous change posterior); x_prev and x_next are symbols, or index
     arrays over the grids' leading batch axes.  Both new grids are read from
-    the same pre-update grids.  Returns (change, pair, dead): when the
-    transition of some row lies outside the common support, both grids are
-    None and `dead` flags those rows; otherwise `dead` is None.
+    the same pre-update grids.  Returns (change, pair); a transition outside
+    the common support raises SupportError naming the lowest dead row's.
     """
     f0 = spec.pre_kernels.T[x_next, x_prev][..., None]
     f1 = spec.post_kernels.T[x_next, x_prev][..., None, :]
@@ -81,8 +81,10 @@ def _filter_step(spec: ModelSpec, change, pair, x_prev, x_next):
     # pair total is below the floor, NaN in one of them not masking the other
     low = np.fmin(den, total) < _DENOM_FLOOR
     if low.any():
-        return None, None, low.any(axis=(-2, -1))
-    return num / den, pair / total, None
+        row = np.flatnonzero(low.any(axis=(-2, -1)))[0]
+        x, y = (np.broadcast_to(a, low.shape[:-2]).ravel()[row] for a in (x_prev, x_next))
+        raise SupportError(f"observation {y} outside common support after {x}")
+    return num / den, pair / total
 
 
 def _grid_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
@@ -177,9 +179,7 @@ def state_step(spec: ModelSpec, state: PosteriorState, x_next: int) -> Posterior
         raise ValueError(f"symbol {x_next} outside alphabet")
     x_prev = state.window[-1]
     change = None if state.n == 0 else state.change_prob
-    change, pair, dead = _filter_step(spec, change, state.pair_prob, x_prev, x_next)
-    if dead is not None:
-        raise SupportError(f"observation {x_next} outside common support after {x_prev}")
+    change, pair = _filter_step(spec, change, state.pair_prob, x_prev, x_next)
     window = (state.window + (x_next,))[-(spec.d + 2) :]
     return PosteriorState(state.n + 1, window, change, pair)
 
@@ -227,8 +227,6 @@ def filter_levels(spec: ModelSpec, horizon: int):
             return
         rows, ys = np.nonzero(pred > 0.0)
         change = None if change is None else change[rows]
-        change, pair, dead = _filter_step(spec, change, pair[rows], x[rows], ys)
-        if dead is not None:
-            raise SupportError("observation outside common support")
+        change, pair = _filter_step(spec, change, pair[rows], x[rows], ys)
         paths = np.column_stack((paths[rows], ys))
 

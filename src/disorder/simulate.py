@@ -37,7 +37,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import RuleError, SupportError
+from .errors import RuleError
 from .model import LatentState, ModelSpec, config_digest
 from .posterior import _filter_step
 
@@ -357,10 +357,7 @@ def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
             x_next = obs[rows, n]
             if not in_alphabet:
                 _check_read(spec, obs, x_next)
-            change, pair, dead = _filter_step(spec, change, pair, x_prev, x_next)
-            if dead is not None:
-                k = np.flatnonzero(dead)[0]
-                raise SupportError(f"observation {x_next[k]} outside common support after {x_prev[k]}")
+            change, pair = _filter_step(spec, change, pair, x_prev, x_next)
             x_prev = x_next
             if n >= spec.d + 1:
                 fired = (change * pair).sum(axis=(1, 2)) >= level

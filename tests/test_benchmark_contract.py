@@ -2,7 +2,9 @@
 
 perfbench/worker.py counts the paths of the joint table's deepest level as
 its trajectories, reduces each traced table to its cell count, and gates a
-rep on check_exact; this runs one rep at the self-test size.
+rep on check_exact; this runs one rep at the self-test size.  The tracer
+times each crosscheck by its function name and reports it by its result
+name, so every name it lists must be both.
 """
 
 import importlib.util
@@ -10,17 +12,21 @@ from pathlib import Path
 
 import pytest
 
-from disorder import build_joint
+from disorder import build_joint, crosscheck, load_spec
 
-WORKER = Path(__file__).parents[1] / "perfbench" / "worker.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def worker():
-    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("worker")
 
 
 def test_exact_rep_at_tiny_size(worker):
@@ -34,3 +40,12 @@ def test_exact_rep_at_tiny_size(worker):
     paths = sum(spec.alphabet_size**n for n in range(h + 1))
     cells = spec.l0 * spec.l1 * (table.max_theta + 1) * paths
     assert worker.reducers()["oracle.build_joint"](table) == cells
+
+
+def test_traced_checks_are_battery_checks():
+    checks = load("tracer").CHECKS
+    spec = load_spec(Path(__file__).parents[1] / "configs" / "m3_d1.json")
+    names = [result.name for result in crosscheck.run_crosscheck(spec, 4)]
+    for name in checks:
+        assert name in names
+        assert callable(getattr(crosscheck, f"check_{name}", None))

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disorder import SupportError, load_spec, posterior, validate
-from disorder.crosscheck import _continuation_rows, check_continuation_normalization
+from disorder import SupportError, criterion_probability, load_spec, oracle, payoff, posterior, validate
+from disorder.crosscheck import (
+    _continuation_rows,
+    check_continuation_normalization,
+    check_payoff_criterion,
+    run_crosscheck,
+)
 from disorder.simulate import TrajectorySampler
 from disorder.stopping import ValueTable
 
@@ -84,3 +89,35 @@ class TestNormalizationAgainstPerPath:
             check_continuation_normalization(spec, seed=5)
         assert str(batched.value) == str(per_path.value)
         assert str(batched.value) == "observation 1 outside common support after 1"
+
+
+class TestOneFilterPass:
+    """The battery walks the filter tree once and reads every check's levels off that pass."""
+
+    @pytest.mark.parametrize("horizon", [4, 7])
+    def test_filter_levels_called_once(self, horizon, monkeypatch):
+        spec = load_spec(CONFIGS_DIR / "m3_d1.json")
+        calls = []
+        walk = posterior.filter_levels
+
+        def counted(*args):
+            calls.append(args[1:])
+            return walk(*args)
+
+        # every module that binds the walk by name
+        for module in (posterior, payoff, oracle):
+            monkeypatch.setattr(module, "filter_levels", counted)
+        run_crosscheck(spec, horizon)
+        assert calls == [(horizon,)]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_payoff_route_is_criterion_probability(self, config):
+        spec = load_spec(config)
+        levels = list(posterior.filter_levels(spec, 6))
+        worst = 0.0
+        for n in range(spec.d + 1, 7):
+            chk = criterion_probability(spec, n)
+            assert repr(payoff._criterion(spec, levels[n])) == repr(chk)
+            worst = max(worst, abs(chk.prior_value - chk.payoff_value))
+        # the check's error is the one its per-n criterion_probability calls gave
+        assert repr(check_payoff_criterion(spec, levels).max_err) == repr(worst)

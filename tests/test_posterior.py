@@ -16,6 +16,7 @@ from disorder import (
     path_probability,
     spec_from_dict,
     spec_to_dict,
+    posterior_threshold_rule,
     predictive,
     split_likelihoods,
     state_init,
@@ -26,6 +27,7 @@ from disorder import crosscheck, oracle
 from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
 from disorder.posterior import _filter_step, filter_levels
+from disorder.simulate import TrajectorySampler
 
 import scalar_filter
 from conftest import (
@@ -307,6 +309,68 @@ class TestFilterTree:
         with pytest.raises(SupportError):
             list(filter_levels(spec, 2))
 
+    def test_dead_row_names_its_transition(self):
+        # filter_levels raises state_step's message, naming the transition
+        payload = spec_to_dict(make_m3())
+        payload["pre_kernels"][0][0] = [1.0, 0.0]
+        payload["post_kernels"][0][0] = [1.0, 0.0]
+        spec = spec_from_dict(payload)
+        with pytest.raises(SupportError) as per_state:
+            state_step(spec, state_init(spec), 1)
+        with pytest.raises(SupportError) as levels:
+            list(filter_levels(spec, 2))
+        assert str(levels.value) == str(per_state.value) == "observation 1 outside common support after 0"
+
+
+class TestSupportError:
+    """The filter step raises the one SupportError, naming the lowest dead row's transition."""
+
+    # alphabet 3 with 1 -> 1 and 2 -> 0 impossible under every kernel
+    spec = with_shared_zero(with_shared_zero(make_m4(1), 1, 1), 2, 0)
+    AFTER_2 = "observation 0 outside common support after 2"
+    AFTER_1 = "observation 1 outside common support after 1"
+
+    def raised(self, call, *args):
+        with pytest.raises(SupportError) as err:
+            call(*args)
+        return str(err.value)
+
+    def test_scalar_step(self):
+        spec = self.spec
+        assert self.raised(_filter_step, spec, None, spec.b, 2, 0) == self.AFTER_2
+        assert self.raised(_filter_step, spec, np.full(spec.b.shape, 0.3), spec.b, 1, 1) == self.AFTER_1
+
+    @pytest.mark.parametrize("time_zero", [True, False])
+    def test_batch_names_lowest_dead_row(self, time_zero):
+        spec = self.spec
+        pair = np.broadcast_to(spec.b, (4,) + spec.b.shape)
+        change = None if time_zero else np.full(pair.shape, 0.3)
+        x_prev, x_next = np.array([0, 2, 1, 0]), np.array([1, 0, 1, 2])
+        assert self.raised(_filter_step, spec, change, pair, x_prev, x_next) == self.AFTER_2
+        assert self.raised(_filter_step, spec, change, pair, x_prev[::-1], x_next[::-1]) == self.AFTER_1
+
+    def test_callers_raise_the_same_text(self, monkeypatch):
+        spec = self.spec
+        state = state_step(spec, state_init(spec), 2)
+        assert self.raised(state_step, spec, state, 0) == self.AFTER_2
+        rule = posterior_threshold_rule(spec)
+        # both rows die at step 2, before the rule may stop
+        paths = np.array([(0, 2, 0, 0), (0, 1, 1, 0)])
+        assert self.raised(rule.stop_times, paths) == self.AFTER_2
+        assert self.raised(rule.stop_times, paths[::-1]) == self.AFTER_1
+        assert self.raised(rule, (0, 1, 1, 0)) == self.AFTER_1
+        sample = TrajectorySampler.sample_batch
+
+        def forced(sampler, seeds):
+            batch = sample(sampler, seeds)
+            observations = batch.observations.copy()
+            observations[7, 1:3] = (1, 1)
+            observations[3, 1:3] = (2, 0)
+            return batch._replace(observations=observations)
+
+        monkeypatch.setattr(TrajectorySampler, "sample_batch", forced)
+        assert self.raised(crosscheck.check_continuation_normalization, spec) == self.AFTER_2
+
 
 class TestLagged:
     def test_matches_oracle(self, m4):
@@ -441,8 +505,8 @@ def test_batched_step_equals_scalar_reference(seed, alphabet, l0, l1, horizon):
     refs = [state_init(spec)] * len(paths)
     change, pair = None, np.broadcast_to(spec.b, (len(paths), l0, l1))
     for n in range(1, horizon + 1):
-        change, pair, dead = _filter_step(spec, change, pair, paths[:, n - 1], paths[:, n])
-        assert dead is None
+        # full support: the step does not raise
+        change, pair = _filter_step(spec, change, pair, paths[:, n - 1], paths[:, n])
         mass = (change * pair).sum(axis=(1, 2))
         for row, path in enumerate(paths.tolist()):
             refs[row] = ref = scalar_filter.state_step(spec, refs[row], path[n])

@@ -17,7 +17,6 @@ from disorder import (
     state_step,
     stop_decision,
     stop_payoff,
-    stop_payoff_boundary,
     value_iterate,
 )
 from disorder.likelihood import likelihood_ratio_chain
@@ -80,15 +79,15 @@ def reference_stops(spec, cfg, horizon, variant="expected"):
     traces = {}
 
     def region_stops(state):
-        h = stop_payoff(spec, state.window, state.change_prob, state.pair_prob)
+        h = stop_payoff(spec, spec.d + 2, state.window, state.change_prob, state.pair_prob)
         return h >= reference_value(spec, state, cfg)
 
     def expected_boundary_stops(state):
-        h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+        h = stop_payoff(spec, spec.d + 1, state.window, state.change_prob, state.pair_prob)
         return h >= reference_value(spec, state, cfg)
 
     def literal_boundary_stops(state, nxt):
-        h = stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+        h = stop_payoff(spec, spec.d + 1, state.window, state.change_prob, state.pair_prob)
         return h >= reference_value(spec, nxt, cfg)
 
     def walk(prev, state, prefix, trace):
@@ -117,7 +116,7 @@ def filtered_backup(table, state, k):
     for y in range(spec.alphabet_size):
         if pred[y] != 0.0:
             after = state_step(spec, state, y)
-            h_y = stop_payoff(spec, after.window, after.change_prob, after.pair_prob)
+            h_y = stop_payoff(spec, spec.d + 2, after.window, after.change_prob, after.pair_prob)
             u = table.weight(after.change_prob, after.pair_prob)
             s_k = table.value(k, after.window, u) if k >= 0 else -math.inf
             terms.append(float(pred[y]) * max(h_y, s_k))
@@ -249,7 +248,7 @@ class TestBaseLevel:
                     continue
                 nxt = state_step(spec, state, y)
                 expected += float(pred[y]) * stop_payoff(
-                    spec, nxt.window, nxt.change_prob, nxt.pair_prob
+                    spec, spec.d + 2, nxt.window, nxt.change_prob, nxt.pair_prob
                 )
             got = table.value(0, state.window, table.weight(state.change_prob, state.pair_prob))
             assert got == pytest.approx(expected, abs=1e-12)
@@ -336,7 +335,7 @@ class TestValueIterate:
     def test_proved_at_first_level(self, m2):
         state = filter_through(m2, (0, 1, 0))
         args = (state.window, state.change_prob, state.pair_prob)
-        h = stop_payoff(m2, *args)
+        h = stop_payoff(m2, m2.d + 2, *args)
         res = value_iterate(ValueTable(m2), *args, ValueIterConfig(k_max=10), h)
         assert res.converged
         assert res.k_used == 1
@@ -352,7 +351,7 @@ class TestValueIterate:
         spec = make_m3(1)
         state = filter_through(spec, (0, 1, 1, 0))
         args = (state.window, state.change_prob, state.pair_prob)
-        h = stop_payoff(spec, *args)
+        h = stop_payoff(spec, spec.d + 2, *args)
         res = value_iterate(ValueTable(spec), *args, ValueIterConfig(k_max=1), h)
         assert not res.converged
         assert res.k_used == 1
@@ -451,7 +450,7 @@ class TestStopDecision:
         gamma = np.array([[0.4]])
         delta = np.array([[1.0]])
         for window in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            h = stop_payoff(same, window, gamma, delta)
+            h = stop_payoff(same, same.d + 2, window, gamma, delta)
             res = value_iterate(ValueTable(same), window, gamma, delta, cfg, h)
             decisions.add((round(h, 12), round(res.value, 12)))
         assert len(decisions) == 1
@@ -546,7 +545,7 @@ class TestBoundaryDecision:
         table = ValueTable(spec)
         state = filter_through(spec, (0, 1, 0))
         dec = stop_decision(table, state, ValueIterConfig(k_max=6))
-        assert dec.stop_value == stop_payoff_boundary(spec, state.change_prob, state.pair_prob)
+        assert dec.stop_value == stop_payoff(spec, spec.d + 1, state.window, state.change_prob, state.pair_prob)
         manual = filtered_backup(table, state, dec.k_used - 1)
         assert dec.continue_value == pytest.approx(manual, abs=1e-13)
 
