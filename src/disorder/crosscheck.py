@@ -8,9 +8,9 @@ levels, and each check that reads them takes the levels its horizon needs;
 the joint-table checks read each level against the table rows of its paths.
 The sampled trajectories of the normalization check are filtered in
 lockstep, one batched step per time.  Both continuation checks read s_k for
-a batch of rows through one grouped read, _continuation_rows.  The battery
-is deterministic given (spec, horizon, seed) and backs both the
-`crosscheck` CLI subcommand and the acceptance suite.
+a batch of rows off one stopping.ValueTable, which run_crosscheck builds
+once.  The battery is deterministic given (spec, horizon, seed) and backs
+both the `crosscheck` CLI subcommand and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -158,30 +158,17 @@ def check_backshift_inversion(spec: ModelSpec, seed: int = 20240) -> CheckResult
     return _result("backshift_inversion", worst, 1e-9)
 
 
-def _continuation_rows(values: stopping.ValueTable, k: int, tails: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # s_k per row of a batch: tails (N, d + 1) are the rows' last d + 1
-    # symbols and u (N, l0 * l1) their weights (ValueTable.weight); rows
-    # sharing a tail share one Gamma_k
-    groups, which = np.unique(tails, axis=0, return_inverse=True)
-    s_k = np.empty(len(tails))
-    for i, tail in enumerate(groups.tolist()):
-        rows = which.reshape(-1) == i
-        # one matrix-vector product per row, the arithmetic of ValueTable.value
-        s_k[rows] = np.max(values.vectors(k, tuple(tail)) @ u[rows, :, None], axis=(1, 2))
-    return s_k
-
-
-def check_continuation_normalization(spec: ModelSpec, seed: int = 31337) -> CheckResult:
+def check_continuation_normalization(values: stopping.ValueTable, seed: int = 31337) -> CheckResult:
     """Scaling property of the continuation values along filtered trajectories to d + 4.
 
     The trajectories are filtered in lockstep with the arithmetic of
     state_step and predictive, so the earliest transition outside the common
     support raises state_step's SupportError (the lowest row among ties).
     """
+    spec = values.spec
     horizon = spec.d + 4
     seeds = mix_seeds(seed, np.arange(_NORM_TRAJECTORIES))
     paths = TrajectorySampler(spec, horizon).sample_batch(seeds).observations
-    values = stopping.ValueTable(spec)
     rows = np.arange(len(paths))
     change, pair = None, np.broadcast_to(spec.b, (len(paths),) + spec.b.shape)
     worst = 0.0
@@ -193,24 +180,26 @@ def check_continuation_normalization(spec: ModelSpec, seed: int = 31337) -> Chec
             continue
         norm = posterior._predictive(spec, prev_change, prev_pair, x_prev)[rows, x_next]
         composed = spec.p * spec.pre_kernels[:, x_prev, x_next].T[:, :, None] * prev_pair
-        u_state = values.weight(change, pair).reshape(len(paths), -1)
-        u_prev = values.weight(prev_change, composed).reshape(len(paths), -1)
-        tails = paths[:, n - spec.d : n + 1]
+        u_state = values.weight(change, pair)
+        u_prev = values.weight(prev_change, composed)
+        windows = paths[:, n - spec.d - 1 : n + 1]
         for k in _NORM_LEVELS:
-            lhs = _continuation_rows(values, k, tails, u_state) * norm
-            rhs = _continuation_rows(values, k, tails, u_prev)
+            lhs = values.value(k, windows, u_state) * norm
+            rhs = values.value(k, windows, u_prev)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return _result("continuation_normalization", worst, 1e-9)
 
 
-def check_continuation_vs_oracle(spec: ModelSpec, table: oracle.JointTable, levels: list) -> CheckResult:
+def check_continuation_vs_oracle(
+    values: stopping.ValueTable, table: oracle.JointTable, levels: list
+) -> CheckResult:
     """The oracle's continuation at a node n >= d + 2 is s_{H - n - 1} at its filter state."""
+    spec = values.spec
     _, tree = oracle.exact_optimal_rule(table)
-    values = stopping.ValueTable(spec)
     worst = 0.0
     for level in levels[spec.d + 2 : table.horizon]:
-        u = values.weight(level.change, level.pair).reshape(len(level.paths), -1)
-        s_k = _continuation_rows(values, table.horizon - level.n - 1, level.paths[:, -(spec.d + 1) :], u)
+        u = values.weight(level.change, level.pair)
+        s_k = values.value(table.horizon - level.n - 1, level.paths[:, -(spec.d + 2) :], u)
         cont = tree.levels[level.n].continuation[oracle.path_rank(spec, level.paths)]
         worst = max(worst, float(np.max(np.abs(cont - s_k))))
     return _result("continuation_vs_oracle", worst, 1e-12)
@@ -233,6 +222,7 @@ def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckRe
     """Run the full battery; deterministic given (spec, horizon, seed)."""
     table = oracle.build_joint(spec, horizon, max_theta=horizon + spec.d + 4)
     levels = list(posterior.filter_levels(spec, horizon))
+    values = stopping.ValueTable(spec)
     results = [
         check_path_unity(spec, horizon),
         check_joint_consistency(spec, table),
@@ -242,8 +232,8 @@ def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckRe
         check_payoff_criterion(spec, levels[: min(horizon, 6) + 1]),
         check_multistep_composition(spec, levels[: min(horizon, 5) + 1]),
         check_backshift_inversion(spec, seed=mix_seed(seed, 1)),
-        check_continuation_normalization(spec, seed=mix_seed(seed, 2)),
+        check_continuation_normalization(values, seed=mix_seed(seed, 2)),
         check_predictive_chain(spec, levels),
-        check_continuation_vs_oracle(spec, table, levels),
+        check_continuation_vs_oracle(values, table, levels),
     ]
     return results

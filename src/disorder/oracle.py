@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import product
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -34,6 +34,7 @@ from .likelihood import Window, _check_window, _fsum_grids
 from .model import ModelSpec
 from .payoff import stop_payoff
 from .posterior import filter_levels
+from .simulate import _stop_times
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
@@ -69,13 +70,8 @@ def path_rank(spec: ModelSpec, paths) -> np.ndarray:
     return paths[..., 1:] @ spec.alphabet_size ** np.arange(n - 1, -1, -1)
 
 
-def build_joint(
-    spec: ModelSpec,
-    horizon: int,
-    max_theta: int | None = None,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> JointTable:
-    """Enumerate the joint law of (change time, pair, path) up to `horizon`."""
+def build_joint(spec: ModelSpec, horizon: int, max_theta: int | None = None) -> JointTable:
+    """The joint law of (change time, pair, path) up to `horizon`, in DEFAULT_CELL_BUDGET cells."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if max_theta is None:
@@ -84,8 +80,8 @@ def build_joint(
         raise ValueError("max_theta must cover the horizon")
     a = spec.alphabet_size
     cells = spec.l0 * spec.l1 * (max_theta + 1) * sum(a**n for n in range(horizon + 1))
-    if cells > budget:
-        raise BudgetError(f"joint table needs {cells} cells, budget is {budget}")
+    if cells > DEFAULT_CELL_BUDGET:
+        raise BudgetError(f"joint table needs {cells} cells, budget is {DEFAULT_CELL_BUDGET}")
 
     root = np.empty((max_theta + 1, spec.l0, spec.l1))
     q = 1.0 - spec.p
@@ -165,22 +161,19 @@ def exact_rule_value(table: JointTable, rule: Callable[[Window], Optional[int]])
     """Exact success probability of a rule, evaluated over the whole tree.
 
     The rule maps a full path to its stop time and must depend only on the
-    prefix up to that time (adaptedness is the caller's contract).  A None
-    stop time is treated as a forced stop at the horizon, mirroring the
-    censoring policy of the simulator.  Paths of probability 0 carry no
-    detection mass and are skipped; the rule is never called on them.
+    prefix up to that time (adaptedness is the caller's contract).  It reads
+    the live paths of the deepest level as one batch (simulate._stop_times),
+    and a never-firing rule stops at the horizon, as in the simulator.
+    Paths of probability 0 carry no detection mass; the rule never reads them.
     """
-    h = table.horizon
+    spec, h = table.spec, table.horizon
     live = table.mass[h] > 0.0
-    stops = []
-    for path in compress(table.levels[h], live):
-        tau = rule(path)
-        if tau is None:
-            tau = h
-        if not 0 <= tau <= h:
-            raise ValueError(f"rule returned stop time {tau} outside [0, {h}]")
-        stops.append(tau)
-    return math.fsum(_detection_masses(table.spec, table.arrays[h][live], np.array(stops)).tolist())
+    # the live paths from their rows: path_rank read backwards
+    digits = np.flatnonzero(live)[:, None] // spec.alphabet_size ** np.arange(h - 1, -1, -1)
+    paths = np.column_stack((np.full(len(digits), spec.x0), digits % spec.alphabet_size))
+    stops = _stop_times(rule, paths)
+    stops = np.where(stops < 0, h, stops)
+    return math.fsum(_detection_masses(spec, table.arrays[h][live], stops).tolist())
 
 
 @dataclass(frozen=True)
@@ -300,11 +293,10 @@ def dump_tree(tree: HistoryTreeValue, directory: str | Path) -> Path:
     out = directory / "value_tree.csv"
     with out.open("w") as fh:
         fh.write("path,z,continuation,value,action\n")
-        for n in range(len(tree.levels)):
-            for path in _paths(tree.spec, n):
-                node = tree.node(path)
+        for n, level in enumerate(tree.levels):
+            for path, (z, cont, value, stop) in zip(_paths(tree.spec, n), level.tolist()):
                 pstr = "-".join(str(s) for s in path)
-                cont = "" if node.continuation is None else f"{node.continuation:.17g}"
-                action = "stop" if node.stop else "continue"
-                fh.write(f"{pstr},{node.z:.17g},{cont},{node.value:.17g},{action}\n")
+                cstr = "" if math.isnan(cont) else f"{cont:.17g}"
+                action = "stop" if stop else "continue"
+                fh.write(f"{pstr},{z:.17g},{cstr},{value:.17g},{action}\n")
     return out

@@ -19,13 +19,12 @@ when the rule never fires); they must only read the prefix up to their stop.
 A rule may also carry a batch form, `rule.stop_times(observations)`, mapping
 an (N, h + 1) array of paths to their stop times, -1 where the rule never
 fires.  The fixed-time and posterior-threshold rules below have one, and
-their per-path call is the batch form on one row.  `monte_carlo_eval`
-samples and evaluates trajectories in chunks of fixed size, through the
-batch form where a rule has one and the per-path call on each row otherwise.
-A chunk on which a rule fails is replayed one trajectory at a time through
-the per-path calls, so a failure needs no record of its row.
-Censored runs are forced to stop at the horizon and flagged, the success
-indicator |theta - tau| <= d stays well defined there.
+their per-path call is the batch form on one row.  `monte_carlo_eval` and
+`oracle.exact_rule_value` read every rule through `_stop_times`.
+`monte_carlo_eval` evaluates trajectories in chunks of fixed size and replays
+a chunk on which a rule fails one trajectory at a time, so a failure needs no
+record of its row.  Censored runs are forced to stop at the horizon and
+flagged, the success indicator |theta - tau| <= d stays well defined there.
 """
 
 from __future__ import annotations
@@ -226,22 +225,32 @@ class ExperimentReport:
     rules: dict[str, RuleStats]
 
 
-
 def _stop_times(rule, observations: np.ndarray) -> np.ndarray:
-    """Stop times of `rule` on the rows of one chunk, -1 where it never fires."""
+    """Stop times of `rule` on an (N, h + 1) batch: its batch form, else one call per row.
+
+    -1 where the rule never fires; any other stop time outside [0, h] is a ValueError.
+    """
+    h = observations.shape[1] - 1
     if hasattr(rule, "stop_times"):
-        return rule.stop_times(observations)
-    taus = [rule(path) for path in map(tuple, observations.tolist())]
-    return np.array([-1 if tau is None else tau for tau in taus], dtype=np.int64)
+        taus = rule.stop_times(observations)
+        never = taus == -1
+    else:
+        taus = [rule(path) for path in map(tuple, observations.tolist())]
+        never = np.array([tau is None for tau in taus], dtype=bool)
+        taus = np.array([-1 if tau is None else tau for tau in taus], dtype=np.int64)
+    bad = ~never & ((taus < 0) | (taus > h))
+    if bad.any():
+        raise ValueError(f"rule returned stop time {taus[bad][0]} outside [0, {h}]")
+    return taus
 
 
 def _replay(rules: Mapping[str, Rule], observations: np.ndarray, seeds: np.ndarray) -> None:
-    # Raise RuleError for the first per-path failure on the chunk, trajectory
-    # by trajectory and on each one rule by rule in `rules` order.
-    for path, seed in zip(map(tuple, observations.tolist()), seeds.tolist()):
+    # Raise RuleError for the first failure on the chunk, trajectory by
+    # trajectory and on each one rule by rule in `rules` order.
+    for row, seed in zip(observations, seeds.tolist()):
         for name, rule in rules.items():
             try:
-                rule(path)
+                _stop_times(rule, row[None])
             except Exception as exc:
                 raise RuleError(name, seed, exc) from exc
 
@@ -258,8 +267,9 @@ def monte_carlo_eval(
     A rule that raises stops the evaluation with a RuleError naming the rule
     and the trajectory seed, chained to the rule's exception: the lowest
     failing trajectory index, and on it the first failing rule in `rules`
-    order, found by replaying the failing chunk through the per-path calls.
-    When no trajectory fails on its own, it names the chunk's first seed.
+    order, found by replaying the failing chunk one trajectory at a time.
+    A stop time outside [0, horizon] counts as a failure.  When no
+    trajectory fails on its own, it names the chunk's first seed.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")

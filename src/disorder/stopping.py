@@ -66,6 +66,8 @@ class ValueIterConfig:
     k_max: int = 10
 
     def __post_init__(self):
+        if isinstance(self.k_max, bool) or not isinstance(self.k_max, (int, np.integer)):
+            raise TypeError(f"k_max must be an integer, got {self.k_max!r}")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
 
@@ -149,16 +151,15 @@ class ValueTable:
 
     s_k at a state is max(Gamma_k(w') @ u) with u = p o (1 - gamma) o delta
     and w' the last d + 1 symbols of the window.  Each set is built when it
-    is first asked for and kept for the table's lifetime.  `budget` caps the
-    candidate vectors formed in cross-sums over that lifetime.  The table is
-    the handle that value_iterate and stop_decision take: they read the spec
-    from it and share its sets across calls.  Confine one table per worker,
-    it is not synchronised.
+    is first asked for and kept for the table's lifetime.  CANDIDATE_BUDGET
+    caps the candidate vectors formed in cross-sums over that lifetime.  The
+    table is the handle that value_iterate and stop_decision take: they read
+    the spec from it and share its sets across calls.  Confine one table per
+    worker, it is not synchronised.
     """
 
-    def __init__(self, spec: ModelSpec, budget: int = CANDIDATE_BUDGET):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.budget = budget
         self.formed = 0
         self._sets: dict[tuple[int, Window], np.ndarray] = {}
         self._branches: dict[Window, list[tuple[int, np.ndarray, np.ndarray]]] = {}
@@ -167,18 +168,29 @@ class ValueTable:
         self._live = spec.pre_kernels.any(axis=0)
 
     def weight(self, gamma: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """The flattened u = p o (1 - gamma) o delta that the sets act on."""
+        """The flattened u = p o (1 - gamma) o delta that the sets act on, per (l0, l1) grid."""
         gamma = np.asarray(gamma, dtype=np.float64)
         delta = np.asarray(delta, dtype=np.float64)
-        return (self.spec.p * (1.0 - gamma) * delta).ravel()
+        u = self.spec.p * (1.0 - gamma) * delta
+        return u.reshape(u.shape[:-2] + (-1,))
 
-    def value(self, k: int, window: Window, u: np.ndarray) -> float:
-        """s_k at window `window` and weight `u` (see `weight`), k >= 0."""
+    def value(self, k: int, window: Window, u: np.ndarray):
+        """s_k at window `window` and weight `u` (see `weight`), k >= 0.
+
+        Batches of windows (N, d + 2) and weights give s_k per row, each the one-row float bit for bit.
+        """
         if k < 0:
             raise ValueError("k must be non-negative")
-        if len(window) != self.spec.d + 2:
+        if np.shape(window)[-1] != self.spec.d + 2:
             raise ValueError(f"window must have length {self.spec.d + 2}")
-        return float(np.max(self.vectors(k, tuple(window[1:])) @ u))
+        if np.ndim(u) == 1:
+            return float(np.max(self.vectors(k, tuple(window[1:])) @ u))
+        tails, which = np.unique(np.asarray(window)[:, 1:], axis=0, return_inverse=True)
+        s_k = np.empty(len(u))
+        for i, tail in enumerate(tails.tolist()):
+            rows = which.reshape(-1) == i
+            s_k[rows] = np.max(self.vectors(k, tuple(tail)) @ u[rows, :, None], axis=(1, 2))
+        return s_k
 
     def vectors(self, k: int, tail: Window) -> np.ndarray:
         """Gamma_k for the d + 1 trailing symbols `tail`, one vector per row."""
@@ -233,8 +245,8 @@ class ValueTable:
 
     def _cross_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.formed += len(a) * len(b)
-        if self.formed > self.budget:
-            raise BudgetError(f"value iteration exceeded {self.budget} candidate vectors")
+        if self.formed > CANDIDATE_BUDGET:
+            raise BudgetError(f"value iteration exceeded {CANDIDATE_BUDGET} candidate vectors")
         if len(a) == 1 or len(b) == 1:
             # a translate of a pruned set is pruned
             return a + b
@@ -272,14 +284,16 @@ def stop_decision(
 
     Compares the stop payoff due at the state's time n >= d + 1 with the
     continuation value at the state.  With the realised next state `nxt`
-    of a time-(d + 1) state, compares it with the continuation value at
-    `nxt` instead: the literal boundary reading.
+    of a time-(d + 1) state, its one-step successor, compares it with the
+    continuation value at `nxt` instead: the literal boundary reading.
     """
     spec = table.spec
     if state.n < spec.d + 1:
         raise ValueError("stop decisions apply from time d + 1 on")
     if nxt is not None and state.n != spec.d + 1:
         raise ValueError("the literal reading applies at time d + 1 only")
+    if nxt is not None and (nxt.n != state.n + 1 or tuple(nxt.window[:-1]) != tuple(state.window[1:])):
+        raise ValueError("nxt must be the one-step successor of state")
     at = state if nxt is None else nxt
     h = state_payoff(spec, state)
     res = value_iterate(table, at.window, at.change_prob, at.pair_prob, cfg, h)

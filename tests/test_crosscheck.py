@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disorder import SupportError, criterion_probability, load_spec, oracle, payoff, posterior, validate
+from disorder import stopping
 from disorder.crosscheck import (
-    _continuation_rows,
     check_continuation_normalization,
     check_payoff_criterion,
     run_crosscheck,
@@ -24,18 +24,19 @@ CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 
 def assert_matches_per_path(spec, seed):
     # the batched check's max_err is the per-path loop's, bit for bit
-    got = check_continuation_normalization(spec, seed=seed).max_err
+    got = check_continuation_normalization(ValueTable(spec), seed=seed).max_err
     assert repr(got) == repr(path_normalization.normalization_max_err(spec, seed))
-    # the grouped s_k read is ValueTable.value row by row, bit for bit
+    # a batch read of ValueTable.weight and .value is its one-row reads, bit for bit
     values = ValueTable(spec)
     for level in posterior.filter_levels(spec, spec.d + 3):
         if level.n <= spec.d:
             continue
-        u = values.weight(level.change, level.pair).reshape(len(level.paths), -1)
+        u = values.weight(level.change, level.pair)
+        assert u.tolist() == [values.weight(c, g).tolist() for c, g in zip(level.change, level.pair)]
+        windows = level.paths[:, -(spec.d + 2) :]
         for k in (0, 1, 2):
-            rows = _continuation_rows(values, k, level.paths[:, -(spec.d + 1) :], u)
-            windows = level.paths[:, -(spec.d + 2) :].tolist()
-            assert rows.tolist() == [values.value(k, tuple(w), row) for w, row in zip(windows, u)]
+            rows = values.value(k, windows, u)
+            assert rows.tolist() == [values.value(k, tuple(w), row) for w, row in zip(windows.tolist(), u)]
 
 
 class TestNormalizationAgainstPerPath:
@@ -66,10 +67,10 @@ class TestNormalizationAgainstPerPath:
     def test_perturbed_normaliser_fails(self, config, monkeypatch):
         # a normaliser off by one part in a million must show
         spec = load_spec(config)
-        assert check_continuation_normalization(spec).passed
+        assert check_continuation_normalization(ValueTable(spec)).passed
         exact = posterior._predictive
         monkeypatch.setattr(posterior, "_predictive", lambda *args: exact(*args) * (1.0 + 1e-6))
-        assert not check_continuation_normalization(spec).passed
+        assert not check_continuation_normalization(ValueTable(spec)).passed
 
     def test_dead_row_raises_like_state_step(self, monkeypatch):
         # one trajectory forced through 1 -> 1, outside the common support
@@ -86,7 +87,7 @@ class TestNormalizationAgainstPerPath:
         with pytest.raises(SupportError) as per_path:
             path_normalization.normalization_max_err(spec, 5)
         with pytest.raises(SupportError) as batched:
-            check_continuation_normalization(spec, seed=5)
+            check_continuation_normalization(ValueTable(spec), seed=5)
         assert str(batched.value) == str(per_path.value)
         assert str(batched.value) == "observation 1 outside common support after 1"
 
@@ -109,6 +110,20 @@ class TestOneFilterPass:
             monkeypatch.setattr(module, "filter_levels", counted)
         run_crosscheck(spec, horizon)
         assert calls == [(horizon,)]
+
+    def test_one_value_table(self, monkeypatch):
+        # both continuation checks read s_k off the one table the battery builds
+        built = []
+
+        class Counted(stopping.ValueTable):
+            def __init__(self, spec):
+                built.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(stopping, "ValueTable", Counted)
+        spec = load_spec(CONFIGS_DIR / "m3_d1.json")
+        run_crosscheck(spec, 5)
+        assert built == [spec]
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
     def test_payoff_route_is_criterion_probability(self, config):

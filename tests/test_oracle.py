@@ -17,6 +17,7 @@ from disorder import (
     optimal_value_state_indexed,
     path_probability,
 )
+from disorder import oracle
 from disorder.oracle import (
     change_cdf_given_pair,
     detection_mass,
@@ -28,6 +29,7 @@ from disorder.oracle import (
 from disorder import (
     OptimalStoppingRule,
     ValueIterConfig,
+    fixed_time_rule,
     monte_carlo_eval,
     posterior_threshold_rule,
     load_spec,
@@ -101,16 +103,19 @@ class TestBuildJoint:
             total = math.fsum(path_prob(table, path) for path in level)
             assert abs(total - 1.0) <= 1e-12
 
-    def test_budget_guard(self, m1):
+    def test_budget_guard(self, m1, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_CELL_BUDGET", 100)
         with pytest.raises(BudgetError):
-            build_joint(m1, 8, budget=100)
+            build_joint(m1, 8)
 
-    def test_budget_counts_every_depth(self):
+    def test_budget_counts_every_depth(self, monkeypatch):
         # m3_d1 to horizon 7: 2 x 2 pairs, 9 buckets, 1 + 2 + ... + 2^7 paths
         spec = load_spec(CONFIGS_DIR / "m3_d1.json")
+        monkeypatch.setattr(oracle, "DEFAULT_CELL_BUDGET", 9179)
         with pytest.raises(BudgetError, match="needs 9180 cells"):
-            build_joint(spec, 7, budget=9179)
-        table = build_joint(spec, 7, budget=9180)
+            build_joint(spec, 7)
+        monkeypatch.setattr(oracle, "DEFAULT_CELL_BUDGET", 9180)
+        table = build_joint(spec, 7)
         assert sum(joint.size for joint in table.arrays) == 9180
 
     def test_max_theta_must_cover_horizon(self, m1):
@@ -207,8 +212,30 @@ class TestExactRuleValue:
 
     def test_invalid_stop_time_rejected(self, m1):
         table = build_joint(m1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rule returned stop time 99 outside \[0, 3\]$"):
             exact_rule_value(table, lambda path: 99)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_batch_form_read_once(self, config):
+        # one batch-form call over the live paths, and the per-path value bit for bit
+        spec = load_spec(config)
+        table = build_joint(spec, 6)
+        live = [path for path in table.levels[6] if path_prob(table, path) > 0.0]
+        for rule in (fixed_time_rule(spec), posterior_threshold_rule(spec)):
+            calls = []
+
+            def counted(observations, rule=rule):
+                calls.append(len(observations))
+                return rule.stop_times(observations)
+
+            batched = lambda path, rule=rule: rule(path)  # noqa: E731
+            batched.stop_times = counted
+            per_path = [rule(path) for path in live]
+            expected = math.fsum(
+                detection_mass(table, path, 6 if tau is None else tau) for path, tau in zip(live, per_path)
+            )
+            assert repr(exact_rule_value(table, batched)) == repr(expected)
+            assert calls == [len(live)]
 
 
 class TestExactOptimalRule:
@@ -303,6 +330,22 @@ class TestDumps:
         lines = tree_file.read_text().splitlines()
         assert lines[0] == "path,z,continuation,value,action"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("name", ["m3_d1", "m4"])
+    def test_tree_dump_is_per_node_rendering(self, name, tmp_path):
+        # the file as rendered node by node through HistoryTreeValue.node
+        spec = load_spec(CONFIGS_DIR / f"{name}.json")
+        _, tree = exact_optimal_rule(build_joint(spec, 6))
+        lines = ["path,z,continuation,value,action\n"]
+        for n in range(len(tree.levels)):
+            for tail in itertools.product(range(spec.alphabet_size), repeat=n):
+                path = (spec.x0,) + tail
+                node = tree.node(path)
+                pstr = "-".join(str(s) for s in path)
+                cont = "" if node.continuation is None else f"{node.continuation:.17g}"
+                action = "stop" if node.stop else "continue"
+                lines.append(f"{pstr},{node.z:.17g},{cont},{node.value:.17g},{action}\n")
+        assert dump_tree(tree, tmp_path).read_bytes() == "".join(lines).encode()
 
 
 class TestDetectionMass:

@@ -28,6 +28,7 @@ from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
 from disorder.posterior import _filter_step, filter_levels
 from disorder.simulate import TrajectorySampler
+from disorder.stopping import ValueTable
 
 import scalar_filter
 from conftest import (
@@ -369,7 +370,7 @@ class TestSupportError:
             return batch._replace(observations=observations)
 
         monkeypatch.setattr(TrajectorySampler, "sample_batch", forced)
-        assert self.raised(crosscheck.check_continuation_normalization, spec) == self.AFTER_2
+        assert self.raised(crosscheck.check_continuation_normalization, ValueTable(spec)) == self.AFTER_2
 
 
 class TestLagged:

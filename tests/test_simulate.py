@@ -156,14 +156,41 @@ class TestMonteCarlo:
         assert info.value.seed == mix_seed(1, 0)
         assert isinstance(info.value.__cause__, RuntimeError)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_stop_time_past_horizon_names_its_seed(self, m2, batched):
+        # a rule that returns horizon + 1 on one trajectory of the chunk
+        horizon, base, target, n = 10, 3, 2, 6
+        observations = TrajectorySampler(m2, horizon).sample_batch(mix_seeds(base, np.arange(n))).observations
+        bad_path = tuple(observations[target].tolist())
+        assert [tuple(row) for row in observations.tolist()].count(bad_path) == 1
+
+        def per_path(obs):
+            return horizon + 1 if tuple(obs) == bad_path else 1
+
+        def stop_times(paths):
+            return np.array([per_path(row) for row in paths.tolist()], dtype=np.int64)
+
+        def batch_rule(obs):
+            return per_path(obs)
+
+        batch_rule.stop_times = stop_times
+        rules = {"fixed": fixed_time_rule(m2), "late": batch_rule if batched else per_path}
+        with pytest.raises(RuleError) as info:
+            monte_carlo_eval(m2, rules, n, horizon, base)
+        assert (info.value.rule, info.value.seed) == ("late", mix_seed(base, target))
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == f"rule returned stop time {horizon + 1} outside [0, {horizon}]"
+
     def test_batch_failure_not_reproduced_names_first_seed(self, m2):
-        # a batch form that fails on a chunk where every per-path call works:
-        # the replay finds no failing trajectory, so the chunk's first seed
+        # a batch form that fails on a chunk but on no single row: the replay
+        # finds no failing trajectory, so the chunk's first seed
         def flaky(obs):
             return 1
 
         def stop_times(observations):
-            raise RuntimeError("batch form failed")
+            if len(observations) > 1:
+                raise RuntimeError("batch form failed")
+            return np.ones(1, dtype=np.int64)
 
         flaky.stop_times = stop_times
         rules = {"fixed": fixed_time_rule(m2), "flaky": flaky}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
 from disorder.posterior import filter_levels
 from disorder.simulate import TrajectorySampler, mix_seeds
+from disorder import stopping
 from disorder.stopping import ValueTable, _prune
 
 from conftest import make_m1, make_m2, make_m3, make_m4, random_spec
@@ -320,8 +322,9 @@ class TestRecursion:
                 val = table.value(k, window, table.weight(gamma, delta))
                 assert val <= bound + 1e-12
 
-    def test_budget_guard(self, m3):
-        table = ValueTable(m3, budget=10)
+    def test_budget_guard(self, m3, monkeypatch):
+        monkeypatch.setattr(stopping, "CANDIDATE_BUDGET", 10)
+        table = ValueTable(m3)
         with pytest.raises(BudgetError):
             table.value(12, (0, 1), table.weight(np.zeros((2, 2)), np.full((2, 2), 0.25)))
 
@@ -362,6 +365,15 @@ class TestValueIterate:
         assert not deep.stop and deep.converged and deep.k_used == 3
 
 
+    def test_config_rejects_non_integer_k_max(self):
+        for bad in (1.5, True, "3"):
+            with pytest.raises(TypeError, match="k_max must be an integer"):
+                ValueIterConfig(k_max=bad)
+        with pytest.raises(ValueError):
+            ValueIterConfig(k_max=0)
+        assert ValueIterConfig(k_max=np.int64(3)).k_max == 3
+
+
 class TestCertificate:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -377,14 +389,15 @@ class TestCertificate:
         window = tuple(rng.integers(0, alphabet, size=d + 2).tolist())
         # a small budget keeps each table small; instances whose sets
         # outgrow it before level 24 are skipped
-        table = ValueTable(spec, budget=2000)
+        table = ValueTable(spec)
         u = table.weight(rng.uniform(0, 1, (l0, l1)), rng.uniform(0, 1, (l0, l1)))
-        try:
-            deep = [table.value(k + 20, window, u) for k in range(1, 5)]
-        except BudgetError:
-            assume(False)
-        for k in range(1, 5):
-            assert table.value(k, window, u) + table.bound(k) * u.sum() >= deep[k - 1] - 1e-12
+        with patch.object(stopping, "CANDIDATE_BUDGET", 2000):
+            try:
+                deep = [table.value(k + 20, window, u) for k in range(1, 5)]
+            except BudgetError:
+                assume(False)
+            for k in range(1, 5):
+                assert table.value(k, window, u) + table.bound(k) * u.sum() >= deep[k - 1] - 1e-12
 
     @pytest.mark.parametrize("make, d", [(make_m2, 0), (make_m3, 0), (make_m3, 1)])
     def test_proved_decisions_equal_deep_decisions(self, make, d):
@@ -571,3 +584,15 @@ class TestBoundaryDecision:
         nxt = state_step(m2, state, 1)
         with pytest.raises(ValueError):
             stop_decision(ValueTable(m2), state, ValueIterConfig(), nxt)
+
+    def test_non_successor_rejected(self):
+        # the literal reading pairs a time-(d + 1) state with its own successor
+        spec = make_m3(d=1)
+        table, cfg = ValueTable(spec), ValueIterConfig(k_max=4)
+        state = filter_through(spec, (0, 1, 0))
+        later = filter_through(spec, (0, 1, 0, 1, 1, 0, 1))  # four steps on
+        other = filter_through(spec, (0, 0, 1, 1))  # one step on, another path
+        for nxt in (later, other):
+            with pytest.raises(ValueError, match="one-step successor"):
+                stop_decision(table, state, cfg, nxt)
+        assert stop_decision(table, state, cfg, state_step(spec, state, 1)).n == spec.d + 1
