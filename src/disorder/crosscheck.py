@@ -4,20 +4,19 @@ Each check sweeps every path up to a horizon (or a seeded random sample
 where noted), a tree level or a window batch at a time, measures the worst
 absolute deviation of one exact identity and compares it against a fixed
 tolerance.  The battery walks the filter tree once: run_crosscheck lists its
-levels, and each check that reads them takes the levels its horizon needs;
-the joint-table checks read each level against the table rows of its paths.
-The sampled trajectories of the normalization check are filtered in
-lockstep, one batched step per time.  Both continuation checks read s_k for
-a batch of rows off one stopping.ValueTable, which run_crosscheck builds
-once.  The battery is deterministic given (spec, horizon, seed) and backs
-both the `crosscheck` CLI subcommand and the acceptance suite.
+levels, and each check that reads them takes the levels its horizon needs,
+finding a node's prefixes by its parent links; the joint-table checks read
+each level against the table rows of its paths.  Both continuation checks
+read s_k for a batch of rows off one stopping.ValueTable, which
+run_crosscheck builds once.  The battery is deterministic given (spec,
+horizon, seed) and backs both the `crosscheck` CLI subcommand and the
+acceptance suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -25,14 +24,12 @@ from . import oracle, payoff, posterior, stopping
 from .errors import SupportError
 from .likelihood import _fsum_grids, path_probability
 from .model import ModelSpec, change_time_pmf
-from .simulate import TrajectorySampler, _philox, mix_seed, mix_seeds
+from .simulate import _philox, mix_seed
 
 # Largest lag of the survival and lagged-change identities, back-shift trials,
-# and the normalization check's sampled trajectories (filtered as one batch)
-# and levels k.
+# and the normalization check's levels k.
 _LAG_MAX = 4
 _BACKSHIFT_TRIALS = 200
-_NORM_TRAJECTORIES = 50
 _NORM_LEVELS = (0, 1, 2)
 
 
@@ -42,19 +39,17 @@ class CheckResult:
     passed: bool
     max_err: float
     tol: float
-    detail: str = ""
 
 
-def _result(name: str, max_err: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=max_err <= tol, max_err=max_err, tol=tol, detail=detail)
+def _result(name: str, max_err: float, tol: float) -> CheckResult:
+    return CheckResult(name=name, passed=max_err <= tol, max_err=max_err, tol=tol)
 
 
 def check_path_unity(spec: ModelSpec, horizon: int) -> CheckResult:
     """Path probabilities sum to one at every depth."""
     worst = 0.0
     for n in range(1, horizon + 1):
-        paths = [(spec.x0,) + tail for tail in product(range(spec.alphabet_size), repeat=n)]
-        total = math.fsum(path_probability(spec, np.array(paths)).tolist())
+        total = math.fsum(path_probability(spec, oracle._paths(spec, n)).tolist())
         worst = max(worst, abs(total - 1.0))
     return _result("path_unity", worst, 1e-12)
 
@@ -71,7 +66,7 @@ def check_joint_consistency(spec: ModelSpec, table: oracle.JointTable) -> CheckR
     masses = _fsum_grids(deep[:, :-1].sum(axis=(2, 3)).T, 1)
     pmf = [change_time_pmf(spec, t) for t in range(1, table.max_theta + 1)]
     worst = max(worst, float(np.max(np.abs(masses - pmf))))
-    paths = np.array(list(table.levels[table.horizon]))
+    paths = oracle._paths(spec, table.horizon)
     worst = max(worst, float(np.max(np.abs(table.mass[table.horizon] - path_probability(spec, paths)))))
     return _result("joint_consistency", worst, 1e-12)
 
@@ -124,12 +119,11 @@ def check_payoff_criterion(spec: ModelSpec, levels: list) -> CheckResult:
 def check_multistep_composition(spec: ModelSpec, levels: list) -> CheckResult:
     """Multi-step posterior updates equal composed one-step updates, at every level."""
     worst = 0.0
-    ranks = [oracle.path_rank(spec, level.paths) for level in levels]
     for level in levels[1:]:
-        n = level.n
-        for m in range(max(1, n - spec.d - 1), n):
-            # the anchor is the filter row of the path's prefix of m steps
-            row = np.searchsorted(ranks[m], ranks[n] // spec.alphabet_size ** (n - m))
+        n, row = level.n, np.arange(len(level.paths))
+        for m in reversed(range(max(1, n - spec.d - 1), n)):
+            # the anchor is the filter row of the path's prefix of m steps, one parent link up
+            row = levels[m + 1].parent[row]
             multi = posterior.change_multistep(spec, level.paths[:, m:], levels[m].change[row])
             worst = max(worst, float(np.max(np.abs(multi - level.change))))
         from_origin = posterior.change_from_origin(spec, level.paths)
@@ -158,35 +152,24 @@ def check_backshift_inversion(spec: ModelSpec, seed: int = 20240) -> CheckResult
     return _result("backshift_inversion", worst, 1e-9)
 
 
-def check_continuation_normalization(values: stopping.ValueTable, seed: int = 31337) -> CheckResult:
-    """Scaling property of the continuation values along filtered trajectories to d + 4.
+def check_continuation_normalization(values: stopping.ValueTable, levels: list) -> CheckResult:
+    """Scaling property of the continuation values at every tree node from d + 2 to d + 4.
 
-    The trajectories are filtered in lockstep with the arithmetic of
-    state_step and predictive, so the earliest transition outside the common
-    support raises state_step's SupportError (the lowest row among ties).
+    A node's normaliser is its parent's predictive of its last symbol, and
+    the other side reads the parent's grids; s_k is read once per k for both
+    sides, their rows stacked.
     """
     spec = values.spec
-    horizon = spec.d + 4
-    seeds = mix_seeds(seed, np.arange(_NORM_TRAJECTORIES))
-    paths = TrajectorySampler(spec, horizon).sample_batch(seeds).observations
-    rows = np.arange(len(paths))
-    change, pair = None, np.broadcast_to(spec.b, (len(paths),) + spec.b.shape)
     worst = 0.0
-    for n in range(1, horizon + 1):
-        x_prev, x_next = paths[:, n - 1], paths[:, n]
-        prev_change, prev_pair = change, pair
-        change, pair = posterior._filter_step(spec, change, pair, x_prev, x_next)
-        if n <= spec.d + 1:
-            continue
-        norm = posterior._predictive(spec, prev_change, prev_pair, x_prev)[rows, x_next]
-        composed = spec.p * spec.pre_kernels[:, x_prev, x_next].T[:, :, None] * prev_pair
-        u_state = values.weight(change, pair)
-        u_prev = values.weight(prev_change, composed)
-        windows = paths[:, n - spec.d - 1 : n + 1]
+    for prev, level in zip(levels[spec.d + 1 : spec.d + 4], levels[spec.d + 2 : spec.d + 5]):
+        up, x_prev, y = level.parent, level.paths[:, -2], level.paths[:, -1]
+        norm = prev.pred[up, y]
+        composed = spec.p * spec.pre_kernels[:, x_prev, y].T[:, :, None] * prev.pair[up]
+        u = np.concatenate((values.weight(level.change, level.pair), values.weight(prev.change[up], composed)))
+        windows = np.tile(level.paths[:, -(spec.d + 2) :], (2, 1))
         for k in _NORM_LEVELS:
-            lhs = values.value(k, windows, u_state) * norm
-            rhs = values.value(k, windows, u_prev)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            s_state, s_prev = values.value(k, windows, u).reshape(2, -1)
+            worst = max(worst, float(np.max(np.abs(s_state * norm - s_prev))))
     return _result("continuation_normalization", worst, 1e-9)
 
 
@@ -223,7 +206,7 @@ def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckRe
     table = oracle.build_joint(spec, horizon, max_theta=horizon + spec.d + 4)
     levels = list(posterior.filter_levels(spec, horizon))
     values = stopping.ValueTable(spec)
-    results = [
+    return [
         check_path_unity(spec, horizon),
         check_joint_consistency(spec, table),
         check_filter_vs_oracle(spec, table, levels),
@@ -232,8 +215,7 @@ def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckRe
         check_payoff_criterion(spec, levels[: min(horizon, 6) + 1]),
         check_multistep_composition(spec, levels[: min(horizon, 5) + 1]),
         check_backshift_inversion(spec, seed=mix_seed(seed, 1)),
-        check_continuation_normalization(values, seed=mix_seed(seed, 2)),
+        check_continuation_normalization(values, levels),
         check_predictive_chain(spec, levels),
         check_continuation_vs_oracle(values, table, levels),
     ]
-    return results

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -100,15 +99,16 @@ def build_joint(spec: ModelSpec, horizon: int, max_theta: int | None = None) -> 
         # buckets with theta <= n: the transition into X_n is post-change
         level = np.concatenate((prev[:, :, :n] * post, prev[:, :, n:] * pre), axis=2)
         arrays.append(level.reshape((-1,) + root.shape))
-    levels = tuple(dict(zip(_paths(spec, n), joint)) for n, joint in enumerate(arrays))
+    levels = tuple(dict(zip(map(tuple, _paths(spec, n).tolist()), joint)) for n, joint in enumerate(arrays))
     mass = tuple(_fsum_grids(arrays[n], 3) for n in range(horizon + 1))
     detection = tuple(_detection_masses(spec, arrays[n], n) for n in range(horizon + 1))
     return JointTable(spec, horizon, max_theta, tuple(arrays), levels, mass, detection)
 
 
-def _paths(spec: ModelSpec, n: int) -> list[Window]:
-    # the paths of n steps, in row order
-    return [(spec.x0,) + tail for tail in product(range(spec.alphabet_size), repeat=n)]
+def _paths(spec: ModelSpec, n: int) -> np.ndarray:
+    # the (A**n, n + 1) paths of n steps in row order: path_rank read backwards
+    digits = np.arange(spec.alphabet_size**n)[:, None] // spec.alphabet_size ** np.arange(n - 1, -1, -1)
+    return np.column_stack((np.full(len(digits), spec.x0), digits % spec.alphabet_size))
 
 
 def _joint(table: JointTable, path) -> np.ndarray:
@@ -168,10 +168,7 @@ def exact_rule_value(table: JointTable, rule: Callable[[Window], Optional[int]])
     """
     spec, h = table.spec, table.horizon
     live = table.mass[h] > 0.0
-    # the live paths from their rows: path_rank read backwards
-    digits = np.flatnonzero(live)[:, None] // spec.alphabet_size ** np.arange(h - 1, -1, -1)
-    paths = np.column_stack((np.full(len(digits), spec.x0), digits % spec.alphabet_size))
-    stops = _stop_times(rule, paths)
+    stops = _stop_times(rule, _paths(spec, h)[live])
     stops = np.where(stops < 0, h, stops)
     return math.fsum(_detection_masses(spec, table.arrays[h][live], stops).tolist())
 
@@ -240,8 +237,8 @@ def optimal_value_state_indexed(spec: ModelSpec, horizon: int) -> float:
     Independent route: stop payoffs come from the payoff transform of the
     filter state and transition weights from the one-step predictive, no
     joint table involved.  The filter tree is walked level by level, and
-    each level is backed up from the horizon in one pass, adding w_y * v_y
-    over the next symbols y in order and skipping w_y = 0.  Stops are
+    each level is backed up from the horizon in one pass along the parent
+    links, adding w_y * v_y over the children y in symbol order.  Stops are
     allowed from d + 1 on, as in exact_optimal_rule, and the two must agree
     to near machine precision on valid instances.  Raises BudgetError when
     the tree's grid cells exceed DEFAULT_CELL_BUDGET.
@@ -255,16 +252,15 @@ def optimal_value_state_indexed(spec: ModelSpec, horizon: int) -> float:
     for level in filter_levels(spec, horizon):
         window = level.paths[:, -(spec.d + 2) :]
         stop = stop_payoff(spec, level.n, window, level.change, level.pair) if level.n > spec.d else None
-        levels.append((level.pred, stop))
-    value = levels.pop()[1]
-    for pred, stop in reversed(levels):
-        # rows of the next level are the positive entries of pred, row-major
-        child = (np.cumsum(pred > 0.0) - 1).reshape(pred.shape)
+        # a copy of the last symbols, so that no level's paths are kept
+        levels.append((level.pred, level.parent, level.paths[:, -1].copy(), stop))
+    _, parent, y, value = levels.pop()
+    for pred, up, x, stop in reversed(levels):
+        # unbuffered, in row order: each parent adds its children in symbol order
         cont = np.zeros(len(pred))
-        for y in range(spec.alphabet_size):
-            live = pred[:, y] > 0.0
-            cont[live] += pred[live, y] * value[child[live, y]]
+        np.add.at(cont, parent, pred[parent, y] * value)
         value = cont if stop is None else np.maximum(stop, cont)
+        parent, y = up, x
     return float(value[0])
 
 
@@ -294,7 +290,7 @@ def dump_tree(tree: HistoryTreeValue, directory: str | Path) -> Path:
     with out.open("w") as fh:
         fh.write("path,z,continuation,value,action\n")
         for n, level in enumerate(tree.levels):
-            for path, (z, cont, value, stop) in zip(_paths(tree.spec, n), level.tolist()):
+            for path, (z, cont, value, stop) in zip(_paths(tree.spec, n).tolist(), level.tolist()):
                 pstr = "-".join(str(s) for s in path)
                 cstr = "" if math.isnan(cont) else f"{cont:.17g}"
                 action = "stop" if stop else "continue"

@@ -201,14 +201,16 @@ def predictive(spec: ModelSpec, state: PosteriorState) -> np.ndarray:
 
 class FilterLevel(NamedTuple):
     """The paths of n steps with positive probability, (N, n + 1), in table
-    order; their (N, l0, l1) grids (change None at n = 0); and their (N, A)
-    next-symbol predictive, None at the last level of a pass."""
+    order; their (N, l0, l1) grids (change None at n = 0); their (N, A)
+    next-symbol predictive, None at the last level of a pass; and `parent`,
+    the row of each path's prefix in the previous level, None at n = 0."""
 
     n: int
     paths: np.ndarray
     change: np.ndarray | None
     pair: np.ndarray
     pred: np.ndarray | None
+    parent: np.ndarray | None
 
 
 def filter_levels(spec: ModelSpec, horizon: int):
@@ -218,11 +220,11 @@ def filter_levels(spec: ModelSpec, horizon: int):
     rows with positive predictive mass; each row's grids equal state_step
     along its path bit for bit.
     """
-    paths, change, pair = np.array([[spec.x0]]), None, spec.b[None]
+    paths, change, pair, rows = np.array([[spec.x0]]), None, spec.b[None], None
     for n in range(horizon + 1):
         x = paths[:, -1]
         pred = _predictive(spec, change, pair, x) if n < horizon else None
-        yield FilterLevel(n, paths, change, pair, pred)
+        yield FilterLevel(n, paths, change, pair, pred, rows)
         if pred is None:
             return
         rows, ys = np.nonzero(pred > 0.0)

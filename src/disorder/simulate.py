@@ -14,13 +14,13 @@ generators, so adding rules cannot perturb trajectories.
 `TrajectorySampler.sample_batch` draws many seeds in one pass and returns
 arrays, one row per seed; `sample` is its one-row case.
 
-Rules are callables mapping a full observation path to a stop time (or None
-when the rule never fires); they must only read the prefix up to their stop.
+Rules are callables mapping a full observation path to an int stop time (or
+None when it never fires); they must only read the prefix up to their stop.
 A rule may also carry a batch form, `rule.stop_times(observations)`, mapping
-an (N, h + 1) array of paths to their stop times, -1 where the rule never
-fires.  The fixed-time and posterior-threshold rules below have one, and
-their per-path call is the batch form on one row.  `monte_carlo_eval` and
-`oracle.exact_rule_value` read every rule through `_stop_times`.
+an (N, h + 1) array of paths to an integer array of stop times, -1 where the
+rule never fires.  The fixed-time and posterior-threshold rules below have
+one, and their per-path call is the batch form on one row.  `monte_carlo_eval`
+and `oracle.exact_rule_value` read every rule through `_stop_times`.
 `monte_carlo_eval` evaluates trajectories in chunks of fixed size and replays
 a chunk on which a rule fails one trajectory at a time, so a failure needs no
 record of its row.  Censored runs are forced to stop at the horizon and
@@ -55,6 +55,9 @@ _LO32 = 0xFFFFFFFF
 # Seeds per sample_batch pass and trajectories per monte_carlo_eval chunk;
 # fixed, so the working set does not grow with the number of trajectories.
 _CHUNK = 1024
+
+# The posterior change mass at which posterior_threshold_rule stops.
+THRESHOLD_LEVEL = 0.5
 
 Rule = Callable[[tuple[int, ...]], Optional[int]]
 
@@ -228,14 +231,20 @@ class ExperimentReport:
 def _stop_times(rule, observations: np.ndarray) -> np.ndarray:
     """Stop times of `rule` on an (N, h + 1) batch: its batch form, else one call per row.
 
-    -1 where the rule never fires; any other stop time outside [0, h] is a ValueError.
+    -1 where the rule never fires.  A ValueError for a stop time outside [0, h]
+    or not an integer: a per-path bool or float, or a batch form's non-integer dtype.
     """
     h = observations.shape[1] - 1
     if hasattr(rule, "stop_times"):
-        taus = rule.stop_times(observations)
+        taus = np.asarray(rule.stop_times(observations))
+        if taus.dtype.kind not in "iu":
+            raise ValueError(f"rule's batch form returned stop times of dtype {taus.dtype}, not integers")
         never = taus == -1
     else:
         taus = [rule(path) for path in map(tuple, observations.tolist())]
+        odd = [t for t in taus if isinstance(t, bool) or not isinstance(t, (int, np.integer, type(None)))]
+        if odd:
+            raise ValueError(f"rule returned stop time {odd[0]!r}, not an integer or None")
         never = np.array([tau is None for tau in taus], dtype=bool)
         taus = np.array([-1 if tau is None else tau for tau in taus], dtype=np.int64)
     bad = ~never & ((taus < 0) | (taus > h))
@@ -342,8 +351,8 @@ def fixed_time_rule(spec: ModelSpec) -> Rule:
     return _with_batch_form(stop_times)
 
 
-def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
-    """Stop once the posterior total change mass reaches `level` (not before d + 1).
+def posterior_threshold_rule(spec: ModelSpec) -> Rule:
+    """Stop once the posterior total change mass reaches THRESHOLD_LEVEL (not before d + 1).
 
     The batch form filters every path in lockstep and advances only the rows
     that have not stopped.  It fails where a per-path filter would, on a
@@ -370,7 +379,7 @@ def posterior_threshold_rule(spec: ModelSpec, level: float = 0.5) -> Rule:
             change, pair = _filter_step(spec, change, pair, x_prev, x_next)
             x_prev = x_next
             if n >= spec.d + 1:
-                fired = (change * pair).sum(axis=(1, 2)) >= level
+                fired = (change * pair).sum(axis=(1, 2)) >= THRESHOLD_LEVEL
                 if fired.any():
                     stops[rows[fired]] = n
                     keep = ~fired

@@ -45,7 +45,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetError
-from .likelihood import Window
+from .likelihood import Window, _check_window
 from .model import ModelSpec
 from .payoff import detection_coeff_matrix, state_payoff
 from .posterior import PosteriorState, state_init, state_step
@@ -185,11 +185,14 @@ class ValueTable:
             raise ValueError(f"window must have length {self.spec.d + 2}")
         if np.ndim(u) == 1:
             return float(np.max(self.vectors(k, tuple(window[1:])) @ u))
-        tails, which = np.unique(np.asarray(window)[:, 1:], axis=0, return_inverse=True)
+        # rows grouped by their tail's base-A rank, so the groups come in the tails' lexicographic order
+        tails = _check_window(self.spec, window)[:, 1:]
+        ranks = tails @ self.spec.alphabet_size ** np.arange(self.spec.d, -1, -1)
+        _, first, which = np.unique(ranks, return_index=True, return_inverse=True)
         s_k = np.empty(len(u))
-        for i, tail in enumerate(tails.tolist()):
-            rows = which.reshape(-1) == i
-            s_k[rows] = np.max(self.vectors(k, tuple(tail)) @ u[rows, :, None], axis=(1, 2))
+        for i, row in enumerate(first.tolist()):
+            rows = which == i
+            s_k[rows] = np.max(self.vectors(k, tuple(tails[row].tolist())) @ u[rows, :, None], axis=(1, 2))
         return s_k
 
     def vectors(self, k: int, tail: Window) -> np.ndarray:

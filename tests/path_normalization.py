@@ -1,29 +1,24 @@
-"""The normalization check, one sampled trajectory and one filter state at a time.
+"""The normalization check, one path and one filter state at a time.
 
 This is the per-path loop that `disorder.crosscheck.check_continuation_normalization`
-replaces with lockstep filtering of the whole sample, kept here as the
-reference whose max_err the batched check must equal bit for bit: each
-trajectory is filtered with state_step, the normaliser is the predictive of
-the previous state, and s_k is read with ValueTable.value at every level k.
+replaces with whole filter-tree levels, kept here as the reference whose
+max_err the level-wise check must equal bit for bit on the paths of the
+deepest level it checks: each path is filtered with state_step, the
+normaliser is the predictive of the previous state, and s_k is read with
+ValueTable.value at every level k.
 """
 
-import numpy as np
-
 from disorder import posterior, stopping
-from disorder.crosscheck import _NORM_LEVELS, _NORM_TRAJECTORIES
-from disorder.simulate import TrajectorySampler, mix_seeds
+from disorder.crosscheck import _NORM_LEVELS
 
 
-def normalization_max_err(spec, seed):
-    """Worst |s_k(u_state) * norm - s_k(u_prev)| over the sampled trajectories to d + 4."""
-    horizon = spec.d + 4
-    seeds = mix_seeds(seed, np.arange(_NORM_TRAJECTORIES))
-    paths = TrajectorySampler(spec, horizon).sample_batch(seeds)
+def normalization_max_err(spec, paths):
+    """Worst |s_k(u_state) * norm - s_k(u_prev)| along the (N, n + 1) `paths`, from step d + 2 on."""
     table = stopping.ValueTable(spec)
     worst = 0.0
-    for path in paths.observations.tolist():
+    for path in paths.tolist():
         state = posterior.state_init(spec)
-        for n in range(1, horizon + 1):
+        for n in range(1, len(path)):
             prev = state
             state = posterior.state_step(spec, state, path[n])
             if state.n <= spec.d + 1:

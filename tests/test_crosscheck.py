@@ -5,27 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disorder import SupportError, criterion_probability, load_spec, oracle, payoff, posterior, validate
+from disorder import criterion_probability, load_spec, oracle, payoff, posterior, validate
 from disorder import stopping
 from disorder.crosscheck import (
     check_continuation_normalization,
     check_payoff_criterion,
     run_crosscheck,
 )
-from disorder.simulate import TrajectorySampler
 from disorder.stopping import ValueTable
 
 import path_normalization
-from conftest import make_zero_support, random_spec, with_shared_zero
+from conftest import random_spec, with_shared_zero
 
 CONFIGS_DIR = Path(__file__).parents[1] / "configs"
 CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 
 
-def assert_matches_per_path(spec, seed):
-    # the batched check's max_err is the per-path loop's, bit for bit
-    got = check_continuation_normalization(ValueTable(spec), seed=seed).max_err
-    assert repr(got) == repr(path_normalization.normalization_max_err(spec, seed))
+def assert_matches_per_path(spec, horizon):
+    # the level-wise check's max_err is the per-path loop's along the deepest
+    # checked level, bit for bit; returns it
+    levels = list(posterior.filter_levels(spec, horizon))
+    got = check_continuation_normalization(ValueTable(spec), levels).max_err
+    deepest = levels[min(horizon, spec.d + 4)].paths
+    assert repr(got) == repr(path_normalization.normalization_max_err(spec, deepest))
     # a batch read of ValueTable.weight and .value is its one-row reads, bit for bit
     values = ValueTable(spec)
     for level in posterior.filter_levels(spec, spec.d + 3):
@@ -37,15 +39,23 @@ def assert_matches_per_path(spec, seed):
         for k in (0, 1, 2):
             rows = values.value(k, windows, u)
             assert rows.tolist() == [values.value(k, tuple(w), row) for w, row in zip(windows.tolist(), u)]
+    return got
 
 
 class TestNormalizationAgainstPerPath:
-    """The lockstep normalization check equals the per-trajectory loop bit for bit."""
+    """The level-wise normalization check equals the per-path loop bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 7, 31337])
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
     def test_reference_configs(self, config, seed):
-        assert_matches_per_path(load_spec(config), seed)
+        # below d + 4 the check stops at the horizon; whatever the battery's
+        # seed, its normalization entry is the per-path loop's
+        spec = load_spec(config)
+        for horizon in range(spec.d + 2, spec.d + 4):
+            assert_matches_per_path(spec, horizon)
+        expected = assert_matches_per_path(spec, spec.d + 4)
+        results = {r.name: r for r in run_crosscheck(spec, spec.d + 4, seed=seed)}
+        assert repr(results["continuation_normalization"].max_err) == repr(expected)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -61,35 +71,21 @@ class TestNormalizationAgainstPerPath:
         if zero is not None:
             spec = with_shared_zero(spec, zero[0] % alphabet, zero[1] % alphabet)
             assert validate(spec) == []
-        assert_matches_per_path(spec, seed)
+        assert_matches_per_path(spec, spec.d + 4)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
     def test_perturbed_normaliser_fails(self, config, monkeypatch):
         # a normaliser off by one part in a million must show
         spec = load_spec(config)
-        assert check_continuation_normalization(ValueTable(spec)).passed
+
+        def check():
+            levels = list(posterior.filter_levels(spec, spec.d + 4))
+            return check_continuation_normalization(ValueTable(spec), levels)
+
+        assert check().passed
         exact = posterior._predictive
         monkeypatch.setattr(posterior, "_predictive", lambda *args: exact(*args) * (1.0 + 1e-6))
-        assert not check_continuation_normalization(ValueTable(spec)).passed
-
-    def test_dead_row_raises_like_state_step(self, monkeypatch):
-        # one trajectory forced through 1 -> 1, outside the common support
-        spec = make_zero_support(d=1)
-        sample = TrajectorySampler.sample_batch
-
-        def broken(self, seeds):
-            batch = sample(self, seeds)
-            observations = batch.observations.copy()
-            observations[17, 3:5] = 1
-            return batch._replace(observations=observations)
-
-        monkeypatch.setattr(TrajectorySampler, "sample_batch", broken)
-        with pytest.raises(SupportError) as per_path:
-            path_normalization.normalization_max_err(spec, 5)
-        with pytest.raises(SupportError) as batched:
-            check_continuation_normalization(ValueTable(spec), seed=5)
-        assert str(batched.value) == str(per_path.value)
-        assert str(batched.value) == "observation 1 outside common support after 1"
+        assert not check().passed
 
 
 class TestOneFilterPass:

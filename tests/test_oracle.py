@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,20 @@ class TestExactRuleValue:
         table = build_joint(m1, 3)
         with pytest.raises(ValueError, match=r"^rule returned stop time 99 outside \[0, 3\]$"):
             exact_rule_value(table, lambda path: 99)
+
+    def test_non_integer_stop_time_rejected(self, m2):
+        # 2.7 is not read as 2, nor True as 1; a numpy integer is an integer
+        table = build_joint(m2, 4)
+        for tau in (2.7, True, np.float64(2.0)):
+            message = f"rule returned stop time {tau!r}, not an integer or None"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                exact_rule_value(table, lambda path: tau)
+        assert exact_rule_value(table, lambda path: np.int64(2)) == exact_rule_value(table, lambda path: 2)
+        rule = fixed_time_rule(m2)
+        floats = lambda path: rule(path)  # noqa: E731
+        floats.stop_times = lambda observations: rule.stop_times(observations).astype(float)
+        with pytest.raises(ValueError, match="^rule's batch form returned stop times of dtype float64"):
+            exact_rule_value(table, floats)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
     def test_batch_form_read_once(self, config):

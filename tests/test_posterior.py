@@ -27,8 +27,6 @@ from disorder import crosscheck, oracle
 from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
 from disorder.posterior import _filter_step, filter_levels
-from disorder.simulate import TrajectorySampler
-from disorder.stopping import ValueTable
 
 import scalar_filter
 from conftest import (
@@ -262,12 +260,12 @@ class TestStateEvolution:
                 assert np.max(np.abs(change - state.change_prob)) <= 1e-10
 
 
+# the eight reference specs and one with a transition outside the common support
+TREE_SPECS = [make(d) for make in (make_m1, make_m2, make_m3, make_m4) for d in (0, 1)] + [make_zero_support()]
+
+
 class TestFilterTree:
-    @pytest.mark.parametrize(
-        "spec",
-        [make(d) for make in (make_m1, make_m2, make_m3, make_m4) for d in (0, 1)]
-        + [make_zero_support()],
-    )
+    @pytest.mark.parametrize("spec", TREE_SPECS)
     def test_positive_paths_in_table_order(self, spec):
         # the paths of 1 .. h steps with positive probability, in the joint
         # table's order, each with the grids of filtering it step by step
@@ -287,6 +285,13 @@ class TestFilterTree:
                 assert level.n == ref.n
                 assert np.array_equal(level.change[row], ref.change_prob)
                 assert np.array_equal(level.pair[row], ref.pair_prob)
+
+    @pytest.mark.parametrize("spec", TREE_SPECS)
+    def test_parent_is_the_prefix_row(self, spec):
+        levels = list(filter_levels(spec, 6 if spec.alphabet_size == 2 else 4))
+        assert levels[0].parent is None
+        for prev, level in zip(levels, levels[1:]):
+            assert np.array_equal(prev.paths[level.parent], level.paths[:, :-1])
 
     @pytest.mark.parametrize("spec", [make_m3(1), make_m4(0), make_zero_support()])
     def test_level_predictive_is_per_state_predictive(self, spec):
@@ -350,7 +355,7 @@ class TestSupportError:
         assert self.raised(_filter_step, spec, change, pair, x_prev, x_next) == self.AFTER_2
         assert self.raised(_filter_step, spec, change, pair, x_prev[::-1], x_next[::-1]) == self.AFTER_1
 
-    def test_callers_raise_the_same_text(self, monkeypatch):
+    def test_callers_raise_the_same_text(self):
         spec = self.spec
         state = state_step(spec, state_init(spec), 2)
         assert self.raised(state_step, spec, state, 0) == self.AFTER_2
@@ -360,17 +365,6 @@ class TestSupportError:
         assert self.raised(rule.stop_times, paths) == self.AFTER_2
         assert self.raised(rule.stop_times, paths[::-1]) == self.AFTER_1
         assert self.raised(rule, (0, 1, 1, 0)) == self.AFTER_1
-        sample = TrajectorySampler.sample_batch
-
-        def forced(sampler, seeds):
-            batch = sample(sampler, seeds)
-            observations = batch.observations.copy()
-            observations[7, 1:3] = (1, 1)
-            observations[3, 1:3] = (2, 0)
-            return batch._replace(observations=observations)
-
-        monkeypatch.setattr(TrajectorySampler, "sample_batch", forced)
-        assert self.raised(crosscheck.check_continuation_normalization, ValueTable(spec)) == self.AFTER_2
 
 
 class TestLagged:

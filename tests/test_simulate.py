@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from disorder import (
     state_step,
     validate,
 )
+from disorder import simulate
 from disorder.simulate import (
     TrajectorySampler,
     _cdf,
@@ -145,6 +147,27 @@ class TestMonteCarlo:
         assert stats.censored_rate == 1.0
         assert stats.mean_stop_time == pytest.approx(4.0)
         assert 0.0 <= stats.estimate <= 1.0
+
+    @pytest.mark.parametrize("tau", [2.7, True])
+    def test_non_integer_stop_time_is_rule_error(self, m2, tau):
+        # 2.7 is not read as 2, nor True as 1; every trajectory fails, so the first names the seed
+        rules = {"fixed": fixed_time_rule(m2), "odd": lambda obs: tau}
+        with pytest.raises(RuleError) as info:
+            monte_carlo_eval(m2, rules, 5, 4, 1)
+        assert (info.value.rule, info.value.seed) == ("odd", mix_seed(1, 0))
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == f"rule returned stop time {tau!r}, not an integer or None"
+
+    def test_float_batch_form_is_rule_error(self, m2):
+        def floats(obs):
+            return 2
+
+        floats.stop_times = lambda observations: np.full(len(observations), 2.0)
+        with pytest.raises(RuleError) as info:
+            monte_carlo_eval(m2, {"fixed": fixed_time_rule(m2), "floats": floats}, 5, 4, 1)
+        assert (info.value.rule, info.value.seed) == ("floats", mix_seed(1, 0))
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "rule's batch form returned stop times of dtype float64, not integers"
 
     def test_rule_error_carries_seed(self, m2):
         def bad(obs):
@@ -372,7 +395,7 @@ class TestBatchRules:
         # give the (rule, seed) of a trajectory-by-trajectory evaluation: the
         # lowest failing trajectory, on it the first failing rule in order
         spec, horizon, base = make_m2(), 6, 3
-        batched = posterior_threshold_rule(_forbid(spec, 1, 1), level=0.99)
+        batched = posterior_threshold_rule(_forbid(spec, 1, 1))
         sampler = TrajectorySampler(spec, horizon)
         bad_path = sampler.sample(mix_seed(base, target)).observations
 
@@ -385,18 +408,19 @@ class TestBatchRules:
         if plain_first:
             rules = {"plain": plain, "batched": batched}
         expected = None
-        for idx in range(12):
-            traj = sampler.sample(mix_seed(base, idx))
-            for name, rule in rules.items():
-                try:
-                    rule(traj.observations)
-                except Exception:
-                    expected = (name, traj.seed)
+        with patch.object(simulate, "THRESHOLD_LEVEL", 0.99):
+            for idx in range(12):
+                traj = sampler.sample(mix_seed(base, idx))
+                for name, rule in rules.items():
+                    try:
+                        rule(traj.observations)
+                    except Exception:
+                        expected = (name, traj.seed)
+                        break
+                if expected:
                     break
-            if expected:
-                break
-        with pytest.raises(RuleError) as info:
-            monte_carlo_eval(spec, rules, 12, horizon, base)
+            with pytest.raises(RuleError) as info:
+                monte_carlo_eval(spec, rules, 12, horizon, base)
         assert (info.value.rule, info.value.seed) == expected
 
 

@@ -190,6 +190,15 @@ class TestValueTable:
                     k, window, fresh.weight(gamma, delta)
                 )
 
+    def test_batch_rejects_symbol_outside_alphabet(self):
+        # rows are grouped by their tail's base-A rank, which would read the
+        # tail (0, 3) as (1, 0) on an alphabet of 3
+        spec = make_m4(1)
+        table = ValueTable(spec)
+        u = table.weight(np.zeros((2, spec.l0, spec.l1)), np.broadcast_to(spec.b, (2, spec.l0, spec.l1)))
+        with pytest.raises(ValueError, match="^symbol 3 outside alphabet$"):
+            table.value(1, np.array([[0, 1, 0], [0, 0, 3]]), u)
+
 
 def _brute_force_survivors(vecs):
     # Row j goes when some row i >= j pointwise beats it: i > j somewhere, or
