@@ -83,12 +83,12 @@ def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable, levels: li
 
 
 def check_survival_projection(spec: ModelSpec, table: oracle.JointTable, levels: list) -> CheckResult:
-    """P(theta <= n + k | path, pair) = 1 - p^k (1 - change_prob)."""
+    """P(theta <= n + k | path, pair) = 1 - p^k P(theta > n | path, pair)."""
     worst = 0.0
     for level in levels[1:]:
-        live = level.pair > 1e-15
+        live, survival = level.pair > 1e-15, level.survival
         for k in range(1, min(_LAG_MAX, table.max_theta - level.n) + 1):
-            expected = 1.0 - spec.p**k * (1.0 - level.change)
+            expected = 1.0 - spec.p**k * survival
             got = oracle.change_cdf_given_pair(table, level.paths, level.n + k)
             worst = max(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
     return _result("survival_projection", worst, 1e-10)
@@ -98,11 +98,11 @@ def check_lagged_change(spec: ModelSpec, table: oracle.JointTable, levels: list)
     """Posterior of an old change from the current posterior and ratios."""
     worst = 0.0
     for level in levels[1:]:
-        n, live = level.n, level.pair > 1e-15
+        n, live, survival = level.n, level.pair > 1e-15, level.survival
         # to k = n - 2: at k = n - 1 the cdf is the empty bucket sum, 0 by construction
         for k in range(0, min(_LAG_MAX, n - 2) + 1):
             got = oracle.change_cdf_given_pair(table, level.paths, n - k - 1)
-            expected = posterior.change_lagged(spec, k, level.paths, level.change)
+            expected = posterior.change_lagged(spec, k, level.paths, survival)
             worst = max(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
     return _result("lagged_change", worst, 1e-10)
 
@@ -117,17 +117,18 @@ def check_payoff_criterion(spec: ModelSpec, levels: list) -> CheckResult:
 
 
 def check_multistep_composition(spec: ModelSpec, levels: list) -> CheckResult:
-    """Multi-step posterior updates equal composed one-step updates, at every level."""
+    """Multi-step updates equal composed one-step updates at every level, on pairs of positive mass."""
     worst = 0.0
     for level in levels[1:]:
         n, row = level.n, np.arange(len(level.paths))
+        change, live = level.change, level.pair > 0.0
         for m in reversed(range(max(1, n - spec.d - 1), n)):
             # the anchor is the filter row of the path's prefix of m steps, one parent link up
             row = levels[m + 1].parent[row]
             multi = posterior.change_multistep(spec, level.paths[:, m:], levels[m].change[row])
-            worst = max(worst, float(np.max(np.abs(multi - level.change))))
+            worst = max(worst, float(np.max(np.abs(multi - change)[live], initial=0.0)))
         from_origin = posterior.change_from_origin(spec, level.paths)
-        worst = max(worst, float(np.max(np.abs(from_origin - level.change))))
+        worst = max(worst, float(np.max(np.abs(from_origin - change)[live], initial=0.0)))
     return _result("multistep_composition", worst, 1e-12)
 
 
@@ -156,16 +157,16 @@ def check_continuation_normalization(values: stopping.ValueTable, levels: list) 
     """Scaling property of the continuation values at every tree node from d + 2 to d + 4.
 
     A node's normaliser is its parent's predictive of its last symbol, and
-    the other side reads the parent's grids; s_k is read once per k for both
-    sides, their rows stacked.
+    the other side reads the parent's unchanged mass; s_k is read once per k
+    for both sides, their rows stacked.
     """
     spec = values.spec
     worst = 0.0
     for prev, level in zip(levels[spec.d + 1 : spec.d + 4], levels[spec.d + 2 : spec.d + 5]):
         up, x_prev, y = level.parent, level.paths[:, -2], level.paths[:, -1]
         norm = prev.pred[up, y]
-        composed = spec.p * spec.pre_kernels[:, x_prev, y].T[:, :, None] * prev.pair[up]
-        u = np.concatenate((values.weight(level.change, level.pair), values.weight(prev.change[up], composed)))
+        composed = spec.p * spec.pre_kernels[:, x_prev, y].T[:, :, None] * prev.unchanged[up]
+        u = values.weight(np.concatenate((level.unchanged, composed)))
         windows = np.tile(level.paths[:, -(spec.d + 2) :], (2, 1))
         for k in _NORM_LEVELS:
             s_state, s_prev = values.value(k, windows, u).reshape(2, -1)
@@ -181,7 +182,7 @@ def check_continuation_vs_oracle(
     _, tree = oracle.exact_optimal_rule(table)
     worst = 0.0
     for level in levels[spec.d + 2 : table.horizon]:
-        u = values.weight(level.change, level.pair)
+        u = values.weight(level.unchanged)
         s_k = values.value(table.horizon - level.n - 1, level.paths[:, -(spec.d + 2) :], u)
         cont = tree.levels[level.n].continuation[oracle.path_rank(spec, level.paths)]
         worst = max(worst, float(np.max(np.abs(cont - s_k))))

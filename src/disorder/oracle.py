@@ -251,7 +251,7 @@ def optimal_value_state_indexed(spec: ModelSpec, horizon: int) -> float:
     levels = []
     for level in filter_levels(spec, horizon):
         window = level.paths[:, -(spec.d + 2) :]
-        stop = stop_payoff(spec, level.n, window, level.change, level.pair) if level.n > spec.d else None
+        stop = stop_payoff(spec, level.n, window, level.unchanged, level.changed) if level.n > spec.d else None
         # a copy of the last symbols, so that no level's paths are kept
         levels.append((level.pred, level.parent, level.paths[:, -1].copy(), stop))
     _, parent, y, value = levels.pop()

@@ -1,21 +1,20 @@
 """Detection payoff expressed through the filter state.
 
 For a stop at time n >= d + 2 the success probability P(|theta - n| <= d)
-conditional on the data is a function of the last d + 2 symbols and the two
-posterior grids:
+conditional on the data is a function of the last d + 2 symbols and the
+unchanged mass U = P(theta > n, pair | data) of the filter state:
 
-    stop_payoff(n, w, gamma, delta)
-        = sum_ij (1 - p^d + q * sum_{k=1..d+1} L_k / (p^k L_0)) (1 - gamma_ij) delta_ij
+    stop_payoff(n, w, U, C) = sum_ij (1 - p^d + q * sum_{k=1..d+1} L_k / (p^k L_0)) U_ij
 
 with all split likelihoods over w.  At the earliest admissible stop n = d + 1
 no change can predate the precision window, and the payoff collapses to the
-window-free form sum_ij (1 - p^d (1 - gamma_ij)) delta_ij.  stop_payoff
-picks the form from n and, like the likelihood functions, takes a batch of
-rows, a tuple window being the one-row case; state_payoff applies it at a
-filter state's own time.  criterion_probability evaluates the unconditional
-success probability of a fixed-time stop both from the prior and as the
-exact expectation of the payoff over the filter tree; the two must agree,
-which is the module's core identity.
+window-free form sum_ij (1 - p^d) U_ij + C_ij, with C the changed mass.
+stop_payoff picks the form from n and, like the likelihood functions, takes a
+batch of rows, a tuple window being the one-row case; state_payoff applies it
+at a filter state's own time.  criterion_probability evaluates the
+unconditional success probability of a fixed-time stop both from the prior
+and as the exact expectation of the payoff over the filter tree; the two must
+agree, which is the module's core identity.
 """
 
 from __future__ import annotations
@@ -38,26 +37,26 @@ def detection_coeff_matrix(spec: ModelSpec, window: Window) -> np.ndarray:
     return 1.0 - spec.p**spec.d + q * likelihood_ratio_chain(spec, window, spec.d + 1)
 
 
-def stop_payoff(spec: ModelSpec, n: int, window: Window, gamma, delta) -> float | np.ndarray:
+def stop_payoff(spec: ModelSpec, n: int, window: Window, unchanged, changed) -> float | np.ndarray:
     """Conditional success probability of stopping at time n >= d + 1, per batch row.
 
-    `window` holds the last d + 2 symbols; the boundary form at n = d + 1
-    does not read it.
+    `window` holds the last d + 2 symbols and `unchanged` and `changed` are
+    the filter state's joint masses; the boundary form at n = d + 1 does not
+    read the window, the window form does not read `changed`.
     """
     if n < spec.d + 1:
         raise ValueError("stop payoffs apply from time d + 1 on")
-    survival = 1.0 - np.asarray(gamma, dtype=np.float64)
     if n == spec.d + 1:
-        terms = (1.0 - spec.p**spec.d * survival) * delta
+        terms = (1.0 - spec.p**spec.d) * unchanged + changed
     else:
-        terms = detection_coeff_matrix(spec, window) * survival * delta
+        terms = detection_coeff_matrix(spec, window) * unchanged
     value = _fsum_grids(terms)
     return value if value.ndim else float(value)
 
 
 def state_payoff(spec: ModelSpec, state: PosteriorState) -> float:
     """Stop payoff of the filter state at its own time n >= d + 1."""
-    return stop_payoff(spec, state.n, state.window, state.change_prob, state.pair_prob)
+    return stop_payoff(spec, state.n, state.window, state.unchanged, state.changed)
 
 
 class CriterionCheck(NamedTuple):
@@ -82,6 +81,6 @@ def _criterion(spec: ModelSpec, level: FilterLevel) -> CriterionCheck:
     # both routes at the level's time n >= d + 1, the payoff route over its rows
     lo = max(1, level.n - spec.d)
     prior = math.fsum(change_time_pmf(spec, k) for k in range(lo, level.n + spec.d + 1))
-    payoffs = stop_payoff(spec, level.n, level.paths[:, -(spec.d + 2) :], level.change, level.pair)
+    payoffs = stop_payoff(spec, level.n, level.paths[:, -(spec.d + 2) :], level.unchanged, level.changed)
     terms = path_probability(spec, level.paths) * payoffs
     return CriterionCheck(prior_value=prior, payoff_value=math.fsum(terms.tolist()))

@@ -2,19 +2,19 @@
 
 The filter state after n observations is
 
-    eta_n = (window, change_prob, pair_prob)
+    eta_n = (window, unchanged, changed)
 
-where `window` holds the last min(n, d+1) + 1 symbols, change_prob[i, j] is
-P(change happened by n | pair (i, j), data) and pair_prob[i, j] is
-P(pair (i, j) | data).  The state evolves by a one-step Bayes update per
-observation, computed for the whole pair grid at once by one helper that
-also broadcasts over a leading batch axis, so the Monte Carlo rules filter
-many paths in lockstep with the arithmetic of `state_step`; multi-step,
-back-shift and lagged variants expose the same posterior through window
-mixtures and are used to cross-check the recursion, a batch of windows at
-a time.  filter_levels filters every path of positive probability up to a
-horizon level by level, one batched step and predictive per level, for the
-exact checks.
+where `window` holds the last min(n, d+1) + 1 symbols, and unchanged[i, j] =
+P(theta > n, pair (i, j) | data) and changed[i, j] = P(theta <= n, pair (i, j)
+| data) are the joint posterior masses, which sum to 1 over the grid.  The
+views P(change by n | pair, data) and P(pair | data) derive from them.  One
+helper computes the Bayes update for the whole grid and broadcasts over a
+leading batch axis, so the Monte Carlo rules filter many paths in lockstep
+with the arithmetic of `state_step`; multi-step, back-shift and lagged
+variants expose the same posterior through window mixtures and cross-check
+the recursion, a batch of windows at a time.  filter_levels filters every
+path of positive probability up to a horizon level by level, one batched
+step and predictive per level, for the exact checks.
 
 A zero-probability observation (outside the common kernel support) is not
 renormalised away: the one-step update itself raises SupportError naming the
@@ -34,57 +34,58 @@ from .likelihood import _DENOM_FLOOR, Window, _fsum_grids, likelihood_ratio_chai
 from .model import ModelSpec
 
 
+def _given_pair(mass: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    # mass / P(pair) per pair: the conditional views of the filter state, 0 on
+    # a pair of zero mass as in oracle._change_cdf
+    return np.divide(mass, pair, out=np.zeros(np.shape(mass)), where=pair > 0.0)
+
+
 @dataclass(frozen=True)
 class PosteriorState:
-    """Filter state: time index, trailing window and per-pair posteriors."""
+    """Filter state: time index, trailing window, joint posterior masses and their conditional views."""
 
     n: int
     window: Window
-    change_prob: np.ndarray
-    pair_prob: np.ndarray
+    unchanged: np.ndarray
+    changed: np.ndarray
+
+    @property
+    def change_prob(self) -> np.ndarray:
+        return _given_pair(self.changed, self.pair_prob)
+
+    @property
+    def pair_prob(self) -> np.ndarray:
+        return self.unchanged + self.changed
 
 
-def _transition_mixture(spec: ModelSpec, change, f0, f1) -> np.ndarray:
-    # Per-pair density of the next transition: window_mixture at l = 0 in
-    # closed form.  `change` is the change posterior grid, None at time 0
-    # where the initial hazard pi applies.  f0 and f1 hold the pre and post
-    # densities of the transition, broadcast against the pair grid; leading
-    # axes (next symbols, batch rows) broadcast through.
-    if change is None:
-        a = spec.pi
-        return (1.0 - a) * f0 + a * f1
-    a = change
-    return (1.0 - a) * ((1.0 - spec.p) * f1 + spec.p * f0) + a * f1
+def _advance(spec: ModelSpec, first: bool, unchanged, changed, f0, f1):
+    # The unnormalised one-step update of the joint masses, with the initial
+    # hazard pi on the step out of time 0 (`first`) and q = 1 - p after.  f0
+    # and f1, the transition's pre and post densities, broadcast against the
+    # pair grid; leading axes (next symbols, batch rows) broadcast through.
+    keep, jump = (1.0 - spec.pi, spec.pi) if first else (spec.p, 1.0 - spec.p)
+    return unchanged * keep * f0, (changed + unchanged * jump) * f1
 
 
-def _filter_step(spec: ModelSpec, change, pair, x_prev, x_next):
-    """One Bayes update of the change and pair grids, over any leading axes.
+def _filter_step(spec: ModelSpec, first: bool, unchanged, changed, x_prev, x_next):
+    """One Bayes update of the joint masses, over any leading axes.
 
-    `change` and `pair` are the posterior grids (`change` is None at time 0,
-    where the initial hazard pi replaces the geometric hazard q = 1 - p on
-    the previous change posterior); x_prev and x_next are symbols, or index
-    arrays over the grids' leading batch axes.  Both new grids are read from
-    the same pre-update grids.  Returns (change, pair); a transition outside
-    the common support raises SupportError naming the lowest dead row's.
+    `first` marks the step out of time 0; x_prev and x_next are symbols, or
+    index arrays over the grids' leading batch axes.  Returns (unchanged,
+    changed).  A row is dead where its total is below the floor or NaN, or
+    where both kernels of a pair, of zero mass or not, forbid its transition:
+    SupportError names the lowest dead row's transition.
     """
     f0 = spec.pre_kernels.T[x_next, x_prev][..., None]
     f1 = spec.post_kernels.T[x_next, x_prev][..., None, :]
-    if change is None:
-        num = f1 * spec.pi
-        den = num + f0 * (1.0 - spec.pi)
-    else:
-        num = f1 * ((1.0 - spec.p) + spec.p * change)
-        den = num + f0 * spec.p * (1.0 - change)
-    pair = pair * _transition_mixture(spec, change, f0, f1)
-    total = pair.sum(axis=(-2, -1), keepdims=True)
-    # fmin flags a cell where either the change denominator or the row's
-    # pair total is below the floor, NaN in one of them not masking the other
-    low = np.fmin(den, total) < _DENOM_FLOOR
+    unchanged, changed = _advance(spec, first, unchanged, changed, f0, f1)
+    total = (unchanged + changed).sum(axis=(-2, -1), keepdims=True)
+    low = ~(np.minimum(f0 + f1, total) >= _DENOM_FLOOR)
     if low.any():
         row = np.flatnonzero(low.any(axis=(-2, -1)))[0]
         x, y = (np.broadcast_to(a, low.shape[:-2]).ravel()[row] for a in (x_prev, x_next))
         raise SupportError(f"observation {y} outside common support after {x}")
-    return num / den, pair / total
+    return unchanged / total, changed / total
 
 
 def _grid_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
@@ -143,20 +144,21 @@ def change_backshift(spec: ModelSpec, window: Window, current) -> np.ndarray:
     return _grid_ratio(num, den, "degenerate window: back-shift denominator vanished")
 
 
-def change_lagged(spec: ModelSpec, k: int, window: Window, current) -> np.ndarray:
+def change_lagged(spec: ModelSpec, k: int, window: Window, survival) -> np.ndarray:
     """Grid of P(change happened at least k + 1 steps before now | pair, data).
 
-    Expressed through the current posterior and the likelihood ratios of the
-    last k + 1 transitions of `window`, batched as in change_multistep; the
-    current time n must satisfy n >= k + 2 for the expression to be exact
-    (at n = k + 1 the probability is identically 0).
+    Expressed through the current survival P(no change by now | pair, data)
+    and the likelihood ratios of the last k + 1 transitions of `window`,
+    batched as in change_multistep; the current time n must satisfy
+    n >= k + 2 for the expression to be exact (at n = k + 1 the probability
+    is identically 0).
     """
     if k < 0:
         raise ValueError("lag must be non-negative")
     if np.shape(window)[-1] < k + 2:
         raise ValueError(f"window must supply at least {k + 1} transitions")
     chain = likelihood_ratio_chain(spec, window, k + 1)
-    return 1.0 - (1.0 - current) * (1.0 + (1.0 - spec.p) * chain)
+    return 1.0 - survival * (1.0 + (1.0 - spec.p) * chain)
 
 
 def state_init(spec: ModelSpec) -> PosteriorState:
@@ -164,8 +166,8 @@ def state_init(spec: ModelSpec) -> PosteriorState:
     return PosteriorState(
         n=0,
         window=(spec.x0,),
-        change_prob=np.zeros((spec.l0, spec.l1)),
-        pair_prob=spec.b.copy(),
+        unchanged=spec.b.copy(),
+        changed=np.zeros((spec.l0, spec.l1)),
     )
 
 
@@ -173,62 +175,74 @@ def state_step(spec: ModelSpec, state: PosteriorState, x_next: int) -> Posterior
     """Advance the filter by one observation, trimming the window to d + 2.
 
     The first step uses the initial hazard pi; later steps use the geometric
-    hazard q = 1 - p applied to the previous change posterior.
+    hazard q = 1 - p.
     """
     if not 0 <= x_next < spec.alphabet_size:
         raise ValueError(f"symbol {x_next} outside alphabet")
     x_prev = state.window[-1]
-    change = None if state.n == 0 else state.change_prob
-    change, pair = _filter_step(spec, change, state.pair_prob, x_prev, x_next)
+    unchanged, changed = _filter_step(spec, state.n == 0, state.unchanged, state.changed, x_prev, x_next)
     window = (state.window + (x_next,))[-(spec.d + 2) :]
-    return PosteriorState(state.n + 1, window, change, pair)
+    return PosteriorState(state.n + 1, window, unchanged, changed)
 
 
-def _predictive(spec: ModelSpec, change, pair, x) -> np.ndarray:
-    # (N, A) next-symbol law of rows with last symbols x, change None at time
-    # 0 as in _filter_step; each entry is an fsum over the pair grid
+def _predictive(spec: ModelSpec, first: bool, unchanged, changed, x) -> np.ndarray:
+    # (N, A) next-symbol law of rows with last symbols x, `first` as in
+    # _filter_step; each entry is an fsum over the pair grid
     f0 = spec.pre_kernels[:, x, :].transpose(1, 2, 0)[..., None]
     f1 = spec.post_kernels[:, x, :].transpose(1, 2, 0)[..., None, :]
-    mix = _transition_mixture(spec, None if change is None else change[:, None], f0, f1)
-    return _fsum_grids(pair[:, None] * mix)
+    unchanged, changed = _advance(spec, first, unchanged[:, None], changed[:, None], f0, f1)
+    return _fsum_grids(unchanged + changed)
 
 
 def predictive(spec: ModelSpec, state: PosteriorState) -> np.ndarray:
     """One-step predictive distribution of the next symbol given the state."""
-    change = None if state.n == 0 else state.change_prob[None]
-    return _predictive(spec, change, state.pair_prob[None], np.array([state.window[-1]]))[0]
+    x = np.array([state.window[-1]])
+    return _predictive(spec, state.n == 0, state.unchanged[None], state.changed[None], x)[0]
 
 
 class FilterLevel(NamedTuple):
     """The paths of n steps with positive probability, (N, n + 1), in table
-    order; their (N, l0, l1) grids (change None at n = 0); their (N, A)
-    next-symbol predictive, None at the last level of a pass; and `parent`,
-    the row of each path's prefix in the previous level, None at n = 0."""
+    order; their (N, l0, l1) joint masses; their (N, A) next-symbol
+    predictive, None at the last level of a pass; and `parent`, the row of
+    each path's prefix in the previous level, None at n = 0.  Views per row:
+    change and pair (PosteriorState's change_prob and pair_prob) and
+    survival, P(no change by n | pair, path)."""
 
     n: int
     paths: np.ndarray
-    change: np.ndarray | None
-    pair: np.ndarray
+    unchanged: np.ndarray
+    changed: np.ndarray
     pred: np.ndarray | None
     parent: np.ndarray | None
+
+    @property
+    def change(self) -> np.ndarray:
+        return _given_pair(self.changed, self.pair)
+
+    @property
+    def survival(self) -> np.ndarray:
+        return _given_pair(self.unchanged, self.pair)
+
+    @property
+    def pair(self) -> np.ndarray:
+        return self.unchanged + self.changed
 
 
 def filter_levels(spec: ModelSpec, horizon: int):
     """Yield the filter tree's levels 0 .. horizon, one batched step per level.
 
     A level's rows are the children, in symbol order, of the previous level's
-    rows with positive predictive mass; each row's grids equal state_step
+    rows with positive predictive mass; each row's masses equal state_step
     along its path bit for bit.
     """
-    paths, change, pair, rows = np.array([[spec.x0]]), None, spec.b[None], None
+    paths, rows = np.array([[spec.x0]]), None
+    unchanged, changed = spec.b[None], np.zeros((1, spec.l0, spec.l1))
     for n in range(horizon + 1):
         x = paths[:, -1]
-        pred = _predictive(spec, change, pair, x) if n < horizon else None
-        yield FilterLevel(n, paths, change, pair, pred, rows)
+        pred = _predictive(spec, n == 0, unchanged, changed, x) if n < horizon else None
+        yield FilterLevel(n, paths, unchanged, changed, pred, rows)
         if pred is None:
             return
         rows, ys = np.nonzero(pred > 0.0)
-        change = None if change is None else change[rows]
-        change, pair = _filter_step(spec, change, pair[rows], x[rows], ys)
+        unchanged, changed = _filter_step(spec, n == 0, unchanged[rows], changed[rows], x[rows], ys)
         paths = np.column_stack((paths[rows], ys))
-

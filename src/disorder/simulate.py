@@ -232,11 +232,13 @@ def _stop_times(rule, observations: np.ndarray) -> np.ndarray:
     """Stop times of `rule` on an (N, h + 1) batch: its batch form, else one call per row.
 
     -1 where the rule never fires.  A ValueError for a stop time outside [0, h]
-    or not an integer: a per-path bool or float, or a batch form's non-integer dtype.
+    or not an integer: a per-path bool or float, or a batch form's result not an (N,) integer array.
     """
     h = observations.shape[1] - 1
     if hasattr(rule, "stop_times"):
         taus = np.asarray(rule.stop_times(observations))
+        if taus.shape != observations.shape[:1]:
+            raise ValueError(f"rule's batch form returned shape {taus.shape}, expected ({len(observations)},)")
         if taus.dtype.kind not in "iu":
             raise ValueError(f"rule's batch form returned stop times of dtype {taus.dtype}, not integers")
         never = taus == -1
@@ -352,7 +354,7 @@ def fixed_time_rule(spec: ModelSpec) -> Rule:
 
 
 def posterior_threshold_rule(spec: ModelSpec) -> Rule:
-    """Stop once the posterior total change mass reaches THRESHOLD_LEVEL (not before d + 1).
+    """Stop once the posterior change mass P(theta <= n | data) reaches THRESHOLD_LEVEL (not before d + 1).
 
     The batch form filters every path in lockstep and advances only the rows
     that have not stopped.  It fails where a per-path filter would, on a
@@ -366,8 +368,7 @@ def posterior_threshold_rule(spec: ModelSpec) -> Rule:
         obs = np.asarray(observations)
         stops = np.full(len(obs), -1, dtype=np.int64)
         rows = np.arange(len(obs))  # the rows still running
-        x_prev = np.full(len(obs), spec.x0)
-        change, pair = None, np.broadcast_to(spec.b, (len(obs), spec.l0, spec.l1))
+        unchanged, changed = spec.b, np.zeros(spec.b.shape)  # broadcast against the rows on the first step
         _check_read(spec, obs)
         in_alphabet = bool(((obs[:, 1:] >= 0) & (obs[:, 1:] < spec.alphabet_size)).all())
         for n in range(1, obs.shape[1]):
@@ -376,14 +377,13 @@ def posterior_threshold_rule(spec: ModelSpec) -> Rule:
             x_next = obs[rows, n]
             if not in_alphabet:
                 _check_read(spec, obs, x_next)
-            change, pair = _filter_step(spec, change, pair, x_prev, x_next)
-            x_prev = x_next
+            unchanged, changed = _filter_step(spec, n == 1, unchanged, changed, obs[rows, n - 1], x_next)
             if n >= spec.d + 1:
-                fired = (change * pair).sum(axis=(1, 2)) >= THRESHOLD_LEVEL
+                fired = changed.sum(axis=(1, 2)) >= THRESHOLD_LEVEL
                 if fired.any():
                     stops[rows[fired]] = n
                     keep = ~fired
-                    rows, x_prev, change, pair = rows[keep], x_prev[keep], change[keep], pair[keep]
+                    rows, unchanged, changed = rows[keep], unchanged[keep], changed[keep]
         return stops
 
     return _with_batch_form(stop_times)

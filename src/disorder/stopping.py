@@ -1,24 +1,24 @@
 """Value iteration and the optimal stopping rule.
 
-The continuation values s_k are defined by one backward-induction sweep per
-level: s_0 integrates the stop payoff one step ahead, and for k >= 1
+The continuation values s_k read the filter state through its unchanged mass
+U = P(theta > n, pair | data) alone, as u = p o U.  They are defined by one
+backward-induction sweep per level: s_0 integrates the stop payoff one step
+ahead, and for k >= 1
 
-    s_k(w, gamma, delta) = sum_y max{ stop(w', y), s_{k-1}(w' + (y,), gamma, c(y) o delta) }
+    s_k(w, U) = sum_y max{ c_y . u, s_{k-1}(w' + (y,), p o f0(x_last, y) o U) }
 
-where w' drops the oldest symbol of w, stop(w', y) is the one-step-ahead
-stop payoff weighted by the pre-change transition density, and the delta
-argument is composed entrywise with c(y)[i, j] = p[i, j] * f0_i(x_last, y).
-The gamma grid enters only through u = p o (1 - gamma) o delta, and every
-term is linear in u, so s_k is the maximum of finitely many linear functions
+where w' drops the oldest symbol of w and c_y is the one-step-ahead stop
+payoff coefficient grid times the pre-change transition density f0(x_last, y).
+Every term is linear in u, so s_k is the maximum of finitely many linear
+functions
 
-    s_k(w, gamma, delta) = max_{g in Gamma_k(w')} g . u
+    s_k(w, U) = max_{g in Gamma_k(w')} g . u
 
 (the alpha-vector form of POMDP value functions).  Gamma_k(w') is the
-cross-sum over y of {c_y} u {D_y o g : g in Gamma_{k-1}(w' + (y,))}, with c_y
-the stop payoff coefficients times f0(x_last, y), D_y = p o f0(x_last, y)
-and no continuation sets at k = 0.  ValueTable builds these sets on demand,
-prunes dominated vectors and keeps them for its lifetime, so one table
-serves every state of a spec.
+cross-sum over y of {c_y} u {D_y o g : g in Gamma_{k-1}(w' + (y,))}, with
+D_y = p o f0(x_last, y) and no continuation sets at k = 0.  ValueTable builds
+these sets on demand, prunes dominated vectors and keeps them for its
+lifetime, so one table serves every state of a spec.
 
 s_k increases pointwise in k; its limit s* defines the stopping region
 { h >= s* }.  A decision raises K up to the cap k_max until h < s_K proves
@@ -149,13 +149,13 @@ def _envelope(vecs: np.ndarray) -> np.ndarray:
 class ValueTable:
     """Alpha-vector sets Gamma_k of the continuation values for one spec.
 
-    s_k at a state is max(Gamma_k(w') @ u) with u = p o (1 - gamma) o delta
-    and w' the last d + 1 symbols of the window.  Each set is built when it
-    is first asked for and kept for the table's lifetime.  CANDIDATE_BUDGET
-    caps the candidate vectors formed in cross-sums over that lifetime.  The
-    table is the handle that value_iterate and stop_decision take: they read
-    the spec from it and share its sets across calls.  Confine one table per
-    worker, it is not synchronised.
+    s_k at a state is max(Gamma_k(w') @ u) with u = p o unchanged and w' the
+    last d + 1 symbols of the window.  Each set is built when it is first
+    asked for and kept for the table's lifetime.  CANDIDATE_BUDGET caps the
+    candidate vectors formed in cross-sums over that lifetime.  The table is
+    the handle that value_iterate and stop_decision take: they read the spec
+    from it and share its sets across calls.  Confine one table per worker,
+    it is not synchronised.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -167,11 +167,9 @@ class ValueTable:
         # transitions a -> b that can occur; validated kernels share zeros
         self._live = spec.pre_kernels.any(axis=0)
 
-    def weight(self, gamma: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """The flattened u = p o (1 - gamma) o delta that the sets act on, per (l0, l1) grid."""
-        gamma = np.asarray(gamma, dtype=np.float64)
-        delta = np.asarray(delta, dtype=np.float64)
-        u = self.spec.p * (1.0 - gamma) * delta
+    def weight(self, unchanged: np.ndarray) -> np.ndarray:
+        """The flattened u = p o unchanged that the sets act on, per (l0, l1) grid."""
+        u = self.spec.p * unchanged
         return u.reshape(u.shape[:-2] + (-1,))
 
     def value(self, k: int, window: Window, u: np.ndarray):
@@ -185,14 +183,15 @@ class ValueTable:
             raise ValueError(f"window must have length {self.spec.d + 2}")
         if np.ndim(u) == 1:
             return float(np.max(self.vectors(k, tuple(window[1:])) @ u))
-        # rows grouped by their tail's base-A rank, so the groups come in the tails' lexicographic order
+        # rows sorted stably by their tail's base-A rank: one contiguous slice per tail, in the tails' order
         tails = _check_window(self.spec, window)[:, 1:]
         ranks = tails @ self.spec.alphabet_size ** np.arange(self.spec.d, -1, -1)
-        _, first, which = np.unique(ranks, return_index=True, return_inverse=True)
-        s_k = np.empty(len(u))
-        for i, row in enumerate(first.tolist()):
-            rows = which == i
-            s_k[rows] = np.max(self.vectors(k, tuple(tails[row].tolist())) @ u[rows, :, None], axis=(1, 2))
+        order = np.argsort(ranks, kind="stable")
+        tails, u = tails[order], u[order, :, None]
+        cuts = [0, *(np.flatnonzero(np.diff(ranks[order])) + 1).tolist(), len(order)]
+        s_k = np.empty(len(order))
+        for lo, hi in zip(cuts, cuts[1:]):
+            s_k[order[lo:hi]] = np.max(self.vectors(k, tuple(tails[lo].tolist())) @ u[lo:hi], axis=(1, 2))
         return s_k
 
     def vectors(self, k: int, tail: Window) -> np.ndarray:
@@ -259,8 +258,7 @@ class ValueTable:
 def value_iterate(
     table: ValueTable,
     window: Window,
-    gamma: np.ndarray,
-    delta: np.ndarray,
+    unchanged: np.ndarray,
     cfg: ValueIterConfig,
     stop_value: float,
 ) -> ValueIterResult:
@@ -268,7 +266,7 @@ def value_iterate(
 
     The alpha-vector sets come from `table`, and with them the spec.
     """
-    u = table.weight(gamma, delta)
+    u = table.weight(unchanged)
     for k in range(1, cfg.k_max + 1):
         s = table.value(k, window, u)
         upper = s + table.bound(k) * float(u.sum())
@@ -299,7 +297,7 @@ def stop_decision(
         raise ValueError("nxt must be the one-step successor of state")
     at = state if nxt is None else nxt
     h = state_payoff(spec, state)
-    res = value_iterate(table, at.window, at.change_prob, at.pair_prob, cfg, h)
+    res = value_iterate(table, at.window, at.unchanged, cfg, h)
     return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
 
 

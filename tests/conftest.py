@@ -143,6 +143,17 @@ def with_shared_zero(spec: ModelSpec, x: int, y: int) -> ModelSpec:
     return spec_from_dict(payload)
 
 
+def masses(change, pair):
+    """The joint masses (unchanged, changed) of a change grid and a pair grid."""
+    change = np.asarray(change, dtype=np.float64)
+    return (1.0 - change) * pair, change * pair
+
+
+def state_from(n: int, window, change, pair) -> PosteriorState:
+    """The filter state at time n whose views are the (change, pair) grids."""
+    return PosteriorState(n, window, *masses(change, pair))
+
+
 def step_from(spec: ModelSpec, prev, x_prev: int, x_next: int) -> np.ndarray:
     """Change posterior grid after one in-sequence filter step from `prev`.
 
@@ -150,5 +161,4 @@ def step_from(spec: ModelSpec, prev, x_prev: int, x_next: int) -> np.ndarray:
     last symbol x_prev; the pair posterior does not enter the change update.
     """
     change = np.broadcast_to(np.asarray(prev, dtype=np.float64), (spec.l0, spec.l1))
-    state = PosteriorState(n=1, window=(x_prev,), change_prob=change, pair_prob=spec.b)
-    return state_step(spec, state, x_next).change_prob
+    return state_step(spec, state_from(1, (x_prev,), change, spec.b), x_next).change_prob

@@ -25,9 +25,9 @@ def normalization_max_err(spec, paths):
                 continue
             x_prev, x_next = path[n - 1], path[n]
             norm = float(posterior.predictive(spec, prev)[x_next])
-            composed = spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
-            u_state = table.weight(state.change_prob, state.pair_prob)
-            u_prev = table.weight(prev.change_prob, composed)
+            composed = spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.unchanged
+            u_state = table.weight(state.unchanged)
+            u_prev = table.weight(composed)
             for k in _NORM_LEVELS:
                 lhs = table.value(k, state.window, u_state) * norm
                 rhs = table.value(k, state.window, u_prev)

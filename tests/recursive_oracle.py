@@ -21,8 +21,8 @@ def optimal_value_state_indexed(spec, horizon):
         return (
             state.n,
             state.window,
-            state.change_prob.tobytes(),
-            state.pair_prob.tobytes(),
+            state.unchanged.tobytes(),
+            state.changed.tobytes(),
         )
 
     def value(state) -> float:

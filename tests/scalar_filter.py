@@ -4,8 +4,10 @@ These are the scalar formulas the grid-wide core in `disorder.likelihood` and
 `disorder.posterior` replaces, kept here in plain Python as the reference the
 grid code must equal bit for bit: split likelihoods by prefix and suffix
 products, the four window densities (in-sequence and from time 0, total and
-changed), the one-step change and pair updates, the predictive law and the
-path probability.
+changed), the one-step update of the joint masses, the predictive law and the
+path probability.  The one-step updates of the conditional change and pair
+grids stay as a second referee, equal to the views of the joint masses to
+rounding.
 """
 
 import math
@@ -79,16 +81,37 @@ def pair_step(spec, x_prev, x_next, prev_pair, prev_change, n):
     return num / float(num.sum())
 
 
-def state_step(spec, state, x_next):
-    """The filter step, every pair through the scalar updates above."""
-    n = state.n + 1
-    x_prev = state.window[-1]
+def conditional_step(spec, x_prev, x_next, prev_change, prev_pair, n):
+    """The (change, pair) grids at time n from those at n - 1, through the updates above."""
     change = np.empty((spec.l0, spec.l1))
     for i, j in spec.pairs():
-        change[i, j] = change_step(spec, i, j, float(state.change_prob[i, j]), x_prev, x_next, n)
-    pair = pair_step(spec, x_prev, x_next, state.pair_prob, state.change_prob, n)
+        change[i, j] = change_step(spec, i, j, float(prev_change[i, j]), x_prev, x_next, n)
+    return change, pair_step(spec, x_prev, x_next, prev_pair, prev_change, n)
+
+
+def mass_step(spec, i, j, unchanged, changed, x_prev, x_next, n):
+    """Unnormalised one-step update of pair (i, j)'s joint masses (unchanged, changed)."""
+    f0 = float(spec.pre_kernels[i, x_prev, x_next])
+    f1 = float(spec.post_kernels[j, x_prev, x_next])
+    if n == 1:
+        keep, jump = 1.0 - float(spec.pi[i, j]), float(spec.pi[i, j])
+    else:
+        keep, jump = float(spec.p[i, j]), 1.0 - float(spec.p[i, j])
+    return unchanged * keep * f0, (changed + unchanged * jump) * f1
+
+
+def state_step(spec, state, x_next):
+    """The filter step, every pair through mass_step, then divided by the grid total."""
+    n = state.n + 1
+    x_prev = state.window[-1]
+    unchanged = np.empty((spec.l0, spec.l1))
+    changed = np.empty((spec.l0, spec.l1))
+    for i, j in spec.pairs():
+        u, c = float(state.unchanged[i, j]), float(state.changed[i, j])
+        unchanged[i, j], changed[i, j] = mass_step(spec, i, j, u, c, x_prev, x_next, n)
+    total = float((unchanged + changed).sum())
     window = (state.window + (x_next,))[-(spec.d + 2) :]
-    return PosteriorState(n=n, window=window, change_prob=change, pair_prob=pair)
+    return PosteriorState(n=n, window=window, unchanged=unchanged / total, changed=changed / total)
 
 
 def mixture(spec, window, gamma, delta, origin=False):
@@ -100,13 +123,16 @@ def mixture(spec, window, gamma, delta, origin=False):
 
 
 def predictive(spec, state):
-    """Next-symbol law: one pair mixture per next symbol."""
+    """Next-symbol law: per next symbol, an fsum over pairs of the masses mass_step gives."""
     x = state.window[-1]
-    if state.n == 0:
-        return np.array([mixture(spec, (x, y), spec.b, spec.pi, True) for y in range(spec.alphabet_size)])
-    return np.array(
-        [mixture(spec, (x, y), state.pair_prob, state.change_prob) for y in range(spec.alphabet_size)]
-    )
+    law = []
+    for y in range(spec.alphabet_size):
+        terms = []
+        for i, j in spec.pairs():
+            u, c = float(state.unchanged[i, j]), float(state.changed[i, j])
+            terms.append(sum(mass_step(spec, i, j, u, c, x, y, state.n + 1)))
+        law.append(math.fsum(terms))
+    return np.array(law)
 
 
 def path_probability(spec, path):

@@ -38,7 +38,7 @@ from disorder.posterior import change_lagged
 from disorder.simulate import TrajectorySampler, mix_seed, mix_seeds
 from disorder.stopping import ValueTable
 
-from conftest import make_m1, make_m2, make_m3, make_m4, step_from
+from conftest import make_m1, make_m2, make_m3, make_m4, masses, step_from
 
 ALL_SPECS = {"M1": make_m1, "M2": make_m2, "M3": make_m3, "M4": make_m4}
 
@@ -100,7 +100,7 @@ def test_criterion_2_projection_identities():
                     worst_back = max(worst_back, float(np.max(np.abs(got))))
                 elif n >= k + 2:
                     got = change_cdf_given_pair(table, path, n - k - 1)
-                    expected = change_lagged(spec, k, path, state.change_prob)
+                    expected = change_lagged(spec, k, path, state.unchanged / state.pair_prob)
                     worst_back = max(worst_back, float(np.max(np.abs(got - expected))))
     assert worst_fwd <= 1e-10
     assert worst_back <= 1e-10
@@ -167,14 +167,10 @@ def test_criterion_4_structural_recursions():
                 x_prev, x_next = path[d + 1], path[d + 2]
                 state = state_step(spec, state, x_next)
                 norm = float(predictive(spec, prev)[x_next])
-                composed = (
-                    spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
-                )
+                composed = spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.unchanged
                 for k in (0, 1, 2):
-                    lhs = norm * table.value(
-                        k, state.window, table.weight(state.change_prob, state.pair_prob)
-                    )
-                    rhs = table.value(k, state.window, table.weight(prev.change_prob, composed))
+                    lhs = norm * table.value(k, state.window, table.weight(state.unchanged))
+                    rhs = table.value(k, state.window, table.weight(composed))
                     worst_norm = max(worst_norm, abs(lhs - rhs))
     assert worst_norm <= 1e-9
 
@@ -187,7 +183,7 @@ def test_criterion_4_structural_recursions():
             window = tuple(rng.integers(0, spec.alphabet_size, size=spec.d + 2).tolist())
             gamma = rng.uniform(0, 1, (spec.l0, spec.l1))
             delta = rng.uniform(0, 1, (spec.l0, spec.l1))
-            u = table.weight(gamma, delta)
+            u = table.weight(masses(gamma, delta)[0])
             prev = table.value(0, window, u)
             for k in range(1, 5):
                 cur = table.value(k, window, u)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disorder import (
-    PosteriorState,
     path_probability,
     predictive,
     split_likelihoods,
@@ -15,7 +14,7 @@ from disorder import (
 )
 from disorder.likelihood import likelihood_ratio_chain
 
-from conftest import make_m1, make_m3, make_m4, random_spec
+from conftest import make_m1, make_m3, make_m4, random_spec, state_from
 
 
 def all_paths(spec, n):
@@ -181,7 +180,7 @@ def test_mixture_affine_in_each_delta_entry(seed, entry):
 
 class TestMixtures:
     def test_singleton_mixture_equals_marginal(self, m1):
-        state = PosteriorState(n=1, window=(0,), change_prob=np.array([[0.0]]), pair_prob=np.array([[1.0]]))
+        state = state_from(1, (0,), np.array([[0.0]]), np.array([[1.0]]))
         got = predictive(m1, state)[1]
         assert got == pytest.approx(0.32, abs=1e-15)
 

@@ -230,6 +230,20 @@ class TestExactRuleValue:
         with pytest.raises(ValueError, match="^rule's batch form returned stop times of dtype float64"):
             exact_rule_value(table, floats)
 
+    def test_misshapen_batch_form_rejected(self, m2):
+        # a batch result of any shape but (N,) over the 16 live paths is not broadcast
+        table = build_joint(m2, 4)
+        rule = fixed_time_rule(m2)
+        for stop_times, shape in (
+            (lambda observations: np.array([2]), (1,)),
+            (lambda observations: rule.stop_times(observations)[:, None], (16, 1)),
+        ):
+            odd = lambda path: rule(path)  # noqa: E731
+            odd.stop_times = stop_times
+            message = f"rule's batch form returned shape {shape}, expected (16,)"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                exact_rule_value(table, odd)
+
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
     def test_batch_form_read_once(self, config):
         # one batch-form call over the live paths, and the per-path value bit for bit

@@ -22,7 +22,8 @@ from disorder import (
 from disorder.payoff import detection_coeff_matrix
 from disorder.posterior import filter_levels
 
-from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support, random_spec, with_shared_zero
+from conftest import make_m1, make_m2, make_m3, make_m4, make_zero_support, masses, random_spec
+from conftest import with_shared_zero
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 
@@ -37,10 +38,10 @@ def filter_through(spec, path):
 class TestStopPayoff:
     def test_certain_change_pays_nothing(self, m3):
         delta = np.full((2, 2), 0.25)
-        assert stop_payoff(m3, m3.d + 2, (0, 1), np.ones((2, 2)), delta) == 0.0
+        assert stop_payoff(m3, m3.d + 2, (0, 1), *masses(np.ones((2, 2)), delta)) == 0.0
 
     def test_frozen_example(self, m1):
-        got = stop_payoff(m1, m1.d + 2, (0, 1), np.array([[0.5]]), np.array([[1.0]]))
+        got = stop_payoff(m1, m1.d + 2, (0, 1), *masses(np.array([[0.5]]), np.array([[1.0]])))
         assert got == pytest.approx(0.5, abs=1e-14)
 
     def test_identical_kernels_closed_form(self):
@@ -58,7 +59,7 @@ class TestStopPayoff:
         p = 0.8
         q = 0.2
         expected = 1 - p + q * (1 / p + 1 / p**2)
-        got = stop_payoff(same, same.d + 2, (0, 1, 0), np.array([[0.0]]), np.array([[1.0]]))
+        got = stop_payoff(same, same.d + 2, (0, 1, 0), *masses(np.array([[0.0]]), np.array([[1.0]])))
         assert got == pytest.approx(expected, abs=1e-14)
 
     def test_bilinear_in_gamma_and_delta(self, m3):
@@ -70,14 +71,16 @@ class TestStopPayoff:
         g1, gm = g0.copy(), g0.copy()
         g1[i, j] = 1.0
         gm[i, j] = 0.5 * (g0[i, j] + 1.0)
-        f0, f1 = stop_payoff(m3, m3.d + 2, window, g0, d0), stop_payoff(m3, m3.d + 2, window, g1, d0)
-        fm = stop_payoff(m3, m3.d + 2, window, gm, d0)
+        f0 = stop_payoff(m3, m3.d + 2, window, *masses(g0, d0))
+        f1 = stop_payoff(m3, m3.d + 2, window, *masses(g1, d0))
+        fm = stop_payoff(m3, m3.d + 2, window, *masses(gm, d0))
         assert fm == pytest.approx(0.5 * (f0 + f1), abs=1e-12)
         d1, dm = d0.copy(), d0.copy()
         d1[i, j] = 0.0
         dm[i, j] = 0.5 * d0[i, j]
-        f0, f1 = stop_payoff(m3, m3.d + 2, window, g0, d0), stop_payoff(m3, m3.d + 2, window, g0, d1)
-        fm = stop_payoff(m3, m3.d + 2, window, g0, dm)
+        f0 = stop_payoff(m3, m3.d + 2, window, *masses(g0, d0))
+        f1 = stop_payoff(m3, m3.d + 2, window, *masses(g0, d1))
+        fm = stop_payoff(m3, m3.d + 2, window, *masses(g0, dm))
         assert fm == pytest.approx(0.5 * (f0 + f1), abs=1e-12)
 
     def test_nonnegative(self, m4):
@@ -86,14 +89,14 @@ class TestStopPayoff:
             window = tuple(rng.integers(0, 3, size=m4.d + 2).tolist())
             gamma = rng.uniform(0, 1, (2, 1))
             delta = rng.uniform(0, 1, (2, 1))
-            assert stop_payoff(m4, m4.d + 2, window, gamma, delta) >= 0.0
+            assert stop_payoff(m4, m4.d + 2, window, *masses(gamma, delta)) >= 0.0
 
     def test_filter_states_stay_in_unit_interval(self):
         spec = make_m3(d=1)
         for tail in itertools.product(range(2), repeat=4):
             path = (0,) + tail
             state = filter_through(spec, path)
-            val = stop_payoff(spec, spec.d + 2, state.window, state.change_prob, state.pair_prob)
+            val = stop_payoff(spec, spec.d + 2, state.window, state.unchanged, state.changed)
             assert -1e-12 <= val <= 1.0 + 1e-12
 
     def test_support_error_on_dead_window(self):
@@ -108,25 +111,25 @@ class TestStopPayoff:
             x0=0,
         )
         with pytest.raises(SupportError):
-            stop_payoff(spec, spec.d + 2, (0, 1), np.array([[0.0]]), np.array([[1.0]]))
+            stop_payoff(spec, spec.d + 2, (0, 1), *masses(np.array([[0.0]]), np.array([[1.0]])))
 
     def test_window_length_enforced(self, m1):
         with pytest.raises(ValueError):
-            stop_payoff(m1, m1.d + 2, (0, 1, 0), np.array([[0.0]]), np.array([[1.0]]))
+            stop_payoff(m1, m1.d + 2, (0, 1, 0), *masses(np.array([[0.0]]), np.array([[1.0]])))
 
 
 class TestBoundaryPayoff:
     def test_certain_change_max_payoff(self, m3):
         delta = np.full((2, 2), 0.25)
-        got = stop_payoff(m3, m3.d + 1, None, np.ones((2, 2)), delta)
+        got = stop_payoff(m3, m3.d + 1, None, *masses(np.ones((2, 2)), delta))
         assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_delta(self, m3):
-        assert stop_payoff(m3, m3.d + 1, None, np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+        assert stop_payoff(m3, m3.d + 1, None, *masses(np.zeros((2, 2)), np.zeros((2, 2)))) == 0.0
 
     def test_single_pair_example(self):
         spec = make_m1(d=1)
-        got = stop_payoff(spec, spec.d + 1, None, np.array([[0.0]]), np.array([[1.0]]))
+        got = stop_payoff(spec, spec.d + 1, None, *masses(np.array([[0.0]]), np.array([[1.0]])))
         assert got == pytest.approx(0.2, abs=1e-14)
 
     def test_range_on_simplex(self, m4):
@@ -135,7 +138,7 @@ class TestBoundaryPayoff:
             raw = rng.uniform(0, 1, (2, 1))
             delta = raw / raw.sum()
             gamma = rng.uniform(0, 1, (2, 1))
-            val = stop_payoff(m4, m4.d + 1, None, gamma, delta)
+            val = stop_payoff(m4, m4.d + 1, None, *masses(gamma, delta))
             assert 0.0 <= val <= 1.0 + 1e-14
 
 
@@ -144,10 +147,10 @@ def assert_batch_is_rows(spec):
     # d + 1 .. d + 3, bit for bit
     for level in list(filter_levels(spec, spec.d + 3))[spec.d + 1 :]:
         windows = level.paths[:, -(spec.d + 2) :]
-        batch = stop_payoff(spec, level.n, windows, level.change, level.pair)
+        batch = stop_payoff(spec, level.n, windows, level.unchanged, level.changed)
         rows = [
-            stop_payoff(spec, level.n, tuple(window), change, pair)
-            for window, change, pair in zip(windows.tolist(), level.change, level.pair)
+            stop_payoff(spec, level.n, tuple(window), unchanged, changed)
+            for window, unchanged, changed in zip(windows.tolist(), level.unchanged, level.changed)
         ]
         assert all(type(row) is float for row in rows)
         assert [repr(v) for v in batch.tolist()] == [repr(v) for v in rows]
@@ -177,7 +180,7 @@ class TestBatchedPayoff:
         spec = make_m3(d=1)
         for n in (0, 1):
             with pytest.raises(ValueError, match="from time d \\+ 1 on"):
-                stop_payoff(spec, n, (0, 1, 0), np.zeros((2, 2)), spec.b)
+                stop_payoff(spec, n, (0, 1, 0), *masses(np.zeros((2, 2)), spec.b))
 
 
 class TestCriterion:
@@ -243,9 +246,9 @@ class TestPayoffIsConditionalProbability:
                 state = filter_through(spec, path)
                 z = detection_mass(table, path, n) / path_prob(table, path)
                 if n == d + 1:
-                    val = stop_payoff(spec, spec.d + 1, state.window, state.change_prob, state.pair_prob)
+                    val = stop_payoff(spec, spec.d + 1, state.window, state.unchanged, state.changed)
                 else:
-                    val = stop_payoff(spec, spec.d + 2, state.window, state.change_prob, state.pair_prob)
+                    val = stop_payoff(spec, spec.d + 2, state.window, state.unchanged, state.changed)
                 assert abs(val - z) <= 1e-10
                 assert state_payoff(spec, state) == val
 
@@ -257,4 +260,4 @@ class TestCoeffMatrix:
         gamma = np.array([[0.2, 0.4], [0.1, 0.9]])
         delta = np.array([[0.3, 0.2], [0.25, 0.25]])
         manual = float(np.sum(coeff * (1 - gamma) * delta))
-        assert stop_payoff(m3, m3.d + 2, window, gamma, delta) == pytest.approx(manual, abs=1e-14)
+        assert stop_payoff(m3, m3.d + 2, window, *masses(gamma, delta)) == pytest.approx(manual, abs=1e-14)

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disorder import (
-    PosteriorState,
     SupportError,
     change_backshift,
     change_from_origin,
@@ -35,7 +34,9 @@ from conftest import (
     make_m3,
     make_m4,
     make_zero_support,
+    masses,
     random_spec,
+    state_from,
     step_from,
     with_shared_zero,
 )
@@ -204,7 +205,7 @@ class TestBackshift:
 
 class TestPairStep:
     def test_singleton_grid_stays_one(self, m1):
-        state = PosteriorState(n=1, window=(0,), change_prob=np.array([[0.3]]), pair_prob=np.array([[1.0]]))
+        state = state_from(1, (0,), np.array([[0.3]]), np.array([[1.0]]))
         out = state_step(m1, state, 1).pair_prob
         assert out == pytest.approx(np.array([[1.0]]))
 
@@ -214,7 +215,7 @@ class TestPairStep:
             raw = rng.uniform(0.1, 1, size=(2, 2))
             prev_pair = raw / raw.sum()
             prev_change = rng.uniform(0, 1, size=(2, 2))
-            state = PosteriorState(n=n - 1, window=(0,), change_prob=prev_change, pair_prob=prev_pair)
+            state = state_from(n - 1, (0,), prev_change, prev_pair)
             out = state_step(m3, state, 1).pair_prob
             assert float(out.sum()) == pytest.approx(1.0, abs=1e-12)
             assert np.all(out >= 0)
@@ -302,6 +303,22 @@ class TestFilterTree:
             for row, path in enumerate(level.paths.tolist()):
                 assert _bits(level.pred[row]) == _bits(predictive(spec, filter_through(spec, path)))
 
+    @pytest.mark.parametrize("spec", TREE_SPECS[:-1])
+    def test_conditional_recursion_referees_the_views(self, spec):
+        # the per-pair recursion on the conditional (change, pair) grids
+        # follows the views of the joint masses to rounding, node by node
+        levels = list(filter_levels(spec, 6 if spec.alphabet_size == 2 else 4))
+        grids = [(np.zeros((spec.l0, spec.l1)), spec.b)]
+        for level in levels[1:]:
+            grids = [
+                scalar_filter.conditional_step(spec, path[-2], path[-1], *grids[up], level.n)
+                for up, path in zip(level.parent.tolist(), level.paths.tolist())
+            ]
+            change, pair = level.change, level.pair
+            for row, (c, g) in enumerate(grids):
+                assert np.max(np.abs(c - change[row])) <= 1e-14
+                assert np.max(np.abs(g - pair[row])) <= 1e-14
+
     def test_dead_row_raises_like_state_step(self):
         # an invalid spec: 0 -> 1 impossible under pair (0, 0) only, so it
         # has positive predictive mass while pair (0, 0) has none
@@ -343,17 +360,18 @@ class TestSupportError:
 
     def test_scalar_step(self):
         spec = self.spec
-        assert self.raised(_filter_step, spec, None, spec.b, 2, 0) == self.AFTER_2
-        assert self.raised(_filter_step, spec, np.full(spec.b.shape, 0.3), spec.b, 1, 1) == self.AFTER_1
+        assert self.raised(_filter_step, spec, True, *masses(0.0, spec.b), 2, 0) == self.AFTER_2
+        grids = masses(np.full(spec.b.shape, 0.3), spec.b)
+        assert self.raised(_filter_step, spec, False, *grids, 1, 1) == self.AFTER_1
 
     @pytest.mark.parametrize("time_zero", [True, False])
     def test_batch_names_lowest_dead_row(self, time_zero):
         spec = self.spec
         pair = np.broadcast_to(spec.b, (4,) + spec.b.shape)
-        change = None if time_zero else np.full(pair.shape, 0.3)
+        grids = masses(0.0 if time_zero else np.full(pair.shape, 0.3), pair)
         x_prev, x_next = np.array([0, 2, 1, 0]), np.array([1, 0, 1, 2])
-        assert self.raised(_filter_step, spec, change, pair, x_prev, x_next) == self.AFTER_2
-        assert self.raised(_filter_step, spec, change, pair, x_prev[::-1], x_next[::-1]) == self.AFTER_1
+        assert self.raised(_filter_step, spec, time_zero, *grids, x_prev, x_next) == self.AFTER_2
+        assert self.raised(_filter_step, spec, time_zero, *grids, x_prev[::-1], x_next[::-1]) == self.AFTER_1
 
     def test_callers_raise_the_same_text(self):
         spec = self.spec
@@ -376,7 +394,7 @@ class TestLagged:
                 state = filter_through(spec, path)
                 for k in range(0, min(3, n - 2) + 1):
                     got_oracle = oracle.change_cdf_given_pair(table, path, n - k - 1)
-                    expected = change_lagged(spec, k, path, state.change_prob)
+                    expected = change_lagged(spec, k, path, state.unchanged / state.pair_prob)
                     assert np.max(np.abs(got_oracle - expected)) <= 1e-10
 
     def test_boundary_time_is_zero(self, m3):
@@ -404,12 +422,7 @@ class TestPredictive:
 
     def test_certain_change_uses_post_mixture(self, m3):
         state = filter_through(m3, (0, 1, 1, 1))
-        forced = type(state)(
-            n=state.n,
-            window=state.window,
-            change_prob=np.ones((2, 2)),
-            pair_prob=state.pair_prob,
-        )
+        forced = state_from(state.n, state.window, np.ones((2, 2)), state.pair_prob)
         got = predictive(m3, forced)
         x = state.window[-1]
         expected = np.zeros(2)
@@ -462,8 +475,8 @@ def test_grid_core_equals_scalar_reference(seed, alphabet, l0, l1, d, horizon):
         state = state_step(spec, state, path[n])
         ref = scalar_filter.state_step(spec, ref, path[n])
         assert state.window == ref.window
-        assert _bits(state.change_prob) == _bits(ref.change_prob)
-        assert _bits(state.pair_prob) == _bits(ref.pair_prob)
+        assert _bits(state.unchanged) == _bits(ref.unchanged)
+        assert _bits(state.changed) == _bits(ref.changed)
         assert _bits(predictive(spec, state)) == _bits(scalar_filter.predictive(spec, ref))
         assert path_probability(spec, path[: n + 1]) == scalar_filter.path_probability(spec, path[: n + 1])
     # every window density form against its per-pair formula
@@ -498,16 +511,16 @@ def test_batched_step_equals_scalar_reference(seed, alphabet, l0, l1, horizon):
         [np.full((5, 1), spec.x0), rng.integers(0, alphabet, size=(5, horizon))], axis=1
     )
     refs = [state_init(spec)] * len(paths)
-    change, pair = None, np.broadcast_to(spec.b, (len(paths), l0, l1))
+    unchanged, changed = np.broadcast_to(spec.b, (len(paths), l0, l1)), np.zeros((len(paths), l0, l1))
     for n in range(1, horizon + 1):
         # full support: the step does not raise
-        change, pair = _filter_step(spec, change, pair, paths[:, n - 1], paths[:, n])
-        mass = (change * pair).sum(axis=(1, 2))
+        unchanged, changed = _filter_step(spec, n == 1, unchanged, changed, paths[:, n - 1], paths[:, n])
+        mass = changed.sum(axis=(1, 2))
         for row, path in enumerate(paths.tolist()):
             refs[row] = ref = scalar_filter.state_step(spec, refs[row], path[n])
-            assert _bits(change[row]) == _bits(ref.change_prob)
-            assert _bits(pair[row]) == _bits(ref.pair_prob)
-            assert mass[row] == float(np.sum(ref.change_prob * ref.pair_prob))
+            assert _bits(unchanged[row]) == _bits(ref.unchanged)
+            assert _bits(changed[row]) == _bits(ref.changed)
+            assert mass[row] == float(np.sum(ref.changed))
 
 
 @settings(max_examples=60, deadline=None)

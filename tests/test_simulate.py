@@ -169,6 +169,27 @@ class TestMonteCarlo:
         assert isinstance(info.value.__cause__, ValueError)
         assert str(info.value.__cause__) == "rule's batch form returned stop times of dtype float64, not integers"
 
+    @pytest.mark.parametrize(
+        "stop_times, shape",
+        [
+            (lambda obs: np.array([2]), "(1,), expected (5,)"),
+            (lambda obs: np.full((len(obs), 1), 2), "(1, 1), expected (1,)"),
+        ],
+        ids=["one_row", "column"],
+    )
+    def test_misshapen_batch_form_is_rule_error(self, m2, stop_times, shape):
+        # a batch result is not broadcast to the chunk: a (1,) one on 5 rows
+        # fails on the chunk alone, an (N, 1) one on the first trajectory too
+        def odd(obs):
+            return 2
+
+        odd.stop_times = stop_times
+        with pytest.raises(RuleError) as info:
+            monte_carlo_eval(m2, {"fixed": fixed_time_rule(m2), "odd": odd}, 5, 4, 1)
+        assert (info.value.rule, info.value.seed) == ("odd", mix_seed(1, 0))
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == f"rule's batch form returned shape {shape}"
+
     def test_rule_error_carries_seed(self, m2):
         def bad(obs):
             raise RuntimeError("boom")
@@ -323,7 +344,7 @@ def _threshold_reference(spec, path, level=0.5):
     state = state_init(spec)
     for n in range(1, len(path)):
         state = state_step(spec, state, path[n])
-        if n >= spec.d + 1 and float(np.sum(state.change_prob * state.pair_prob)) >= level:
+        if n >= spec.d + 1 and float(np.sum(state.changed)) >= level:
             return n
     return None
 

@@ -27,7 +27,7 @@ from disorder.simulate import TrajectorySampler, mix_seeds
 from disorder import stopping
 from disorder.stopping import ValueTable, _prune
 
-from conftest import make_m1, make_m2, make_m3, make_m4, random_spec
+from conftest import make_m1, make_m2, make_m3, make_m4, masses, random_spec, state_from
 
 
 def filter_through(spec, path):
@@ -41,24 +41,24 @@ def random_state_inputs(spec, rng):
     window = tuple(rng.integers(0, spec.alphabet_size, size=spec.d + 2).tolist())
     gamma = rng.uniform(0, 1, (spec.l0, spec.l1))
     delta = rng.uniform(0, 1, (spec.l0, spec.l1))
-    return window, gamma, delta
+    return window, masses(gamma, delta)[0]
 
 
-def reference_continuation(spec, k, window, gamma, delta):
+def reference_continuation(spec, k, window, unchanged):
     """s_k by the plain scalar recursion of its definition, without a memo."""
-    weight = spec.p * (1.0 - gamma)
+    weight = spec.p * unchanged
     tail = tuple(window[1:])
     if k == 0:
         q = 1.0 - spec.p
         chain = likelihood_ratio_chain(spec, tail, spec.d)
         coeff = 1.0 - spec.p**spec.d + q * (1.0 + chain) / spec.p
-        return float(np.sum(coeff * weight * delta))
+        return float(np.sum(coeff * weight))
     total = 0.0
     for y in range(spec.alphabet_size):
         nxt = tail + (y,)
         f0 = spec.pre_kernels[:, window[-1], y][:, None]
-        stop = float(np.sum(detection_coeff_matrix(spec, nxt) * f0 * weight * delta))
-        cont = reference_continuation(spec, k - 1, nxt, gamma, spec.p * f0 * delta)
+        stop = float(np.sum(detection_coeff_matrix(spec, nxt) * f0 * weight))
+        cont = reference_continuation(spec, k - 1, nxt, spec.p * f0 * unchanged)
         total += max(stop, cont)
     return total
 
@@ -66,9 +66,7 @@ def reference_continuation(spec, k, window, gamma, delta):
 def reference_value(spec, state, cfg):
     """s_{k_max} by the reference recursion: every decision, proved or not,
     is the comparison with s_{k_max}."""
-    return reference_continuation(
-        spec, cfg.k_max, state.window, state.change_prob, state.pair_prob
-    )
+    return reference_continuation(spec, cfg.k_max, state.window, state.unchanged)
 
 
 def reference_stops(spec, cfg, horizon, variant="expected"):
@@ -81,15 +79,15 @@ def reference_stops(spec, cfg, horizon, variant="expected"):
     traces = {}
 
     def region_stops(state):
-        h = stop_payoff(spec, spec.d + 2, state.window, state.change_prob, state.pair_prob)
+        h = stop_payoff(spec, spec.d + 2, state.window, state.unchanged, state.changed)
         return h >= reference_value(spec, state, cfg)
 
     def expected_boundary_stops(state):
-        h = stop_payoff(spec, spec.d + 1, state.window, state.change_prob, state.pair_prob)
+        h = stop_payoff(spec, spec.d + 1, state.window, state.unchanged, state.changed)
         return h >= reference_value(spec, state, cfg)
 
     def literal_boundary_stops(state, nxt):
-        h = stop_payoff(spec, spec.d + 1, state.window, state.change_prob, state.pair_prob)
+        h = stop_payoff(spec, spec.d + 1, state.window, state.unchanged, state.changed)
         return h >= reference_value(spec, nxt, cfg)
 
     def walk(prev, state, prefix, trace):
@@ -118,8 +116,8 @@ def filtered_backup(table, state, k):
     for y in range(spec.alphabet_size):
         if pred[y] != 0.0:
             after = state_step(spec, state, y)
-            h_y = stop_payoff(spec, spec.d + 2, after.window, after.change_prob, after.pair_prob)
-            u = table.weight(after.change_prob, after.pair_prob)
+            h_y = stop_payoff(spec, spec.d + 2, after.window, after.unchanged, after.changed)
+            u = table.weight(after.unchanged)
             s_k = table.value(k, after.window, u) if k >= 0 else -math.inf
             terms.append(float(pred[y]) * max(h_y, s_k))
     return math.fsum(terms)
@@ -153,9 +151,10 @@ class TestValueTable:
         grid = st.lists(st.floats(0.0, 1.0), min_size=spec.l0 * spec.l1, max_size=spec.l0 * spec.l1)
         gamma = np.reshape(data.draw(grid), (spec.l0, spec.l1))
         delta = np.reshape(data.draw(grid), (spec.l0, spec.l1))
+        unchanged = masses(gamma, delta)[0]
         table = ValueTable(spec)
-        got = table.value(k, window, table.weight(gamma, delta))
-        assert abs(got - reference_continuation(spec, k, window, gamma, delta)) <= 1e-12
+        got = table.value(k, window, table.weight(unchanged))
+        assert abs(got - reference_continuation(spec, k, window, unchanged)) <= 1e-12
 
     @pytest.mark.parametrize(
         "spec, k_max, horizon", [(make_m4(0), 4, 5), (make_m3(1), 5, 9)], ids=["m4", "m3_d1"]
@@ -183,11 +182,11 @@ class TestValueTable:
         rng = np.random.default_rng(3)
         table = ValueTable(m4)
         for _ in range(10):
-            window, gamma, delta = random_state_inputs(m4, rng)
+            window, unchanged = random_state_inputs(m4, rng)
             for k in range(4):
                 fresh = ValueTable(m4)
-                assert table.value(k, window, table.weight(gamma, delta)) == fresh.value(
-                    k, window, fresh.weight(gamma, delta)
+                assert table.value(k, window, table.weight(unchanged)) == fresh.value(
+                    k, window, fresh.weight(unchanged)
                 )
 
     def test_batch_rejects_symbol_outside_alphabet(self):
@@ -195,7 +194,8 @@ class TestValueTable:
         # tail (0, 3) as (1, 0) on an alphabet of 3
         spec = make_m4(1)
         table = ValueTable(spec)
-        u = table.weight(np.zeros((2, spec.l0, spec.l1)), np.broadcast_to(spec.b, (2, spec.l0, spec.l1)))
+        grids = masses(np.zeros((2, spec.l0, spec.l1)), np.broadcast_to(spec.b, (2, spec.l0, spec.l1)))
+        u = table.weight(grids[0])
         with pytest.raises(ValueError, match="^symbol 3 outside alphabet$"):
             table.value(1, np.array([[0, 1, 0], [0, 0, 3]]), u)
 
@@ -233,13 +233,13 @@ class TestBaseLevel:
     def test_single_pair_closed_form(self, m1):
         # one-step-ahead value with a trivial trailing window
         table = ValueTable(m1)
-        got = table.value(0, (0, 1), table.weight(np.array([[0.0]]), np.array([[1.0]])))
+        got = table.value(0, (0, 1), table.weight(masses(np.array([[0.0]]), np.array([[1.0]]))[0]))
         assert got == pytest.approx(0.2, abs=1e-14)
 
     def test_certain_change_is_worthless(self, m3):
         window = (0, 1)
         table = ValueTable(m3)
-        got = table.value(0, window, table.weight(np.ones((2, 2)), np.full((2, 2), 0.25)))
+        got = table.value(0, window, table.weight(masses(np.ones((2, 2)), np.full((2, 2), 0.25))[0]))
         assert got == 0.0
 
     @pytest.mark.parametrize("make", [make_m2, make_m3, make_m4])
@@ -259,9 +259,9 @@ class TestBaseLevel:
                     continue
                 nxt = state_step(spec, state, y)
                 expected += float(pred[y]) * stop_payoff(
-                    spec, spec.d + 2, nxt.window, nxt.change_prob, nxt.pair_prob
+                    spec, spec.d + 2, nxt.window, nxt.unchanged, nxt.changed
                 )
-            got = table.value(0, state.window, table.weight(state.change_prob, state.pair_prob))
+            got = table.value(0, state.window, table.weight(state.unchanged))
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -272,8 +272,8 @@ class TestRecursion:
         rng = np.random.default_rng(19)
         table = ValueTable(spec)
         for _ in range(25):
-            window, gamma, delta = random_state_inputs(spec, rng)
-            u = table.weight(gamma, delta)
+            window, unchanged = random_state_inputs(spec, rng)
+            u = table.weight(unchanged)
             prev = table.value(0, window, u)
             for k in range(1, 5):
                 cur = table.value(k, window, u)
@@ -282,11 +282,11 @@ class TestRecursion:
 
     def test_homogeneous_in_delta(self, m3):
         rng = np.random.default_rng(12)
-        window, gamma, delta = random_state_inputs(m3, rng)
+        window, unchanged = random_state_inputs(m3, rng)
         table = ValueTable(m3)
         for k in (0, 1, 3):
-            base = table.value(k, window, table.weight(gamma, delta))
-            scaled = table.value(k, window, table.weight(gamma, 0.37 * delta))
+            base = table.value(k, window, table.weight(unchanged))
+            scaled = table.value(k, window, table.weight(0.37 * unchanged))
             assert scaled == pytest.approx(0.37 * base, rel=1e-12)
 
     @pytest.mark.parametrize("make", [make_m2, make_m3])
@@ -304,14 +304,10 @@ class TestRecursion:
                     continue
                 x_prev, x_next = path[n - 1], path[n]
                 norm = float(predictive(spec, prev)[x_next])
-                composed = (
-                    spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.pair_prob
-                )
+                composed = spec.p * spec.pre_kernels[:, x_prev, x_next][:, None] * prev.unchanged
                 for k in (0, 1, 2):
-                    lhs = norm * table.value(
-                        k, state.window, table.weight(state.change_prob, state.pair_prob)
-                    )
-                    rhs = table.value(k, state.window, table.weight(prev.change_prob, composed))
+                    lhs = norm * table.value(k, state.window, table.weight(state.unchanged))
+                    rhs = table.value(k, state.window, table.weight(composed))
                     assert abs(lhs - rhs) <= 1e-9
 
     def test_bounded_by_worst_case_ratios(self, m3):
@@ -325,34 +321,33 @@ class TestRecursion:
         rng = np.random.default_rng(31)
         table = ValueTable(m3)
         for _ in range(20):
-            window, gamma, delta = random_state_inputs(m3, rng)
-            bound = float(np.sum(c_max * (1 - gamma) * delta))
+            window, unchanged = random_state_inputs(m3, rng)
+            bound = float(np.sum(c_max * unchanged))
             for k in (0, 1, 2, 4):
-                val = table.value(k, window, table.weight(gamma, delta))
+                val = table.value(k, window, table.weight(unchanged))
                 assert val <= bound + 1e-12
 
     def test_budget_guard(self, m3, monkeypatch):
         monkeypatch.setattr(stopping, "CANDIDATE_BUDGET", 10)
         table = ValueTable(m3)
         with pytest.raises(BudgetError):
-            table.value(12, (0, 1), table.weight(np.zeros((2, 2)), np.full((2, 2), 0.25)))
+            table.value(12, (0, 1), table.weight(masses(np.zeros((2, 2)), np.full((2, 2), 0.25))[0]))
 
     def test_negative_k_rejected(self, m1):
         table = ValueTable(m1)
         with pytest.raises(ValueError):
-            table.value(-1, (0, 1), table.weight(np.zeros((1, 1)), np.ones((1, 1))))
+            table.value(-1, (0, 1), table.weight(masses(np.zeros((1, 1)), np.ones((1, 1)))[0]))
 
 
 class TestValueIterate:
     def test_proved_at_first_level(self, m2):
         state = filter_through(m2, (0, 1, 0))
-        args = (state.window, state.change_prob, state.pair_prob)
-        h = stop_payoff(m2, m2.d + 2, *args)
-        res = value_iterate(ValueTable(m2), *args, ValueIterConfig(k_max=10), h)
+        h = stop_payoff(m2, m2.d + 2, state.window, state.unchanged, state.changed)
+        res = value_iterate(ValueTable(m2), state.window, state.unchanged, ValueIterConfig(k_max=10), h)
         assert res.converged
         assert res.k_used == 1
         table = ValueTable(m2)
-        u = table.weight(state.change_prob, state.pair_prob)
+        u = table.weight(state.unchanged)
         assert res.value == table.value(1, state.window, u)
         assert res.bound == pytest.approx(table.bound(1) * u.sum(), rel=1e-12)
         assert h < res.value  # proved continue
@@ -362,9 +357,8 @@ class TestValueIterate:
         # from K = 3 on the state is proved a continue
         spec = make_m3(1)
         state = filter_through(spec, (0, 1, 1, 0))
-        args = (state.window, state.change_prob, state.pair_prob)
-        h = stop_payoff(spec, spec.d + 2, *args)
-        res = value_iterate(ValueTable(spec), *args, ValueIterConfig(k_max=1), h)
+        h = stop_payoff(spec, spec.d + 2, state.window, state.unchanged, state.changed)
+        res = value_iterate(ValueTable(spec), state.window, state.unchanged, ValueIterConfig(k_max=1), h)
         assert not res.converged
         assert res.k_used == 1
         assert res.value <= h < res.value + res.bound
@@ -399,7 +393,7 @@ class TestCertificate:
         # a small budget keeps each table small; instances whose sets
         # outgrow it before level 24 are skipped
         table = ValueTable(spec)
-        u = table.weight(rng.uniform(0, 1, (l0, l1)), rng.uniform(0, 1, (l0, l1)))
+        u = table.weight(masses(rng.uniform(0, 1, (l0, l1)), rng.uniform(0, 1, (l0, l1)))[0])
         with patch.object(stopping, "CANDIDATE_BUDGET", 2000):
             try:
                 deep = [table.value(k + 20, window, u) for k in range(1, 5)]
@@ -417,7 +411,7 @@ class TestCertificate:
         table = ValueTable(spec)
 
         def deep(state):
-            return table.value(40, state.window, table.weight(state.change_prob, state.pair_prob))
+            return table.value(40, state.window, table.weight(state.unchanged))
 
         frontier, proved = [state_init(spec)], 0
         for _ in range(6):
@@ -444,12 +438,7 @@ class TestStopDecision:
     def test_certain_change_stops_on_tie(self, m3):
         spec = make_m3()
         state = filter_through(spec, (0, 1, 1))
-        forced = type(state)(
-            n=state.n,
-            window=state.window,
-            change_prob=np.ones((2, 2)),
-            pair_prob=state.pair_prob,
-        )
+        forced = state_from(state.n, state.window, np.ones((2, 2)), state.pair_prob)
         dec = stop_decision(ValueTable(spec), forced, ValueIterConfig(k_max=4))
         assert dec.stop_value == 0.0
         assert dec.continue_value == 0.0
@@ -472,8 +461,8 @@ class TestStopDecision:
         gamma = np.array([[0.4]])
         delta = np.array([[1.0]])
         for window in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            h = stop_payoff(same, same.d + 2, window, gamma, delta)
-            res = value_iterate(ValueTable(same), window, gamma, delta, cfg, h)
+            h = stop_payoff(same, same.d + 2, window, *masses(gamma, delta))
+            res = value_iterate(ValueTable(same), window, masses(gamma, delta)[0], cfg, h)
             decisions.add((round(h, 12), round(res.value, 12)))
         assert len(decisions) == 1
 
@@ -567,7 +556,7 @@ class TestBoundaryDecision:
         table = ValueTable(spec)
         state = filter_through(spec, (0, 1, 0))
         dec = stop_decision(table, state, ValueIterConfig(k_max=6))
-        assert dec.stop_value == stop_payoff(spec, spec.d + 1, state.window, state.change_prob, state.pair_prob)
+        assert dec.stop_value == stop_payoff(spec, spec.d + 1, state.window, state.unchanged, state.changed)
         manual = filtered_backup(table, state, dec.k_used - 1)
         assert dec.continue_value == pytest.approx(manual, abs=1e-13)
 
@@ -582,7 +571,7 @@ class TestBoundaryDecision:
         states = [filter_through(spec, path) for path in level.paths.tolist()]
         table = ValueTable(spec)
         for state in states:
-            u = table.weight(state.change_prob, state.pair_prob)
+            u = table.weight(state.unchanged)
             for k in range(-1, 6):
                 got = table.value(k + 1, state.window, u)
                 assert got == pytest.approx(filtered_backup(table, state, k), rel=1e-13)
