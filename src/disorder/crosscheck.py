@@ -116,6 +116,16 @@ def check_payoff_criterion(spec: ModelSpec, levels: list) -> CheckResult:
     return _result("payoff_criterion", worst, 1e-10)
 
 
+def check_payoff_window(spec: ModelSpec, table: oracle.JointTable, levels: list) -> CheckResult:
+    """Each path's stop payoff from d + 1 on is P(|theta - n| <= d | path) from the joint table."""
+    worst = 0.0
+    for level in levels[spec.d + 1 :]:
+        rank = oracle.path_rank(spec, level.paths)
+        exact = table.detection[level.n][rank] / table.mass[level.n][rank]
+        worst = max(worst, float(np.max(np.abs(payoff.level_payoff(spec, level) - exact))))
+    return _result("payoff_window", worst, 1e-12)
+
+
 def check_multistep_composition(spec: ModelSpec, levels: list) -> CheckResult:
     """Multi-step updates equal composed one-step updates at every level, on pairs of positive mass."""
     worst = 0.0
@@ -214,6 +224,7 @@ def run_crosscheck(spec: ModelSpec, horizon: int, seed: int = 7) -> list[CheckRe
         check_survival_projection(spec, table, levels),
         check_lagged_change(spec, table, levels),
         check_payoff_criterion(spec, levels[: min(horizon, 6) + 1]),
+        check_payoff_window(spec, table, levels),
         check_multistep_composition(spec, levels[: min(horizon, 5) + 1]),
         check_backshift_inversion(spec, seed=mix_seed(seed, 1)),
         check_continuation_normalization(values, levels),

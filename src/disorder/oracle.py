@@ -31,7 +31,7 @@ import numpy as np
 from .errors import BudgetError
 from .likelihood import Window, _check_window, _fsum_grids
 from .model import ModelSpec
-from .payoff import stop_payoff
+from .payoff import level_payoff
 from .posterior import filter_levels
 from .simulate import _stop_times
 
@@ -250,8 +250,7 @@ def optimal_value_state_indexed(spec: ModelSpec, horizon: int) -> float:
         raise BudgetError(f"filter tree needs {cells} cells, budget is {DEFAULT_CELL_BUDGET}")
     levels = []
     for level in filter_levels(spec, horizon):
-        window = level.paths[:, -(spec.d + 2) :]
-        stop = stop_payoff(spec, level.n, window, level.unchanged, level.changed) if level.n > spec.d else None
+        stop = level_payoff(spec, level) if level.n > spec.d else None
         # a copy of the last symbols, so that no level's paths are kept
         levels.append((level.pred, level.parent, level.paths[:, -1].copy(), stop))
     _, parent, y, value = levels.pop()

@@ -11,7 +11,8 @@ no change can predate the precision window, and the payoff collapses to the
 window-free form sum_ij (1 - p^d) U_ij + C_ij, with C the changed mass.
 stop_payoff picks the form from n and, like the likelihood functions, takes a
 batch of rows, a tuple window being the one-row case; state_payoff applies it
-at a filter state's own time.  criterion_probability evaluates the
+at a filter state's own time and level_payoff to the rows of a filter level,
+on each row's last d + 2 symbols.  criterion_probability evaluates the
 unconditional success probability of a fixed-time stop both from the prior
 and as the exact expectation of the payoff over the filter tree; the two must
 agree, which is the module's core identity.
@@ -59,6 +60,11 @@ def state_payoff(spec: ModelSpec, state: PosteriorState) -> float:
     return stop_payoff(spec, state.n, state.window, state.unchanged, state.changed)
 
 
+def level_payoff(spec: ModelSpec, level: FilterLevel) -> np.ndarray:
+    """Stop payoff of each row of a filter level at its time n >= d + 1, on the row's last d + 2 symbols."""
+    return stop_payoff(spec, level.n, level.paths[:, -(spec.d + 2) :], level.unchanged, level.changed)
+
+
 class CriterionCheck(NamedTuple):
     prior_value: float
     payoff_value: float
@@ -81,6 +87,5 @@ def _criterion(spec: ModelSpec, level: FilterLevel) -> CriterionCheck:
     # both routes at the level's time n >= d + 1, the payoff route over its rows
     lo = max(1, level.n - spec.d)
     prior = math.fsum(change_time_pmf(spec, k) for k in range(lo, level.n + spec.d + 1))
-    payoffs = stop_payoff(spec, level.n, level.paths[:, -(spec.d + 2) :], level.unchanged, level.changed)
-    terms = path_probability(spec, level.paths) * payoffs
+    terms = path_probability(spec, level.paths) * level_payoff(spec, level)
     return CriterionCheck(prior_value=prior, payoff_value=math.fsum(terms.tolist()))

@@ -9,12 +9,14 @@ P(theta > n, pair (i, j) | data) and changed[i, j] = P(theta <= n, pair (i, j)
 | data) are the joint posterior masses, which sum to 1 over the grid.  The
 views P(change by n | pair, data) and P(pair | data) derive from them.  One
 helper computes the Bayes update for the whole grid and broadcasts over a
-leading batch axis, so the Monte Carlo rules filter many paths in lockstep
-with the arithmetic of `state_step`; multi-step, back-shift and lagged
-variants expose the same posterior through window mixtures and cross-check
-the recursion, a batch of windows at a time.  filter_levels filters every
-path of positive probability up to a horizon level by level, one batched
-step and predictive per level, for the exact checks.
+leading batch axis, with the arithmetic of `state_step` on every row;
+multi-step, back-shift and lagged variants expose the same posterior through
+window mixtures and cross-check the recursion, a batch of windows at a time.
+filter_levels filters every path of positive probability up to a horizon
+level by level, one batched step and predictive per level, for the exact
+checks.  PrefixTree keeps the filter states of the prefixes a rule has read,
+with the rule's stop decision at each, so the filter rules filter and decide
+each observed prefix once and read a batch of paths one gather per step.
 
 A zero-probability observation (outside the common kernel support) is not
 renormalised away: the one-step update itself raises SupportError naming the
@@ -32,6 +34,14 @@ import numpy as np
 from .errors import SupportError
 from .likelihood import _DENOM_FLOOR, Window, _fsum_grids, likelihood_ratio_chain, window_mixture
 from .model import ModelSpec
+
+# Nodes a PrefixTree may hold when a batch starts; past it, the tree restarts
+# from the root.
+PREFIX_TREE_CAP = 1 << 16
+
+# PrefixTree's reserved nodes: where an unread child points, where every
+# child of a stopping node points (absorbing), and the root.
+_UNGROWN, _STOPPED, _ROOT = 0, 1, 2
 
 
 def _given_pair(mass: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -246,3 +256,123 @@ def filter_levels(spec: ModelSpec, horizon: int):
         rows, ys = np.nonzero(pred > 0.0)
         unchanged, changed = _filter_step(spec, n == 0, unchanged[rows], changed[rows], x[rows], ys)
         paths = np.column_stack((paths[rows], ys))
+
+
+def _check_read(spec: ModelSpec, obs: np.ndarray, symbols=()) -> None:
+    # The per-path ValueError of the batch rules: the paths `obs` start at
+    # x0, and the `symbols` read after it, in reading order, are in the alphabet.
+    if not obs.shape[1] or (obs[:, 0] != spec.x0).any():
+        raise ValueError(f"stream must start at x0={spec.x0}")
+    bad = [y for y in np.ravel(symbols).tolist() if not 0 <= y < spec.alphabet_size]
+    if bad:
+        raise ValueError(f"symbol {bad[0]} outside alphabet")
+
+
+class PrefixTree:
+    """Filter states of the observed prefixes a rule has read, and its stop time at each.
+
+    A node is a prefix.  Its child table row, parent, last symbol, joint
+    masses and stop time (-1, or the time at which the rule stops on reaching
+    it) sit in flat arrays that double when full.  A walk reads a batch of
+    paths one gather per step; rows that reach an unread child grow it
+    there, in one batched _filter_step, so the masses are state_step's bit
+    for bit and a SupportError names the lowest dead row.
+    `decide(n, nodes)` gives the stop times of the new nodes of time n, a
+    slice of ids; a rule may keep what it decided in `notes`.  A stopping
+    node's children point to _STOPPED, so nothing after a stop is read; a
+    path of fewer than `min_steps` steps is not read past x0.
+    """
+
+    def __init__(self, spec: ModelSpec, decide, min_steps: int = 1):
+        self.spec, self._decide, self._min_steps = spec, decide, min_steps
+        self.size, self.child = 3, np.zeros(3 * spec.alphabet_size, dtype=np.intp)
+        self.up, self.last, self.stop = np.zeros((3, 3), dtype=np.intp)
+        self.unchanged, self.changed = np.zeros((2, 3, spec.l0, spec.l1))
+        self._restart()
+
+    def _restart(self) -> None:
+        # the reserved nodes alone, in the arrays as they are
+        a = self.spec.alphabet_size
+        self.child[: self.size * a] = _UNGROWN
+        self.child[_STOPPED * a : (_STOPPED + 1) * a] = _STOPPED
+        self.size, self.notes = 3, {}
+        self.stop[:3], self.up[_ROOT], self.last[_ROOT] = -1, _ROOT, self.spec.x0
+        self.unchanged[_ROOT], self.changed[_ROOT] = self.spec.b, 0.0
+
+    def _add(self, k: int) -> slice:
+        # k new nodes, their children unread; the arrays double as needed
+        lo, cap, self.size = self.size, len(self.stop), self.size + k
+        if self.size > cap:
+            for name in ("child", "up", "last", "unchanged", "changed", "stop"):
+                old = getattr(self, name)
+                new = np.zeros((len(old) // cap * max(2 * cap, self.size),) + old.shape[1:], old.dtype)
+                new[: len(old)] = old
+                setattr(self, name, new)
+        return slice(lo, self.size)
+
+    def tail(self, node: int, m: int) -> tuple[int, ...]:
+        """The last m symbols of a node's prefix, fewer near the root."""
+        out = [int(self.last[node])]
+        while len(out) < m and node != _ROOT:
+            node = self.up[node]
+            out.append(int(self.last[node]))
+        return tuple(out[::-1])
+
+    def walk(self, observations) -> np.ndarray:
+        """The (N, h + 1) nodes a batch of paths visits, _STOPPED after a stop.
+
+        Raises the per-path ValueError, checked before any gather, and the
+        first SupportError the walk meets.
+        """
+        spec, a = self.spec, self.spec.alphabet_size
+        obs = np.asarray(observations)
+        _check_read(spec, obs)
+        if self.size > PREFIX_TREE_CAP:
+            self._restart()
+        visits = np.full(obs.shape[::-1], _STOPPED)  # one contiguous row per step
+        visits[0] = node = np.full(len(obs), _ROOT)
+        if obs.shape[1] - 1 < self._min_steps:
+            return visits.T
+        in_alphabet = bool(((obs[:, 1:] >= 0) & (obs[:, 1:] < a)).all())
+        for n in range(1, obs.shape[1]):
+            y = obs[:, n]
+            if not in_alphabet:
+                running = (node != _STOPPED) & (self.stop[node] < 0)
+                _check_read(spec, obs, y[running])
+                y = np.where(running, y, 0)
+            slot = node * a + y
+            node = self.child[slot]
+            if not node.all():
+                grow = np.flatnonzero(node == _UNGROWN)
+                node[grow] = self._grow(n, slot[grow])
+            visits[n] = node
+        return visits.T
+
+    def stop_times(self, observations) -> np.ndarray:
+        """Stop time of each row of an (N, h + 1) batch of paths, -1 where the rule never fires."""
+        visits = self.walk(observations)  # may reallocate self.stop
+        return self.stop[visits].max(axis=1)
+
+    def _grow(self, n: int, slots: np.ndarray) -> np.ndarray:
+        # The children at child table `slots` (parent * A + symbol), one per
+        # row that reached it unread: one new node per distinct slot.  Each
+        # row marks its slot with its index, and the row whose mark the slot
+        # keeps stands for it.  Returns each row's node.
+        spec, a, k = self.spec, self.spec.alphabet_size, len(slots)
+        self.child[slots] = np.arange(k)
+        slot = slots[self.child[slots] == np.arange(k)]
+        self.child[slots] = _UNGROWN
+        up, ys = np.divmod(slot, a)
+        try:
+            masses = _filter_step(spec, n == 1, self.unchanged[up], self.changed[up], self.last[up], ys)
+        except SupportError:  # filter every row in row order, so that the error names the lowest dead row
+            up, ys = np.divmod(slots, a)
+            _filter_step(spec, n == 1, self.unchanged[up], self.changed[up], self.last[up], ys)
+            raise
+        new = self._add(len(slot))
+        self.up[new], self.last[new] = up, ys
+        self.unchanged[new], self.changed[new] = masses
+        self.stop[new] = stops = self._decide(n, new)
+        self.child[slot] = np.arange(new.start, new.stop)
+        self.child.reshape(-1, a)[new][stops >= 0] = _STOPPED
+        return self.child[slots]

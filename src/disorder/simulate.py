@@ -18,9 +18,10 @@ Rules are callables mapping a full observation path to an int stop time (or
 None when it never fires); they must only read the prefix up to their stop.
 A rule may also carry a batch form, `rule.stop_times(observations)`, mapping
 an (N, h + 1) array of paths to an integer array of stop times, -1 where the
-rule never fires.  The fixed-time and posterior-threshold rules below have
-one, and their per-path call is the batch form on one row.  `monte_carlo_eval`
-and `oracle.exact_rule_value` read every rule through `_stop_times`.
+rule never fires.  The fixed-time and posterior-threshold rules below and
+stopping.OptimalStoppingRule have one, and their per-path call is the batch
+form on one row.  `monte_carlo_eval` and `oracle.exact_rule_value` read every
+rule through `_stop_times`.
 `monte_carlo_eval` evaluates trajectories in chunks of fixed size and replays
 a chunk on which a rule fails one trajectory at a time, so a failure needs no
 record of its row.  Censored runs are forced to stop at the horizon and
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import RuleError
 from .model import LatentState, ModelSpec, config_digest
-from .posterior import _filter_step
+from .posterior import PrefixTree, _check_read
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -331,16 +332,6 @@ def _with_batch_form(stop_times) -> Rule:
     return rule
 
 
-def _check_read(spec: ModelSpec, obs: np.ndarray, symbols=()) -> None:
-    # The per-path ValueError of the batch rules: the paths `obs` start at
-    # x0, and the `symbols` read after it, in reading order, are in the alphabet.
-    if not obs.shape[1] or (obs[:, 0] != spec.x0).any():
-        raise ValueError(f"stream must start at x0={spec.x0}")
-    bad = [y for y in np.ravel(symbols).tolist() if not 0 <= y < spec.alphabet_size]
-    if bad:
-        raise ValueError(f"symbol {bad[0]} outside alphabet")
-
-
 def fixed_time_rule(spec: ModelSpec) -> Rule:
     """Always stop at the earliest admissible time d + 1; fail as a filter would up to it."""
 
@@ -356,37 +347,20 @@ def fixed_time_rule(spec: ModelSpec) -> Rule:
 def posterior_threshold_rule(spec: ModelSpec) -> Rule:
     """Stop once the posterior change mass P(theta <= n | data) reaches THRESHOLD_LEVEL (not before d + 1).
 
-    The batch form filters every path in lockstep and advances only the rows
-    that have not stopped.  It fails where a per-path filter would, on a
+    The batch form walks a posterior.PrefixTree, which filters and decides
+    each observed prefix once.  It fails where a per-path filter would, on a
     path that does not start at x0, an out-of-alphabet symbol or a
     transition outside the common support before the stop, and raises the
     first such error it meets with the per-path message; `monte_carlo_eval`
     locates the failing row by replay.
     """
 
-    def stop_times(observations: np.ndarray) -> np.ndarray:
-        obs = np.asarray(observations)
-        stops = np.full(len(obs), -1, dtype=np.int64)
-        rows = np.arange(len(obs))  # the rows still running
-        unchanged, changed = spec.b, np.zeros(spec.b.shape)  # broadcast against the rows on the first step
-        _check_read(spec, obs)
-        in_alphabet = bool(((obs[:, 1:] >= 0) & (obs[:, 1:] < spec.alphabet_size)).all())
-        for n in range(1, obs.shape[1]):
-            if not len(rows):
-                break
-            x_next = obs[rows, n]
-            if not in_alphabet:
-                _check_read(spec, obs, x_next)
-            unchanged, changed = _filter_step(spec, n == 1, unchanged, changed, obs[rows, n - 1], x_next)
-            if n >= spec.d + 1:
-                fired = changed.sum(axis=(1, 2)) >= THRESHOLD_LEVEL
-                if fired.any():
-                    stops[rows[fired]] = n
-                    keep = ~fired
-                    rows, unchanged, changed = rows[keep], unchanged[keep], changed[keep]
-        return stops
+    def decide(n: int, nodes: slice) -> np.ndarray:
+        fired = tree.changed[nodes].sum(axis=(1, 2)) >= THRESHOLD_LEVEL
+        return np.where(fired & (n >= spec.d + 1), n, -1)
 
-    return _with_batch_form(stop_times)
+    tree = PrefixTree(spec, decide)
+    return _with_batch_form(tree.stop_times)
 
 
 _METRICS = ("estimate", "std_error", "mean_stop_time", "censored_rate")

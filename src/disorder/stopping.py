@@ -27,7 +27,8 @@ it compares h with s_{k_max}, flagged as not proved.  Either way it is the
 s_{k_max} decision; stop_decision makes it from d + 1 on, with the stop
 payoff due at the state's time.  OptimalStoppingRule is the one rule: it
 never stops before d + 1, afterwards stops on first entry into the region,
-and its decisions are the trace.  At d + 1 the comparison has two readings.
+and its decisions, made once per observed prefix on a posterior.PrefixTree,
+are the trace.  At d + 1 the comparison has two readings.
 "expected" is the region test, as s_k there is already the expected better
 of stopping or continuing one step ahead: the next symbol y has
 pred_y h_y = c_y . u and pred_y u_y = D_y o u.  "literal" waits for the
@@ -48,7 +49,7 @@ from .errors import BudgetError
 from .likelihood import Window, _check_window
 from .model import ModelSpec
 from .payoff import detection_coeff_matrix, state_payoff
-from .posterior import PosteriorState, state_init, state_step
+from .posterior import PosteriorState, PrefixTree
 
 # Hard cap on candidate vectors formed in cross-sums per table, a guard
 # against runaway configs.
@@ -302,11 +303,13 @@ def stop_decision(
 
 
 class OptimalStoppingRule:
-    """The optimal stopping rule, prefix-cached for simulation and exact evaluation.
+    """The optimal stopping rule on a prefix tree, for simulation and exact evaluation.
 
-    Decisions depend on the observed prefix only, so repeated evaluation over
-    many trajectories reuses one decision per distinct prefix.  The rule
-    keeps each StopDecision it makes and one ValueTable for its lifetime.
+    Decisions depend on the observed prefix only, so the rule keeps a
+    posterior.PrefixTree: each prefix is filtered and decided once, when a
+    path first reaches it, and keeps its StopDecisions for `decisions`.  The
+    batch form `stop_times` walks the tree, and the per-path call is the
+    batch form on one row.  The rule keeps one ValueTable for its lifetime.
     """
 
     def __init__(self, spec: ModelSpec, cfg: ValueIterConfig, variant: str = "expected"):
@@ -316,57 +319,48 @@ class OptimalStoppingRule:
         self.cfg = cfg
         self.variant = variant
         self._table = ValueTable(spec)
-        self._states: dict[Window, PosteriorState] = {}
-        self._decisions: dict[tuple[int, Window], StopDecision] = {}
+        # the literal boundary at d + 1 reads one symbol more
+        self._tree = PrefixTree(spec, self._new_nodes, min_steps=spec.d + 1 + (variant == "literal"))
 
-    def _state_at(self, prefix: Window) -> PosteriorState:
-        hit = self._states.get(prefix)
-        if hit is not None:
-            return hit
-        if len(prefix) == 1:
-            state = state_init(self.spec)
-        else:
-            state = state_step(self.spec, self._state_at(prefix[:-1]), prefix[-1])
-        self._states[prefix] = state
-        return state
+    def _new_nodes(self, n: int, nodes: slice) -> np.ndarray:
+        """Stop times of the tree's new nodes of time n, their decisions kept in the tree's notes.
 
-    def _decide(self, n: int, prefix: Window) -> StopDecision:
-        """The decision at time n >= d + 1 on the observed prefix.
-
-        The prefix ends at n, except for the literal boundary at d + 1,
-        which reads one symbol more.  That prefix is also the one of the
-        region decision at d + 2, so decisions are cached under (n, prefix).
+        The literal reading decides the boundary d + 1 at the nodes of time
+        d + 2, the realised next states, and their region decision only when
+        the boundary does not stop.
         """
-        key = (n, prefix)
-        hit = self._decisions.get(key)
-        if hit is None:
-            nxt = self._state_at(prefix) if len(prefix) > n + 1 else None
-            hit = stop_decision(self._table, self._state_at(prefix[: n + 1]), self.cfg, nxt)
-            self._decisions[key] = hit
-        return hit
+        d, tree = self.spec.d, self._tree
+        literal = self.variant == "literal"
+        stops = np.full(nodes.stop - nodes.start, -1)
+        if n < d + 1 + literal:
+            return stops
+        for i, node in enumerate(range(nodes.start, nodes.stop)):
+            state = PosteriorState(n, tree.tail(node, d + 2), tree.unchanged[node], tree.changed[node])
+            made = []
+            if literal and n == d + 2:
+                up = tree.up[node]
+                prev = PosteriorState(d + 1, tree.tail(up, d + 2), tree.unchanged[up], tree.changed[up])
+                made.append(stop_decision(self._table, prev, self.cfg, state))
+            if not (made and made[0].stop):
+                made.append(stop_decision(self._table, state, self.cfg))
+            tree.notes[node] = tuple(made)
+            if made[-1].stop:
+                stops[i] = made[-1].n
+        return stops
+
+    def stop_times(self, observations: np.ndarray) -> np.ndarray:
+        """Batch form: the stop time of each row of an (N, h + 1) array of paths, -1 where it never fires."""
+        return self._tree.stop_times(observations)
 
     def decisions(self, observations: Window) -> Iterator[StopDecision]:
         """The decisions along a path, up to and including the first stop."""
-        observations = tuple(observations)
-        if not observations or observations[0] != self.spec.x0:
-            raise ValueError(f"stream must start at x0={self.spec.x0}")
-        d = self.spec.d
-        for n in range(d + 1, len(observations)):
-            # the literal boundary at d + 1 reads one symbol more
-            end = n + 2 if n == d + 1 and self.variant == "literal" else n + 1
-            if end > len(observations):
-                return
-            dec = self._decide(n, observations[:end])
-            yield dec
-            if dec.stop:
-                return
+        visits = self._tree.walk(np.array([tuple(observations)], dtype=np.int64))[0]
+        yield from [dec for node in visits.tolist() for dec in self._tree.notes.get(node, ())]
 
     def stop_time(self, observations: Window) -> int | None:
         """First stop along the path, or None when the rule never fires."""
-        for dec in self.decisions(observations):
-            if dec.stop:
-                return dec.n
-        return None
+        tau = int(self.stop_times(np.array([tuple(observations)], dtype=np.int64))[0])
+        return None if tau < 0 else tau
 
     def __call__(self, observations: Window) -> int | None:
         return self.stop_time(observations)

@@ -213,8 +213,8 @@ def test_criterion_5_desk_scale_optimality():
             literal_rule = OptimalStoppingRule(spec, cfg, variant="literal")
             agree = True
             for path in all_paths(spec, d + 2):
-                lit = literal_rule._decide(d + 1, path).stop
-                exp = expected_rule._decide(d + 1, path[: d + 2]).stop
+                lit = next(literal_rule.decisions(path)).stop
+                exp = next(expected_rule.decisions(path[: d + 2])).stop
                 if lit != exp:
                     agree = False
                     break

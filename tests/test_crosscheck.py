@@ -12,6 +12,7 @@ from disorder import stopping
 from disorder.crosscheck import (
     check_continuation_normalization,
     check_payoff_criterion,
+    check_payoff_window,
     run_crosscheck,
 )
 from disorder.stopping import ValueTable
@@ -88,6 +89,27 @@ class TestNormalizationAgainstPerPath:
         exact = posterior._predictive
         monkeypatch.setattr(posterior, "_predictive", lambda *args: exact(*args) * (1.0 + 1e-6))
         assert not check().passed
+
+
+class TestPayoffWindow:
+    """The battery pins each path's stop payoff to the path's own last d + 2 symbols."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_payoff_is_detection_posterior(self, config):
+        spec = load_spec(config)
+        table = oracle.build_joint(spec, 6)
+        result = check_payoff_window(spec, table, list(posterior.filter_levels(spec, 6)))
+        assert result.passed and result.max_err <= 1e-12
+
+    def test_first_symbols_fail_the_battery(self, monkeypatch):
+        spec = load_spec(CONFIGS_DIR / "m3.json")
+        assert all(result.passed for result in run_crosscheck(spec, 5))
+
+        def first_symbols(spec, level):
+            return payoff.stop_payoff(spec, level.n, level.paths[:, : spec.d + 2], level.unchanged, level.changed)
+
+        monkeypatch.setattr(payoff, "level_payoff", first_symbols)
+        assert "payoff_window" in [result.name for result in run_crosscheck(spec, 5) if not result.passed]
 
 
 class TestOneFilterPass:

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disorder import (
+    OptimalStoppingRule,
     SupportError,
+    ValueIterConfig,
     change_backshift,
     change_from_origin,
     change_lagged,
@@ -377,12 +379,14 @@ class TestSupportError:
         spec = self.spec
         state = state_step(spec, state_init(spec), 2)
         assert self.raised(state_step, spec, state, 0) == self.AFTER_2
-        rule = posterior_threshold_rule(spec)
-        # both rows die at step 2, before the rule may stop
+        # both rows die at step 2, before a rule may stop; the second walk
+        # meets the step-1 nodes the first one grew
         paths = np.array([(0, 2, 0, 0), (0, 1, 1, 0)])
-        assert self.raised(rule.stop_times, paths) == self.AFTER_2
-        assert self.raised(rule.stop_times, paths[::-1]) == self.AFTER_1
-        assert self.raised(rule, (0, 1, 1, 0)) == self.AFTER_1
+        cfg = ValueIterConfig(k_max=5)
+        for rule in (posterior_threshold_rule(spec), OptimalStoppingRule(spec, cfg), OptimalStoppingRule(spec, cfg, "literal")):
+            assert self.raised(rule.stop_times, paths) == self.AFTER_2
+            assert self.raised(rule.stop_times, paths[::-1]) == self.AFTER_1
+            assert self.raised(rule, (0, 1, 1, 0)) == self.AFTER_1
 
 
 class TestLagged:

@@ -28,7 +28,7 @@ from disorder import (
     state_step,
     validate,
 )
-from disorder import simulate
+from disorder import posterior, simulate
 from disorder.simulate import (
     TrajectorySampler,
     _cdf,
@@ -41,7 +41,8 @@ from disorder.simulate import (
 )
 
 import scalar_sampler
-from conftest import make_m2, make_m3, make_m4, random_spec
+from conftest import make_m1, make_m2, make_m3, make_m4, random_spec, with_shared_zero
+from test_stopping import reference_stops, reference_trace, stop_of
 
 
 class TestSampling:
@@ -357,16 +358,77 @@ def _forbid(spec, x, y):
     return ModelSpec(2, pre, post, spec.b, spec.pi, spec.p, spec.d, spec.x0)
 
 
-class TestBatchRules:
-    def test_threshold_batch_equals_per_path_on_every_path(self):
-        spec = make_m3(d=1)
-        paths = [(spec.x0,) + tail for tail in itertools.product(range(2), repeat=6)]
+CONFIG_MAKERS = {"m1": make_m1, "m2": make_m2, "m3": make_m3, "m4": make_m4}
+TREE_RULES = ("threshold", "expected", "literal")
+
+
+def tree_rule(spec, kind):
+    """A rule that walks a prefix tree, and the tree: the threshold rule or the optimal rule in one reading."""
+    if kind == "threshold":
         rule = posterior_threshold_rule(spec)
-        stops = rule.stop_times(np.array(paths)).tolist()
-        for path, tau in zip(paths, stops):
-            expected = _threshold_reference(spec, path)
-            assert (None if tau < 0 else tau) == expected
-            assert rule(path) == expected
+        return rule, rule.stop_times.__self__
+    rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=5), variant=kind)
+    return rule, rule._tree
+
+
+class TestBatchRules:
+    @pytest.mark.parametrize(
+        "config, kind",
+        [(f"m{i}{d}", kind) for i in range(1, 5) for d in ("", "_d1") for kind in TREE_RULES],
+        ids=lambda value: value,
+    )
+    def test_batch_equals_per_path_on_every_path(self, config, kind):
+        # every path to horizon 8 (5 for alphabet 3) against the per-path
+        # references, on a fresh rule and again after forced tree restarts
+        spec = CONFIG_MAKERS[config[:2]](int(config.endswith("_d1")))
+        horizon = 8 if spec.alphabet_size == 2 else 5
+        paths = [(spec.x0,) + tail for tail in itertools.product(range(spec.alphabet_size), repeat=horizon)]
+        if kind == "threshold":
+            expected = [_threshold_reference(spec, path) for path in paths]
+        else:
+            traces = reference_stops(spec, ValueIterConfig(k_max=5), horizon, kind)
+            expected = [stop_of(reference_trace(traces, path)) for path in paths]
+        rule, tree = tree_rule(spec, kind)
+        assert [None if tau < 0 else tau for tau in rule.stop_times(np.array(paths)).tolist()] == expected
+        assert [rule(path) for path in paths] == expected
+        with patch.object(posterior, "PREFIX_TREE_CAP", 0):  # every batch restarts the tree
+            assert [None if tau < 0 else tau for tau in rule.stop_times(np.array(paths)).tolist()] == expected
+            assert [rule(path) for path in paths[:: spec.alphabet_size + 1]] == expected[:: spec.alphabet_size + 1]
+            assert tree.size <= 3 + horizon
+
+    @pytest.mark.parametrize("kind", TREE_RULES)
+    def test_symbol_outside_alphabet_is_read_only_before_the_stop(self, kind):
+        # on a grown tree, where a -1 read as an index would wrap around to a
+        # grown node: the per-path ValueError up to the last symbol the rule
+        # reads, nothing after it
+        spec, horizon = make_m3(d=1), 6
+        paths = np.array([(spec.x0,) + tail for tail in itertools.product(range(2), repeat=horizon)])
+        rule, _ = tree_rule(spec, kind)
+        stops = rule.stop_times(paths)
+        row = int(np.flatnonzero((stops >= 0) & (stops < horizon - 1))[0])
+        tau = int(stops[row])
+        last = tau + (kind == "literal" and tau == spec.d + 1)  # the literal boundary reads one symbol more
+        for bad in (-1, spec.alphabet_size):
+            before, after = paths[row].copy(), paths[row].copy()
+            before[last], after[last + 1] = bad, bad
+            assert rule(tuple(after.tolist())) == tau
+            assert rule.stop_times(np.array([paths[0], after])).tolist() == [stops[0], tau]
+            for call, arg in ((rule, tuple(before.tolist())), (rule.stop_times, np.array([paths[0], before]))):
+                with pytest.raises(ValueError, match=f"^symbol {bad} outside alphabet$"):
+                    call(arg)
+
+    @pytest.mark.parametrize("kind", TREE_RULES)
+    def test_alphabet_error_beats_support_error_at_one_step(self, kind):
+        # alphabet 3 with 2 -> 0 impossible under every kernel: at step 2 one
+        # row leaves the common support and the other the alphabet
+        spec = with_shared_zero(make_m4(1), 2, 0)
+        paths = np.array([(0, 2, 0, 0), (0, 1, 3, 0)])
+        for batch in (paths, paths[::-1]):
+            rule, _ = tree_rule(spec, kind)
+            with pytest.raises(ValueError, match="^symbol 3 outside alphabet$"):
+                rule.stop_times(batch)
+        with pytest.raises(SupportError):
+            rule.stop_times(paths[:1])
 
     def test_fixed_batch_form(self, m3):
         rule = fixed_time_rule(m3)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from disorder import (
     BudgetError,
     OptimalStoppingRule,
+    PosteriorState,
     StopDecision,
     ValueIterConfig,
     predictive,
@@ -170,9 +171,7 @@ class TestValueTable:
     def test_decisions_keep_iteration_flags(self):
         spec = make_m3(1)
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=5))
-        for tail in itertools.product(range(2), repeat=6):
-            rule.stop_time((0,) + tail)
-        decisions = list(rule._decisions.values())
+        decisions = [dec for tail in itertools.product(range(2), repeat=6) for dec in rule.decisions((0,) + tail)]
         assert decisions and all(isinstance(dec, StopDecision) for dec in decisions)
         assert {dec.k_used for dec in decisions} <= set(range(6))
         assert any(dec.converged for dec in decisions)
@@ -484,11 +483,14 @@ def run_rule(rule, path):
     """
     stop = rule.stop_time(path)
     end = len(path) if stop is None else stop + 1
-    return stop, tuple(rule.decisions(path)), rule._state_at(tuple(path[:end]))
+    tree = rule._tree
+    node = tree.walk(np.array([path]))[0, end - 1]
+    final = PosteriorState(end - 1, tuple(path[:end][-(rule.spec.d + 2) :]), tree.unchanged[node], tree.changed[node])
+    return stop, tuple(rule.decisions(path)), final
 
 
 class TestRuleRunner:
-    """Running the rule on one stream through `decisions` and `_state_at`."""
+    """Running the rule on one stream through `decisions` and the filter states of its prefix tree."""
 
     def test_never_stops_before_boundary(self):
         spec = make_m3(d=2)
