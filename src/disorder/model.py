@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,12 @@ class ModelSpec:
         for i in range(self.l0):
             for j in range(self.l1):
                 yield i, j
+
+    @cached_property
+    def _digest(self) -> str:
+        # config_digest's value, computed once: the fields are frozen and the arrays read-only
+        canonical = json.dumps(spec_to_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def validate(spec: ModelSpec) -> list[str]:
@@ -234,6 +241,5 @@ def save_spec(spec: ModelSpec, path: str | Path) -> None:
 
 
 def config_digest(spec: ModelSpec) -> str:
-    """Stable hex digest of the instance, used to stamp experiment reports."""
-    canonical = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """Stable hex digest of the instance, used to stamp experiment reports; computed once per instance."""
+    return spec._digest

@@ -263,9 +263,10 @@ def _check_read(spec: ModelSpec, obs: np.ndarray, symbols=()) -> None:
     # x0, and the `symbols` read after it, in reading order, are in the alphabet.
     if not obs.shape[1] or (obs[:, 0] != spec.x0).any():
         raise ValueError(f"stream must start at x0={spec.x0}")
-    bad = [y for y in np.ravel(symbols).tolist() if not 0 <= y < spec.alphabet_size]
-    if bad:
-        raise ValueError(f"symbol {bad[0]} outside alphabet")
+    symbols = np.asarray(symbols)
+    if symbols.size and not (symbols.min() >= 0 and symbols.max() < spec.alphabet_size):  # a nan fails it too
+        bad = next(y for y in symbols.ravel().tolist() if not 0 <= y < spec.alphabet_size)
+        raise ValueError(f"symbol {bad} outside alphabet")
 
 
 class PrefixTree:
@@ -341,8 +342,8 @@ class PrefixTree:
                 _check_read(spec, obs, y[running])
                 y = np.where(running, y, 0)
             slot = node * a + y
-            node = self.child[slot]
-            if not node.all():
+            node = self.child.take(slot)
+            if np.count_nonzero(node) < len(node):
                 grow = np.flatnonzero(node == _UNGROWN)
                 node[grow] = self._grow(n, slot[grow])
             visits[n] = node

@@ -7,7 +7,10 @@ key (s, 1) for the observations.  A stream's counter starts at 1 and each
 counter value gives four 64-bit words; the top 53 bits of a word make one
 uniform in [0, 1).  The words equal numpy's
 `np.random.Philox(key=[s, stream]).random_raw`, so every draw is reproducible
-across platforms and runs.  Per-trajectory seeds in an experiment derive from
+across platforms and runs.  A Philox call holds its counter and key words
+as two lanes of (2, ...) arrays, the xored words in swapped lane order, and
+lays its lane constants out at full shape up to _PHILOX_BLOCKS blocks.
+Per-trajectory seeds in an experiment derive from
 (base_seed, index) through a SplitMix64 mix.  Rules never touch the
 generators, so adding rules cannot perturb trajectories.
 
@@ -51,11 +54,14 @@ _MIX2 = 0x94D049BB133111EB
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_LO32 = 0xFFFFFFFF
+# the low-half mask and the half width of a 64-bit word, as uint64 scalars
+_LO32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 # Seeds per sample_batch pass and trajectories per monte_carlo_eval chunk;
 # fixed, so the working set does not grow with the number of trajectories.
 _CHUNK = 1024
+# The most Philox blocks per _philox call whose lane constants it lays out at full shape.
+_PHILOX_BLOCKS = 4096
 
 # The posterior change mass at which posterior_threshold_rule stops.
 THRESHOLD_LEVEL = 0.5
@@ -84,31 +90,48 @@ def _philox(key0, key1, counter) -> np.ndarray:
     """Philox4x64-10 blocks for counter words (counter, 0, 0, 0), shape (..., 4).
 
     key0, key1 and counter are uint64 arrays broadcast against each other.
-    The two counter words a round multiplies, and so the two key words, run
-    as two lanes of one array; each 64 x 64 -> 128-bit product is formed
-    from 32-bit halves.
+    The two counter words a round multiplies run as two lanes of one array,
+    the words and key words they are xored with as two lanes in swapped
+    order, so a round reverses only its write.  Each 64 x 64 -> 128-bit
+    product is formed from 32-bit halves in buffers reused across rounds.
+    Full-shape lane constants dispatch fastest; broadcast ones move less memory.
     """
-    shape = np.broadcast_shapes(np.shape(key0), np.shape(key1), np.shape(counter))
-    lanes = (2,) + (1,) * len(shape)
+    shape = (2,) + np.broadcast_shapes(np.shape(key0), np.shape(key1), np.shape(counter))
+    lanes = (2,) + (1,) * (len(shape) - 1)
     mul = np.array(_PHILOX_M, dtype=np.uint64).reshape(lanes)
-    mul_lo, mul_hi = mul & _LO32, mul >> 32
-    bump = np.array(_PHILOX_W, dtype=np.uint64).reshape(lanes)
-    key = np.empty((2,) + shape, dtype=np.uint64)
-    key[0], key[1] = key0, key1
-    mult = np.zeros((2,) + shape, dtype=np.uint64)  # counter words 0 and 2
+    bump = np.array(_PHILOX_W[::-1], dtype=np.uint64).reshape(lanes)
+    if math.prod(shape[1:]) <= _PHILOX_BLOCKS:
+        mul, bump = np.broadcast_to(mul, shape).copy(), np.broadcast_to(bump, shape).copy()
+    mul_lo, mul_hi = mul & _LO32, mul >> _HALF
+    key = np.empty(shape, dtype=np.uint64)  # key words 1 and 0
+    key[0], key[1] = key1, key0
+    mult = np.zeros(shape, dtype=np.uint64)  # counter words 0 and 2
     mult[0] = counter
-    other = np.zeros((2,) + shape, dtype=np.uint64)  # counter words 1 and 3
+    other = np.zeros(shape, dtype=np.uint64)  # counter words 3 and 1
+    lo, hi, low, mid, cross, high = np.empty((6,) + shape, dtype=np.uint64)
     for r in range(_PHILOX_ROUNDS):
         if r:
-            key = key + bump
-        lo, hi = mult & _LO32, mult >> 32
-        low = lo * mul_lo
-        mid = hi * mul_lo + (low >> 32)
-        cross = lo * mul_hi + (mid & _LO32)
-        high = hi * mul_hi + (mid >> 32) + (cross >> 32)
+            key += bump
+        np.bitwise_and(mult, _LO32, out=lo)
+        np.right_shift(mult, _HALF, out=hi)
+        np.multiply(lo, mul_lo, out=low)
+        low >>= _HALF
+        np.multiply(hi, mul_lo, out=mid)
+        mid += low  # hi * mul_lo + (lo * mul_lo >> 32)
+        np.multiply(lo, mul_hi, out=cross)
+        np.bitwise_and(mid, _LO32, out=low)
+        cross += low
+        np.multiply(hi, mul_hi, out=high)
+        mid >>= _HALF
+        high += mid
+        cross >>= _HALF
+        high += cross  # the high word of mult * mul
         # words (0, 1, 2, 3) <- (high_2 ^ w1 ^ k0, low_2, high_0 ^ w3 ^ k1, low_0)
-        mult, other = high[::-1] ^ other ^ key, (mult * mul)[::-1]
-    return np.stack([mult[0], other[0], mult[1], other[1]], axis=-1)
+        high ^= other
+        high ^= key
+        np.multiply(mult, mul, out=other)
+        mult[::-1] = high
+    return np.stack([mult[0], other[1], mult[1], other[0]], axis=-1)
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:

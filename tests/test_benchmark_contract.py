@@ -1,10 +1,13 @@
-"""What the benchmark's exact_verify workload reads of the package.
+"""What the benchmark's workloads read of the package.
 
 perfbench/worker.py counts the paths of the joint table's deepest level as
 its trajectories, reduces each traced table to its cell count, and gates a
-rep on check_exact; this runs one rep at the self-test size.  The tracer
-times each crosscheck by its function name and reports it by its result
-name, so every name it lists must be both.
+rep on check_exact; this runs one rep at the self-test size.  It gates a
+Monte Carlo rep on check_mc, which also requires each report's config
+digest to be the one references.json was made for; this runs one rep of
+each Monte Carlo workload at the self-test size.  The tracer times each
+crosscheck by its function name and reports it by its result name, so
+every name it lists must be both.
 """
 
 import importlib.util
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from disorder import build_joint, crosscheck, load_spec
+from disorder.simulate import mix_seed
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -40,6 +44,17 @@ def test_exact_rep_at_tiny_size(worker):
     paths = sum(spec.alphabet_size**n for n in range(h + 1))
     cells = spec.l0 * spec.l1 * (table.max_theta + 1) * paths
     assert worker.reducers()["oracle.build_joint"](table) == cells
+
+
+@pytest.mark.parametrize("name", ["mc_filter", "mc_optimal"])
+def test_mc_rep_at_tiny_size(worker, name):
+    ctx = worker.setup(name, "tiny")
+    params = ctx["params"]
+    ctx["chunk_seeds"] = [mix_seed(1, b) for b in range(params["calls"])]  # as run() sets them
+    rep = worker.mc_rep(ctx, worker.make_rules(ctx), seed=1)
+    assert len(rep["reports"]) == params["calls"]
+    assert rep["trajectories"] == params["calls"] * params["chunk"]
+    assert worker.check_mc(rep["reports"], worker.load_references()[name], params.get("k_max")) == []
 
 
 def test_traced_checks_are_battery_checks():

@@ -1,5 +1,9 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,14 @@ from disorder import (
 )
 
 from conftest import make_m1, make_m3, make_m4, random_spec
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def reference_digest(spec):
+    # the sha256 of the canonical JSON, computed afresh
+    canonical = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def tiny_spec(pi=0.3, p=0.5):
@@ -194,8 +206,28 @@ class TestConfigIO:
         assert config_digest(m1) != config_digest(m2)
 
     def test_spec_arrays_immutable(self, m1):
-        with pytest.raises(ValueError):
-            m1.b[0, 0] = 0.5
+        # so the digest config_digest keeps per instance cannot go stale
+        for name in ("pre_kernels", "post_kernels", "b", "pi", "p"):
+            with pytest.raises(ValueError):
+                getattr(m1, name)[(0,) * getattr(m1, name).ndim] = 0.5
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+    def test_digest_is_sha256_of_canonical_json(self, path):
+        spec = load_spec(path)
+        assert config_digest(spec) == reference_digest(spec)
+        assert config_digest(spec) is config_digest(spec)  # computed once
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), alphabet=st.integers(2, 3), l0=st.integers(1, 3), l1=st.integers(1, 3))
+    def test_digest_of_random_spec(self, seed, alphabet, l0, l1):
+        spec = random_spec(np.random.default_rng(seed), alphabet, l0, l1)
+        assert config_digest(spec) == reference_digest(spec)
+
+    def test_replaced_spec_gets_its_own_digest(self, m3):
+        before = config_digest(m3)
+        other = dataclasses.replace(m3, p=np.full_like(m3.p, 0.5))
+        assert config_digest(other) == reference_digest(other) != before
+        assert config_digest(m3) == before
 
 
 _FUZZ_SCALARS = st.one_of(

@@ -291,6 +291,33 @@ class TestBatchSampler:
             got = _philox(np.uint64(key0), np.uint64(key1), counter).reshape(-1)[:count]
             assert got.tolist() == ref.tolist()
 
+    @pytest.mark.parametrize(
+        "n, blocks",
+        [(1, 1), (7, 2), (simulate._PHILOX_BLOCKS // 5, 5), (simulate._PHILOX_BLOCKS // 5 + 1, 5), (300, 21)],
+    )
+    def test_philox_key_batch_equals_numpy_philox(self, n, blocks):
+        # an (N, 1) key batch against (B,) counters, with the lane constants
+        # at full shape (up to _PHILOX_BLOCKS blocks) and broadcast past it
+        key0 = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), mix_seeds(n, np.arange(n))])[:n, None]
+        key1 = np.arange(n, dtype=np.uint64)[:, None] % 3
+        got = _philox(key0, key1, np.arange(1, blocks + 1, dtype=np.uint64))
+        assert got.shape == (n, blocks, 4)
+        for row, (k0, k1) in enumerate(zip(key0.ravel().tolist(), key1.ravel().tolist())):
+            ref = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64)).random_raw(4 * blocks)
+            assert got[row].ravel().tolist() == ref.tolist()
+
+    @pytest.mark.parametrize("horizon", [13, 16, 80])
+    def test_two_chunk_batch_equals_scalar_sampler(self, horizon):
+        # 1024 + 7 seeds: two sample_batch chunks, with the Philox lane
+        # constants broadcast on the first and at full shape on the second
+        spec = random_spec(np.random.default_rng(horizon), 3, 2, 2)
+        seeds = mix_seeds(horizon, np.arange(simulate._CHUNK + 7))
+        batch = TrajectorySampler(spec, horizon).sample_batch(seeds)
+        for row, s in enumerate(seeds.tolist()):
+            theta, beta1, beta2, path = scalar_sampler.sample(spec, horizon, s)
+            assert (int(batch.theta[row]), int(batch.beta1[row]), int(batch.beta2[row])) == (theta, beta1, beta2)
+            assert tuple(batch.observations[row].tolist()) == path
+
     def test_mix_seeds_equals_python_splitmix(self):
         for base in (0, 7, -3, 2**64 - 1, 2**70 + 5):
             indices = [0, 1, 2, 999, 2**32, 2**63 + 11, 2**64 - 1]
