@@ -209,7 +209,7 @@ def _cmd_oracle(spec, args) -> int:
     value_r, tree = oracle_mod.exact_optimal_rule(table, restrict_after_d=True)
     value_u, _ = oracle_mod.exact_optimal_rule(table, restrict_after_d=False)
     deep_mass = sum(table.mass[args.horizon].tolist())
-    print(f"paths at horizon: {len(table.levels[args.horizon])}")
+    print(f"paths at horizon: {len(table.mass[args.horizon])}")
     print(f"total mass at horizon: {deep_mass:.15f}")
     print(f"optimal value (stops from d+1): {value_r:.15f}")
     print(f"optimal value (unrestricted):  {value_u:.15f}")

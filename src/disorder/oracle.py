@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -45,19 +46,22 @@ class JointTable:
     arrays[n] has shape (A^n, max_theta + 1, l0, l1), one row per path of
     length n + 1 (including x0) in lexicographic order: bucket t - 1 holds
     P(theta = t, pair, path) for t <= max_theta, the last bucket holds
-    P(theta > max_theta, pair, path).  levels[n] maps each path to a view of
-    its row.  mass[n] holds each row's path probability and detection[n] its
-    joint weight with {|theta - n| <= d}, both fsums over the row's cells,
-    shape (A^n,).
+    P(theta > max_theta, pair, path).  mass[n] holds each row's path
+    probability and detection[n] its joint weight with {|theta - n| <= d},
+    both fsums over the row's cells, shape (A^n,).  Only these are stored:
+    levels[n], mapping each path to a view of its row, is built on first read.
     """
 
     spec: ModelSpec
     horizon: int
     max_theta: int
     arrays: tuple[np.ndarray, ...]
-    levels: tuple[dict, ...]
     mass: tuple[np.ndarray, ...]
     detection: tuple[np.ndarray, ...]
+
+    @cached_property
+    def levels(self) -> tuple[dict, ...]:
+        return tuple(dict(zip(map(tuple, _paths(self.spec, n).tolist()), joint)) for n, joint in enumerate(self.arrays))
 
 
 def path_rank(spec: ModelSpec, paths) -> np.ndarray:
@@ -99,10 +103,9 @@ def build_joint(spec: ModelSpec, horizon: int, max_theta: int | None = None) -> 
         # buckets with theta <= n: the transition into X_n is post-change
         level = np.concatenate((prev[:, :, :n] * post, prev[:, :, n:] * pre), axis=2)
         arrays.append(level.reshape((-1,) + root.shape))
-    levels = tuple(dict(zip(map(tuple, _paths(spec, n).tolist()), joint)) for n, joint in enumerate(arrays))
     mass = tuple(_fsum_grids(arrays[n], 3) for n in range(horizon + 1))
     detection = tuple(_detection_masses(spec, arrays[n], n) for n in range(horizon + 1))
-    return JointTable(spec, horizon, max_theta, tuple(arrays), levels, mass, detection)
+    return JointTable(spec, horizon, max_theta, tuple(arrays), mass, detection)
 
 
 def _paths(spec: ModelSpec, n: int) -> np.ndarray:
@@ -274,7 +277,7 @@ def dump_joint(table: JointTable, directory: str | Path) -> list[Path]:
         out = directory / f"joint_level_{n}.csv"
         with out.open("w") as fh:
             fh.write("path,bucket,probability\n")
-            for path, row in zip(table.levels[n], masses.tolist()):
+            for path, row in zip(_paths(table.spec, n).tolist(), masses.tolist()):
                 pstr = "-".join(str(s) for s in path)
                 fh.writelines(f"{pstr},{label},{mass:.17g}\n" for label, mass in zip(labels, row))
         written.append(out)

@@ -348,7 +348,7 @@ def monte_carlo_eval(
 def _with_batch_form(stop_times) -> Rule:
     # The per-path rule of a batch form: the batch form on one row.
     def rule(observations: tuple[int, ...]) -> Optional[int]:
-        tau = int(stop_times(np.array([observations], dtype=np.int64))[0])
+        tau = int(stop_times(np.array([tuple(observations)], dtype=np.int64))[0])
         return None if tau < 0 else tau
 
     rule.stop_times = stop_times
@@ -356,7 +356,8 @@ def _with_batch_form(stop_times) -> Rule:
 
 
 def fixed_time_rule(spec: ModelSpec) -> Rule:
-    """Always stop at the earliest admissible time d + 1; fail as a filter would up to it."""
+    """Always stop at the earliest admissible time d + 1, reading no filter: up to it the rule
+    raises the threshold rule's ValueErrors (start at x0, alphabet), but never a SupportError."""
 
     def stop_times(observations: np.ndarray) -> np.ndarray:
         obs = np.asarray(observations)

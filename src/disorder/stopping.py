@@ -50,6 +50,7 @@ from .likelihood import Window, _check_window
 from .model import ModelSpec
 from .payoff import detection_coeff_matrix, state_payoff
 from .posterior import PosteriorState, PrefixTree
+from .simulate import _with_batch_form
 
 # Hard cap on candidate vectors formed in cross-sums per table, a guard
 # against runaway configs.
@@ -308,8 +309,10 @@ class OptimalStoppingRule:
     Decisions depend on the observed prefix only, so the rule keeps a
     posterior.PrefixTree: each prefix is filtered and decided once, when a
     path first reaches it, and keeps its StopDecisions for `decisions`.  The
-    batch form `stop_times` walks the tree, and the per-path call is the
-    batch form on one row.  The rule keeps one ValueTable for its lifetime.
+    batch form `stop_times` walks the tree.  The per-path call `stop_time`,
+    as the simulate rules build it, is the batch form on one row and carries
+    it, and both are instance attributes, so a functools.wraps copy of the
+    rule keeps them too.  The rule keeps one ValueTable for its lifetime.
     """
 
     def __init__(self, spec: ModelSpec, cfg: ValueIterConfig, variant: str = "expected"):
@@ -321,6 +324,8 @@ class OptimalStoppingRule:
         self._table = ValueTable(spec)
         # the literal boundary at d + 1 reads one symbol more
         self._tree = PrefixTree(spec, self._new_nodes, min_steps=spec.d + 1 + (variant == "literal"))
+        self.stop_times = self._tree.stop_times
+        self.stop_time = _with_batch_form(self.stop_times)
 
     def _new_nodes(self, n: int, nodes: slice) -> np.ndarray:
         """Stop times of the tree's new nodes of time n, their decisions kept in the tree's notes.
@@ -348,19 +353,10 @@ class OptimalStoppingRule:
                 stops[i] = made[-1].n
         return stops
 
-    def stop_times(self, observations: np.ndarray) -> np.ndarray:
-        """Batch form: the stop time of each row of an (N, h + 1) array of paths, -1 where it never fires."""
-        return self._tree.stop_times(observations)
-
     def decisions(self, observations: Window) -> Iterator[StopDecision]:
         """The decisions along a path, up to and including the first stop."""
         visits = self._tree.walk(np.array([tuple(observations)], dtype=np.int64))[0]
         yield from [dec for node in visits.tolist() for dec in self._tree.notes.get(node, ())]
-
-    def stop_time(self, observations: Window) -> int | None:
-        """First stop along the path, or None when the rule never fires."""
-        tau = int(self.stop_times(np.array([tuple(observations)], dtype=np.int64))[0])
-        return None if tau < 0 else tau
 
     def __call__(self, observations: Window) -> int | None:
         return self.stop_time(observations)

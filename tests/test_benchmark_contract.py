@@ -5,7 +5,8 @@ its trajectories, reduces each traced table to its cell count, and gates a
 rep on check_exact; this runs one rep at the self-test size.  It gates a
 Monte Carlo rep on check_mc, which also requires each report's config
 digest to be the one references.json was made for; this runs one rep of
-each Monte Carlo workload at the self-test size.  The tracer times each
+each Monte Carlo workload at the self-test size, and one traced rep of
+mc_optimal, whose rules the tracer wraps.  The tracer times each
 crosscheck by its function name and reports it by its result name, so
 every name it lists must be both.
 """
@@ -55,6 +56,21 @@ def test_mc_rep_at_tiny_size(worker, name):
     assert len(rep["reports"]) == params["calls"]
     assert rep["trajectories"] == params["calls"] * params["chunk"]
     assert worker.check_mc(rep["reports"], worker.load_references()[name], params.get("k_max")) == []
+
+
+def test_traced_mc_optimal_rep_reads_the_batch_form(worker):
+    # the tracer wraps each rule with functools.wraps, which copies the
+    # optimal rule's batch form, so a traced rep reads whole chunks: no
+    # per-path rule span, the decisions still traced inside stopping
+    ctx = worker.setup("mc_optimal", "tiny")
+    ctx["chunk_seeds"] = [mix_seed(1, b) for b in range(ctx["params"]["calls"])]  # as run() sets them
+    tracer = load("tracer").Tracer(worker.reducers())
+    ledger = worker.Ledger()
+    assert worker.run_and_check(ctx, worker.load_references(), 1, ledger, tracer) is not None
+    assert ledger.failed == 0, ledger.reasons
+    spans = {tracer.names[i] for i in tracer.name}
+    assert "rule.optimal" not in spans
+    assert "stopping.stop_decision" in spans
 
 
 def test_traced_checks_are_battery_checks():

@@ -287,10 +287,12 @@ class TestOracleCommand:
     def test_total_mass_is_per_path_sum(self, config, horizon, capsys):
         # the line sums each path's fsum left to right, as one call per path did
         path = ROOT / "configs" / f"{config}.json"
-        table = build_joint(load_spec(path), horizon)
+        spec = load_spec(path)
+        table = build_joint(spec, horizon)
         deep_mass = sum(math.fsum(joint.ravel()) for joint in table.levels[horizon].values())
         assert main(["oracle", "--config", str(path), "--horizon", str(horizon)]) == 0
         lines = capsys.readouterr().out.splitlines()
+        assert f"paths at horizon: {spec.alphabet_size**horizon}" in lines
         assert f"total mass at horizon: {deep_mass:.15f}" in lines
 
 

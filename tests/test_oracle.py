@@ -104,6 +104,24 @@ class TestBuildJoint:
             total = math.fsum(path_prob(table, path) for path in level)
             assert abs(total - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("make", [make_m3, make_m4])
+    def test_levels_derived_on_first_read(self, make, tmp_path):
+        # the table stores its row arrays; the path-keyed views are built
+        # from them on the first read of `levels`, and not by the readers
+        # that iterate paths (the dumps, exact evaluation)
+        spec, horizon = make(1), 4
+        table = build_joint(spec, horizon)
+        assert "levels" not in vars(table)
+        dump_joint(table, tmp_path)
+        exact_rule_value(table, fixed_time_rule(spec))
+        assert "levels" not in vars(table)
+        levels = table.levels
+        assert vars(table)["levels"] is levels and table.levels is levels
+        for n, (level, joint) in enumerate(zip(levels, table.arrays)):
+            assert list(level) == [(spec.x0,) + tail for tail in itertools.product(range(spec.alphabet_size), repeat=n)]
+            for row, view in enumerate(level.values()):
+                assert np.shares_memory(view, joint) and np.array_equal(view, joint[row])
+
     def test_budget_guard(self, m1, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CELL_BUDGET", 100)
         with pytest.raises(BudgetError):
@@ -359,6 +377,23 @@ class TestDumps:
         lines = tree_file.read_text().splitlines()
         assert lines[0] == "path,z,continuation,value,action"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("name", ["m3_d1", "m4"])
+    def test_joint_dump_is_per_path_rendering(self, name, tmp_path):
+        # each depth's file as rendered path by path through the derived levels
+        spec = load_spec(CONFIGS_DIR / f"{name}.json")
+        table = build_joint(spec, 5)
+        labels = [str(t) for t in range(1, table.max_theta + 1)] + ["tail"]
+        files = dump_joint(table, tmp_path)
+        assert [out.name for out in files] == [f"joint_level_{n}.csv" for n in range(6)]
+        for n, out in enumerate(files):
+            lines = ["path,bucket,probability\n"]
+            for tail in itertools.product(range(spec.alphabet_size), repeat=n):
+                path = (spec.x0,) + tail
+                pstr = "-".join(str(s) for s in path)
+                for label, cell in zip(labels, table.levels[n][path]):
+                    lines.append(f"{pstr},{label},{math.fsum(cell.ravel().tolist()):.17g}\n")
+            assert out.read_bytes() == "".join(lines).encode()
 
     @pytest.mark.parametrize("name", ["m3_d1", "m4"])
     def test_tree_dump_is_per_node_rendering(self, name, tmp_path):

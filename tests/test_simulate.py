@@ -463,6 +463,19 @@ class TestBatchRules:
         assert rule.stop_times(np.zeros((2, 1), dtype=np.int64)).tolist() == [-1, -1]
         assert rule((0, 1)) == 1 and rule((0,)) is None
 
+    def test_fixed_rule_reads_no_filter(self):
+        # 0 -> 1 is impossible: the filter and the threshold rule raise a
+        # SupportError at step 1, the fixed rule stops at d + 1 all the same
+        spec = _forbid(make_m2(1), 0, 1)
+        path = (0, 1, 1)
+        with pytest.raises(SupportError):
+            state_step(spec, state_init(spec), 1)
+        with pytest.raises(SupportError):
+            posterior_threshold_rule(spec)(path)
+        fixed = fixed_time_rule(spec)
+        assert fixed(path) == 2
+        assert fixed.stop_times(np.array([path, (0, 0, 1)])).tolist() == [2, 2]
+
     def test_support_error_after_stop_not_raised(self):
         spec = _forbid(make_m2(), 1, 1)
         rule = posterior_threshold_rule(spec)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -24,7 +25,7 @@ from disorder import (
 from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
 from disorder.posterior import filter_levels
-from disorder.simulate import TrajectorySampler, mix_seeds
+from disorder.simulate import TrajectorySampler, _stop_times, mix_seeds
 from disorder import stopping
 from disorder.stopping import ValueTable, _prune
 
@@ -548,6 +549,27 @@ class TestRuleRunner:
                     want = filter_through(spec, path[:end])
                     assert final.n == end - 1
                     assert np.array_equal(final.change_prob, want.change_prob)
+
+
+class TestRuleShape:
+    """The rule stores one form, its batch form; the per-path call is that form on one row and carries it."""
+
+    @pytest.mark.parametrize("variant", ["expected", "literal"])
+    @pytest.mark.parametrize("make, d", [(make_m2, 0), (make_m4, 1)], ids=["m2", "m4_d1"])
+    def test_per_path_call_carries_the_batch_form(self, make, d, variant):
+        spec = make(d)
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=4), variant=variant)
+        assert not {"stop_times", "stop_time"} & set(vars(OptimalStoppingRule))
+        assert rule.stop_times == rule._tree.stop_times
+        assert rule.stop_time.stop_times is rule.stop_times
+        paths = np.array([(spec.x0,) + tail for tail in itertools.product(range(spec.alphabet_size), repeat=6)])
+        assert np.array_equal(_stop_times(rule.stop_time, paths), rule.stop_times(paths))
+        # the one-row call takes any iterable of symbols
+        for path in paths[:: len(paths) // 7].tolist():
+            assert rule.stop_time(iter(path)) == rule(path) == rule.stop_time(tuple(path))
+        # functools.wraps copies instance attributes, so a wrapped rule keeps its batch form
+        wrapped = functools.wraps(rule)(lambda observations: rule(observations))
+        assert wrapped.stop_times is rule.stop_times
 
 
 class TestBoundaryDecision:
