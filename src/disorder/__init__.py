@@ -40,7 +40,6 @@ from .posterior import (
 from .payoff import (
     CriterionCheck,
     criterion_probability,
-    state_payoff,
     stop_payoff,
 )
 from .stopping import (

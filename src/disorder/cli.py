@@ -29,7 +29,7 @@ from . import crosscheck as crosscheck_mod
 from . import oracle as oracle_mod
 from .errors import BudgetError, ConfigError, DisorderError, RuleError
 from .model import load_spec, validate
-from .posterior import state_init, state_step
+from .posterior import PosteriorState, PrefixTree
 from .simulate import (
     TrajectorySampler,
     fixed_time_rule,
@@ -184,20 +184,17 @@ def _cmd_evaluate(spec, args) -> int:
 
 
 def _cmd_value_iterate(spec, args) -> int:
-    cfg = ValueIterConfig(k_max=args.kmax)
-    table = ValueTable(spec)
     seeds = mix_seeds(args.seed, np.arange(args.probe))
     paths = TrajectorySampler(spec, spec.d + 3).sample_batch(seeds).observations
+    # a tree that never stops filters each distinct probe prefix once
+    tree = PrefixTree(spec, lambda n, nodes: np.full(nodes.stop - nodes.start, -1))
+    last = tree.walk(paths)[:, -1]
+    state = PosteriorState(spec.d + 3, paths[:, -(spec.d + 2) :], tree.unchanged[last], tree.changed[last])
+    dec = stop_decision(ValueTable(spec), state, ValueIterConfig(k_max=args.kmax))
+    fields = (dec.k_used, dec.continue_value, dec.bound, dec.stop_value, dec.converged)
     lines = ["probe,k_used,s_k,bound,stop_value,converged"]
-    for idx, path in enumerate(paths.tolist()):
-        state = state_init(spec)
-        for sym in path[1:]:
-            state = state_step(spec, state, sym)
-        dec = stop_decision(table, state, cfg)
-        lines.append(
-            f"{idx},{dec.k_used},{dec.continue_value:.17g},{dec.bound:.17g},"
-            f"{dec.stop_value:.17g},{int(dec.converged)}"
-        )
+    for idx, (k_used, s_k, bound, stop_value, converged) in enumerate(zip(*(f.tolist() for f in fields))):
+        lines.append(f"{idx},{k_used},{s_k:.17g},{bound:.17g},{stop_value:.17g},{int(converged)}")
     print("\n".join(lines))
     if args.out:
         _out_path(args.out).write_text("\n".join(lines) + "\n")

@@ -10,12 +10,12 @@ with all split likelihoods over w.  At the earliest admissible stop n = d + 1
 no change can predate the precision window, and the payoff collapses to the
 window-free form sum_ij (1 - p^d) U_ij + C_ij, with C the changed mass.
 stop_payoff picks the form from n and, like the likelihood functions, takes a
-batch of rows, a tuple window being the one-row case; state_payoff applies it
-at a filter state's own time and level_payoff to the rows of a filter level,
-on each row's last d + 2 symbols.  criterion_probability evaluates the
-unconditional success probability of a fixed-time stop both from the prior
-and as the exact expectation of the payoff over the filter tree; the two must
-agree, which is the module's core identity.
+batch of rows, a tuple window being the one-row case; level_payoff applies it
+to the rows of a filter level, on each row's last d + 2 symbols.
+criterion_probability evaluates the unconditional success probability of a
+fixed-time stop both from the prior and as the exact expectation of the
+payoff over the filter tree; the two must agree, which is the module's core
+identity.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .likelihood import Window, _fsum_grids, likelihood_ratio_chain, path_probability
 from .model import ModelSpec, change_time_pmf
-from .posterior import FilterLevel, PosteriorState, filter_levels
+from .posterior import FilterLevel, filter_levels
 
 
 def detection_coeff_matrix(spec: ModelSpec, window: Window) -> np.ndarray:
@@ -53,11 +53,6 @@ def stop_payoff(spec: ModelSpec, n: int, window: Window, unchanged, changed) -> 
         terms = detection_coeff_matrix(spec, window) * unchanged
     value = _fsum_grids(terms)
     return value if value.ndim else float(value)
-
-
-def state_payoff(spec: ModelSpec, state: PosteriorState) -> float:
-    """Stop payoff of the filter state at its own time n >= d + 1."""
-    return stop_payoff(spec, state.n, state.window, state.unchanged, state.changed)
 
 
 def level_payoff(spec: ModelSpec, level: FilterLevel) -> np.ndarray:

@@ -15,7 +15,7 @@ window mixtures and cross-check the recursion, a batch of windows at a time.
 filter_levels filters every path of positive probability up to a horizon
 level by level, one batched step and predictive per level, for the exact
 checks.  PrefixTree keeps the filter states of the prefixes a rule has read,
-with the rule's stop decision at each, so the filter rules filter and decide
+with the rule's stop time at each, so the filter rules filter and decide
 each observed prefix once and read a batch of paths one gather per step.
 
 A zero-probability observation (outside the common kernel support) is not
@@ -278,10 +278,10 @@ class PrefixTree:
     paths one gather per step; rows that reach an unread child grow it
     there, in one batched _filter_step, so the masses are state_step's bit
     for bit and a SupportError names the lowest dead row.
-    `decide(n, nodes)` gives the stop times of the new nodes of time n, a
-    slice of ids; a rule may keep what it decided in `notes`.  A stopping
-    node's children point to _STOPPED, so nothing after a stop is read; a
-    path of fewer than `min_steps` steps is not read past x0.
+    `decide(n, nodes)` gives the stop times of the new nodes of time n, the
+    slice of ids one walk step grew.  A stopping node's children point to
+    _STOPPED, so nothing after a stop is read; a path of fewer than
+    `min_steps` steps is not read past x0.
     """
 
     def __init__(self, spec: ModelSpec, decide, min_steps: int = 1):
@@ -296,7 +296,7 @@ class PrefixTree:
         a = self.spec.alphabet_size
         self.child[: self.size * a] = _UNGROWN
         self.child[_STOPPED * a : (_STOPPED + 1) * a] = _STOPPED
-        self.size, self.notes = 3, {}
+        self.size = 3
         self.stop[:3], self.up[_ROOT], self.last[_ROOT] = -1, _ROOT, self.spec.x0
         self.unchanged[_ROOT], self.changed[_ROOT] = self.spec.b, 0.0
 
@@ -310,14 +310,6 @@ class PrefixTree:
                 new[: len(old)] = old
                 setattr(self, name, new)
         return slice(lo, self.size)
-
-    def tail(self, node: int, m: int) -> tuple[int, ...]:
-        """The last m symbols of a node's prefix, fewer near the root."""
-        out = [int(self.last[node])]
-        while len(out) < m and node != _ROOT:
-            node = self.up[node]
-            out.append(int(self.last[node]))
-        return tuple(out[::-1])
 
     def walk(self, observations) -> np.ndarray:
         """The (N, h + 1) nodes a batch of paths visits, _STOPPED after a stop.

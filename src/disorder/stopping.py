@@ -25,10 +25,10 @@ s_k increases pointwise in k; its limit s* defines the stopping region
 continue or h >= s_K + bound (see ValueTable.bound) proves stop; at the cap
 it compares h with s_{k_max}, flagged as not proved.  Either way it is the
 s_{k_max} decision; stop_decision makes it from d + 1 on, with the stop
-payoff due at the state's time.  OptimalStoppingRule is the one rule: it
-never stops before d + 1, afterwards stops on first entry into the region,
-and its decisions, made once per observed prefix on a posterior.PrefixTree,
-are the trace.  At d + 1 the comparison has two readings.
+payoff due at the state's time, for one state or a batch of one time.
+OptimalStoppingRule is the one rule: it never stops before d + 1, then stops
+on first entry into the region, deciding the prefixes a posterior.PrefixTree
+grows at one time in one batch.  At d + 1 the comparison has two readings.
 "expected" is the region test, as s_k there is already the expected better
 of stopping or continuing one step ahead: the next symbol y has
 pred_y h_y = c_y . u and pred_y u_y = D_y o u.  "literal" waits for the
@@ -40,16 +40,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import astuple, dataclass
+from itertools import product, takewhile
 
 import numpy as np
 
 from .errors import BudgetError
 from .likelihood import Window, _check_window
 from .model import ModelSpec
-from .payoff import detection_coeff_matrix, state_payoff
-from .posterior import PosteriorState, PrefixTree
+from .payoff import detection_coeff_matrix, stop_payoff
+from .posterior import _STOPPED, PosteriorState, PrefixTree
 from .simulate import _with_batch_form
 
 # Hard cap on candidate vectors formed in cross-sums per table, a guard
@@ -257,6 +257,29 @@ class ValueTable:
         return _prune((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
 
 
+def _iterate(table: ValueTable, window: np.ndarray, u: np.ndarray, cfg: ValueIterConfig, stop_value: np.ndarray):
+    # value_iterate over (N, d + 2) windows, (N, L) weights and (N,) stop
+    # values, its fields per row; K rises only on the rows not yet proved
+    value, bound = np.empty((2, len(stop_value)))
+    k_used, converged = np.full(len(stop_value), cfg.k_max), np.zeros(len(stop_value), dtype=bool)
+    rows = np.arange(len(stop_value))
+    for k in range(1, cfg.k_max + 1):
+        s = table.value(k, window[rows], u[rows])
+        upper = s + table.bound(k) * u[rows].sum(axis=-1)
+        value[rows], bound[rows] = s, upper - s
+        done = (stop_value[rows] < s) | (stop_value[rows] >= upper)
+        k_used[rows[done]], converged[rows[done]] = k, True
+        rows = rows[~done]
+        if not len(rows):
+            break
+    return ValueIterResult(value, bound, k_used, converged)
+
+
+def _row(record):
+    # a one-row batch record as the one-row record, its fields Python scalars
+    return type(record)(*(np.ravel(field)[0].item() for field in astuple(record)))
+
+
 def value_iterate(
     table: ValueTable,
     window: Window,
@@ -266,15 +289,9 @@ def value_iterate(
 ) -> ValueIterResult:
     """s_K at the first K <= k_max that decides `stop_value` against s*.
 
-    The alpha-vector sets come from `table`, and with them the spec.
+    The alpha-vector sets come from `table`, and with them the spec; stop_decision's K loop on one row.
     """
-    u = table.weight(unchanged)
-    for k in range(1, cfg.k_max + 1):
-        s = table.value(k, window, u)
-        upper = s + table.bound(k) * float(u.sum())
-        if stop_value < s or stop_value >= upper:
-            return ValueIterResult(s, upper - s, k, True)
-    return ValueIterResult(s, upper - s, cfg.k_max, False)
+    return _row(_iterate(table, np.atleast_2d(window), table.weight(unchanged)[None], cfg, np.array([stop_value])))
 
 
 def stop_decision(
@@ -288,19 +305,23 @@ def stop_decision(
     Compares the stop payoff due at the state's time n >= d + 1 with the
     continuation value at the state.  With the realised next state `nxt`
     of a time-(d + 1) state, its one-step successor, compares it with the
-    continuation value at `nxt` instead: the literal boundary reading.
+    continuation value at `nxt` instead: the literal boundary reading.  A
+    state with an (N, d + 2) window array is a batch of time n, `nxt` its
+    rows' successors, and the fields are per row; a tuple window is one row.
     """
     spec = table.spec
     if state.n < spec.d + 1:
         raise ValueError("stop decisions apply from time d + 1 on")
     if nxt is not None and state.n != spec.d + 1:
         raise ValueError("the literal reading applies at time d + 1 only")
-    if nxt is not None and (nxt.n != state.n + 1 or tuple(nxt.window[:-1]) != tuple(state.window[1:])):
-        raise ValueError("nxt must be the one-step successor of state")
     at = state if nxt is None else nxt
-    h = state_payoff(spec, state)
-    res = value_iterate(table, at.window, at.unchanged, cfg, h)
-    return StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
+    window, at_window = np.atleast_2d(state.window), np.atleast_2d(at.window)
+    if nxt is not None and (nxt.n != state.n + 1 or not np.array_equal(at_window[:, :-1], window[:, 1:])):
+        raise ValueError("nxt must be the one-step successor of state")
+    h = np.atleast_1d(stop_payoff(spec, state.n, state.window, state.unchanged, state.changed))
+    res = _iterate(table, at_window, np.atleast_2d(table.weight(at.unchanged)), cfg, h)
+    dec = StopDecision(state.n, h >= res.value, h, res.value, res.bound, res.k_used, res.converged)
+    return _row(dec) if np.ndim(state.window) == 1 else dec
 
 
 class OptimalStoppingRule:
@@ -308,11 +329,12 @@ class OptimalStoppingRule:
 
     Decisions depend on the observed prefix only, so the rule keeps a
     posterior.PrefixTree: each prefix is filtered and decided once, when a
-    path first reaches it, and keeps its StopDecisions for `decisions`.  The
-    batch form `stop_times` walks the tree.  The per-path call `stop_time`,
-    as the simulate rules build it, is the batch form on one row and carries
-    it, and both are instance attributes, so a functools.wraps copy of the
-    rule keeps them too.  The rule keeps one ValueTable for its lifetime.
+    path first reaches it, all that one walk step grows in one stop_decision
+    call, and `decisions` recomputes a path's.  The batch form `stop_times`
+    walks the tree.  The per-path call `stop_time`, as the simulate rules
+    build it, is the batch form on one row and carries it, and both are
+    instance attributes, so a functools.wraps copy of the rule keeps them
+    too.  The rule keeps one ValueTable for its lifetime.
     """
 
     def __init__(self, spec: ModelSpec, cfg: ValueIterConfig, variant: str = "expected"):
@@ -322,41 +344,37 @@ class OptimalStoppingRule:
         self.cfg = cfg
         self.variant = variant
         self._table = ValueTable(spec)
-        # the literal boundary at d + 1 reads one symbol more
-        self._tree = PrefixTree(spec, self._new_nodes, min_steps=spec.d + 1 + (variant == "literal"))
+        # the first time decided: the literal boundary at d + 1 reads one symbol more
+        self._start = spec.d + 1 + (variant == "literal")
+        self._tree = PrefixTree(spec, lambda n, new: self._decide(n, np.arange(new.start, new.stop))[0], self._start)
         self.stop_times = self._tree.stop_times
         self.stop_time = _with_batch_form(self.stop_times)
 
-    def _new_nodes(self, n: int, nodes: slice) -> np.ndarray:
-        """Stop times of the tree's new nodes of time n, their decisions kept in the tree's notes.
-
-        The literal reading decides the boundary d + 1 at the nodes of time
-        d + 2, the realised next states, and their region decision only when
-        the boundary does not stop.
-        """
-        d, tree = self.spec.d, self._tree
-        literal = self.variant == "literal"
-        stops = np.full(nodes.stop - nodes.start, -1)
-        if n < d + 1 + literal:
-            return stops
-        for i, node in enumerate(range(nodes.start, nodes.stop)):
-            state = PosteriorState(n, tree.tail(node, d + 2), tree.unchanged[node], tree.changed[node])
-            made = []
-            if literal and n == d + 2:
-                up = tree.up[node]
-                prev = PosteriorState(d + 1, tree.tail(up, d + 2), tree.unchanged[up], tree.changed[up])
-                made.append(stop_decision(self._table, prev, self.cfg, state))
-            if not (made and made[0].stop):
-                made.append(stop_decision(self._table, state, self.cfg))
-            tree.notes[node] = tuple(made)
-            if made[-1].stop:
-                stops[i] = made[-1].n
-        return stops
+    def _decide(self, n: int, nodes: np.ndarray) -> tuple[np.ndarray, list[StopDecision]]:
+        # Stop times of tree nodes of time n and their batch decisions, windows read
+        # up the parent links: the literal reading decides the boundary d + 1 at the
+        # nodes of time d + 2, then the region on the rows the boundary does not stop.
+        tree, climb, stops, made = self._tree, [nodes], np.full(len(nodes), -1), []
+        for _ in range(self.spec.d + 2):
+            climb.insert(0, tree.up[climb[0]])
+        last = tree.last[np.array(climb).T]
+        state = PosteriorState(n, last[:, 1:], tree.unchanged[nodes], tree.changed[nodes])
+        rows = np.arange(len(nodes) if n >= self._start else 0)
+        if self.variant == "literal" and n == self._start:
+            prev = PosteriorState(n - 1, last[:, :-1], tree.unchanged[climb[-2]], tree.changed[climb[-2]])
+            made.append(stop_decision(self._table, prev, self.cfg, state))
+            stops[made[0].stop], rows = n - 1, rows[~made[0].stop]
+        if len(rows):
+            region = PosteriorState(n, state.window[rows], state.unchanged[rows], state.changed[rows])
+            made.append(stop_decision(self._table, region, self.cfg))
+            stops[rows[made[-1].stop]] = n
+        return stops, made
 
     def decisions(self, observations: Window) -> Iterator[StopDecision]:
-        """The decisions along a path, up to and including the first stop."""
-        visits = self._tree.walk(np.array([tuple(observations)], dtype=np.int64))[0]
-        yield from [dec for node in visits.tolist() for dec in self._tree.notes.get(node, ())]
+        """The decisions along a path, up to and including the first stop, recomputed node by node."""
+        visits = self._tree.walk(np.array([tuple(observations)], dtype=np.int64))[0].tolist()
+        for n, node in enumerate(takewhile(lambda node: node != _STOPPED, visits)):
+            yield from map(_row, self._decide(n, np.array([node]))[1])
 
     def __call__(self, observations: Window) -> int | None:
         return self.stop_time(observations)

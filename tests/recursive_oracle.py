@@ -7,7 +7,7 @@ the continuation adding w_y * value(child) over y in order with w_y = 0
 skipped, stops allowed from d + 1 on, and equal states valued once.
 """
 
-from disorder import predictive, state_init, state_payoff, state_step
+from disorder import predictive, state_init, state_step, stop_payoff
 
 
 def optimal_value_state_indexed(spec, horizon):
@@ -25,13 +25,16 @@ def optimal_value_state_indexed(spec, horizon):
             state.changed.tobytes(),
         )
 
+    def payoff(state) -> float:
+        return stop_payoff(spec, state.n, state.window, state.unchanged, state.changed)
+
     def value(state) -> float:
         key = state_key(state)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if state.n == horizon:
-            v = state_payoff(spec, state)
+            v = payoff(state)
         else:
             pred = predictive(spec, state)
             cont = 0.0
@@ -39,7 +42,7 @@ def optimal_value_state_indexed(spec, horizon):
                 w = float(pred[y])
                 if w > 0.0:
                     cont += w * value(state_step(spec, state, y))
-            v = max(state_payoff(spec, state), cont) if state.n > spec.d else cont
+            v = max(payoff(state), cont) if state.n > spec.d else cont
         memo[key] = v
         return v
 

@@ -2,10 +2,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from disorder import build_joint, load_spec, save_spec, spec_to_dict
+from disorder import ValueIterConfig, build_joint, load_spec, save_spec, spec_to_dict, state_init, state_step
 from disorder.cli import main
+from disorder.simulate import TrajectorySampler, mix_seeds
+from disorder.stopping import ValueTable, stop_decision
 
 from conftest import make_m1, make_m2, make_m3
 
@@ -268,6 +271,26 @@ class TestValueIterateCommand:
                 assert converged == "0" and int(k_used) == 2
         # m3_d1 has states that K = 2 cannot decide
         assert {row[5] for row in rows} == {"0", "1"}
+
+    @pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")), ids=lambda path: path.stem)
+    def test_rows_are_per_probe_decisions(self, config, capsys):
+        # the batched filter and decision give each probe the row of its own
+        # state_step filter and one-row decision, byte for byte
+        spec, cfg = load_spec(config), ValueIterConfig(k_max=3)
+        assert main(["value-iterate", "--config", str(config), "--kmax", "3", "--probe", "16", "--seed", "5"]) == 0
+        table = ValueTable(spec)
+        paths = TrajectorySampler(spec, spec.d + 3).sample_batch(mix_seeds(5, np.arange(16))).observations
+        lines = ["probe,k_used,s_k,bound,stop_value,converged"]
+        for idx, path in enumerate(paths.tolist()):
+            state = state_init(spec)
+            for sym in path[1:]:
+                state = state_step(spec, state, sym)
+            dec = stop_decision(table, state, cfg)
+            lines.append(
+                f"{idx},{dec.k_used},{dec.continue_value:.17g},{dec.bound:.17g},"
+                f"{dec.stop_value:.17g},{int(dec.converged)}"
+            )
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 class TestOracleCommand:

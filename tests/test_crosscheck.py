@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disorder import criterion_probability, load_spec, oracle, payoff, posterior, validate
+from disorder import criterion_probability, crosscheck, load_spec, oracle, payoff, posterior, validate
 from disorder import spec_from_dict, spec_to_dict
 from disorder import stopping
 from disorder.crosscheck import (
+    check_backshift_inversion,
     check_continuation_normalization,
     check_payoff_criterion,
     check_payoff_window,
@@ -158,9 +159,42 @@ class TestOneFilterPass:
         assert repr(check_payoff_criterion(spec, levels).max_err) == repr(worst)
 
 
-# the checks that read the filter state; path_unity, joint_consistency and
-# backshift_inversion do not
-FILTER_CHECKS = {
+class TestBackshiftInversion:
+    """The back-shift check is a backward error: the forward map of the recovered anchor reproduces the posterior."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_perturbed_backshift_fails(self, config, monkeypatch):
+        # a recovered anchor off by one part in a million must show
+        spec = load_spec(config)
+        assert check_backshift_inversion(spec).passed
+        exact = posterior.change_backshift
+        monkeypatch.setattr(posterior, "change_backshift", lambda *args: exact(*args) * (1.0 + 1e-6))
+        assert not check_backshift_inversion(spec).passed
+
+    @pytest.mark.parametrize("seed", [6, 20, 24, 25, 29, 42, 46])
+    def test_small_p_specs_pass(self, seed):
+        # valid specs with p in [1e-3, 0.05], where the inverse map's
+        # condition reaches 1e7 and the anchor's own error exceeded 1e-9
+        rng = np.random.default_rng(seed)
+        payload = spec_to_dict(random_spec(rng, 3, 2, 2, 1))
+        payload["p"] = np.exp(rng.uniform(math.log(1e-3), math.log(0.05), (2, 2))).tolist()
+        assert [(r.name, r.max_err) for r in run_crosscheck(spec_from_dict(payload), 4) if not r.passed] == []
+
+    def test_anchor_rounded_off_the_unit_interval_is_clipped(self, monkeypatch):
+        # every trial at anchor 0 on the all-zero window, and the recovered
+        # anchors rounded just below 0: clipped back, not rejected
+        spec = load_spec(CONFIGS_DIR / "m3_d1.json")
+        monkeypatch.setattr(crosscheck, "_philox", lambda key0, key1, counter: np.zeros((len(counter), 4), np.uint64))
+        exact = posterior.change_backshift
+        monkeypatch.setattr(posterior, "change_backshift", lambda *args: exact(*args) - 2.0**-60)
+        result = check_backshift_inversion(spec)
+        assert result.passed and result.max_err == 0.0
+
+
+# the checks the fuzz asserts: those that read the filter state, and the
+# back-shift's backward error; path_unity and joint_consistency are not asserted
+FUZZ_CHECKS = {
+    "backshift_inversion",
     "filter_vs_oracle",
     "survival_projection",
     "lagged_change",
@@ -203,6 +237,7 @@ def extreme_specs(draw):
 def test_filter_checks_hold_on_extreme_specs(spec, horizon):
     # the battery's checks of the filter state pass at the edges of the
     # parameter space, where the conditional grids of a change posterior
-    # rounded to 1 lose the survival 1 - gamma
+    # rounded to 1 lose the survival 1 - gamma, and so does the back-shift,
+    # whose inverse map is ill-conditioned at small p
     results = run_crosscheck(spec, horizon)
-    assert [(r.name, r.max_err) for r in results if r.name in FILTER_CHECKS and not r.passed] == []
+    assert [(r.name, r.max_err) for r in results if r.name in FUZZ_CHECKS and not r.passed] == []

@@ -14,7 +14,6 @@ from disorder import (
     load_spec,
     path_probability,
     state_init,
-    state_payoff,
     state_step,
     stop_payoff,
     validate,
@@ -33,6 +32,11 @@ def filter_through(spec, path):
     for sym in path[1:]:
         state = state_step(spec, state, sym)
     return state
+
+
+def state_stop_payoff(spec, state):
+    """The one-row stop payoff of a filter state at its own time."""
+    return stop_payoff(spec, state.n, state.window, state.unchanged, state.changed)
 
 
 class TestStopPayoff:
@@ -209,13 +213,13 @@ class TestCriterion:
     @pytest.mark.parametrize("make", [make_m3, make_m4])
     def test_payoff_route_reads_each_state(self, make):
         # the expectation does not see which d + 2 symbols the window form
-        # reads, so each term is checked: P(path) times the path's
-        # state_payoff, bit for bit
+        # reads, so each term is checked: P(path) times the path's one-row
+        # stop payoff at its filter state, bit for bit
         spec = make(1)
         for n in range(spec.d + 1, 6):
             *_, level = filter_levels(spec, n)
             masses = path_probability(spec, level.paths).tolist()
-            payoffs = [state_payoff(spec, filter_through(spec, path)) for path in level.paths.tolist()]
+            payoffs = [state_stop_payoff(spec, filter_through(spec, path)) for path in level.paths.tolist()]
             expected = math.fsum(m * h for m, h in zip(masses, payoffs))
             assert repr(criterion_probability(spec, n).payoff_value) == repr(expected)
 
@@ -233,13 +237,13 @@ class TestPayoffIsConditionalProbability:
         from disorder import build_joint
         from disorder.oracle import detection_mass, path_prob
 
-        # state_payoff picks the boundary form at d + 1, the window form
-        # later, and rejects earlier states
+        # the stop payoff at a filter state's own time picks the boundary
+        # form at d + 1, the window form later, and rejects earlier states
         spec = make(d)
         table = build_joint(spec, 5)
         for tail in itertools.product(range(spec.alphabet_size), repeat=d):
             with pytest.raises(ValueError):
-                state_payoff(spec, filter_through(spec, (spec.x0,) + tail))
+                state_stop_payoff(spec, filter_through(spec, (spec.x0,) + tail))
         for n in range(d + 1, 6):
             for tail in itertools.product(range(spec.alphabet_size), repeat=n):
                 path = (spec.x0,) + tail
@@ -250,7 +254,7 @@ class TestPayoffIsConditionalProbability:
                 else:
                     val = stop_payoff(spec, spec.d + 2, state.window, state.unchanged, state.changed)
                 assert abs(val - z) <= 1e-10
-                assert state_payoff(spec, state) == val
+                assert state_stop_payoff(spec, state) == val
 
 
 class TestCoeffMatrix:

@@ -21,6 +21,7 @@ from disorder import (
     ValueIterConfig,
     change_time_pmf,
     fixed_time_rule,
+    load_spec,
     monte_carlo_eval,
     path_probability,
     posterior_threshold_rule,
@@ -386,7 +387,15 @@ def _forbid(spec, x, y):
 
 
 CONFIG_MAKERS = {"m1": make_m1, "m2": make_m2, "m3": make_m3, "m4": make_m4}
+SLOW_CONFIGS = ("m1_d1_slow", "m4_slow")
 TREE_RULES = ("threshold", "expected", "literal")
+
+
+def config_spec(config):
+    """A reference spec by name: m1 .. m4 and their _d1 variants, or a slow-change config file."""
+    if config in SLOW_CONFIGS:
+        return load_spec(Path(__file__).parents[1] / "configs" / f"{config}.json")
+    return CONFIG_MAKERS[config[:2]](int(config.endswith("_d1")))
 
 
 def tree_rule(spec, kind):
@@ -401,13 +410,14 @@ def tree_rule(spec, kind):
 class TestBatchRules:
     @pytest.mark.parametrize(
         "config, kind",
-        [(f"m{i}{d}", kind) for i in range(1, 5) for d in ("", "_d1") for kind in TREE_RULES],
+        [(f"m{i}{d}", kind) for i in range(1, 5) for d in ("", "_d1") for kind in TREE_RULES]
+        + [(config, kind) for config in SLOW_CONFIGS for kind in TREE_RULES],
         ids=lambda value: value,
     )
     def test_batch_equals_per_path_on_every_path(self, config, kind):
         # every path to horizon 8 (5 for alphabet 3) against the per-path
         # references, on a fresh rule and again after forced tree restarts
-        spec = CONFIG_MAKERS[config[:2]](int(config.endswith("_d1")))
+        spec = config_spec(config)
         horizon = 8 if spec.alphabet_size == 2 else 5
         paths = [(spec.x0,) + tail for tail in itertools.product(range(spec.alphabet_size), repeat=horizon)]
         if kind == "threshold":

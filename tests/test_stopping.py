@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -15,6 +16,7 @@ from disorder import (
     PosteriorState,
     StopDecision,
     ValueIterConfig,
+    load_spec,
     predictive,
     state_init,
     state_step,
@@ -30,6 +32,9 @@ from disorder import stopping
 from disorder.stopping import ValueTable, _prune
 
 from conftest import make_m1, make_m2, make_m3, make_m4, masses, random_spec, state_from
+
+CONFIGS_DIR = Path(__file__).parents[1] / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 
 
 def filter_through(spec, path):
@@ -476,6 +481,107 @@ class TestStopDecision:
             stop_decision(ValueTable(m2), state_init(m2), ValueIterConfig())
 
 
+def row_state(level, row, width):
+    """The one-row filter state of a filter level's row, its last `width` symbols a tuple window."""
+    return PosteriorState(level.n, tuple(level.paths[row, -width:].tolist()), level.unchanged[row], level.changed[row])
+
+
+def assert_rows_are_one_row_calls(batch, singles):
+    for field in ("n", "stop", "stop_value", "continue_value", "bound", "k_used", "converged"):
+        got = getattr(batch, field)
+        want = [getattr(dec, field) for dec in singles]
+        if field == "n":
+            assert {got} == set(want)
+        else:
+            assert got.shape == (len(singles),)
+            assert got.tolist() == want, field
+
+
+class TestBatchDecision:
+    """stop_decision on a batch of one time n is the one-row call on each row, field by field."""
+
+    @pytest.mark.parametrize("k_max", [1, 5, 10])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_every_filter_state(self, config, k_max):
+        # every state of the filter tree from d + 1 to horizon 6 (5 at alphabet 3)
+        spec = load_spec(config)
+        table, cfg = ValueTable(spec), ValueIterConfig(k_max=k_max)
+        for level in filter_levels(spec, 6 if spec.alphabet_size == 2 else 5):
+            if level.n <= spec.d:
+                continue
+            windows = level.paths[:, -(spec.d + 2) :]
+            batch = stop_decision(table, PosteriorState(level.n, windows, level.unchanged, level.changed), cfg)
+            singles = [stop_decision(table, row_state(level, row, spec.d + 2), cfg) for row in range(len(windows))]
+            assert_rows_are_one_row_calls(batch, singles)
+
+    @pytest.mark.parametrize("k_max", [1, 5, 10])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_literal_boundary(self, config, k_max):
+        # each boundary state at d + 1 with each of its successors
+        spec = load_spec(config)
+        table, cfg = ValueTable(spec), ValueIterConfig(k_max=k_max)
+        *_, prev, level = filter_levels(spec, spec.d + 2)
+        up, width = level.parent, spec.d + 2
+        state = PosteriorState(spec.d + 1, prev.paths[up, -width:], prev.unchanged[up], prev.changed[up])
+        nxt = PosteriorState(spec.d + 2, level.paths[:, -width:], level.unchanged, level.changed)
+        batch = stop_decision(table, state, cfg, nxt)
+        singles = [
+            stop_decision(table, row_state(prev, i, width), cfg, row_state(level, j, width))
+            for j, i in enumerate(up.tolist())
+        ]
+        assert_rows_are_one_row_calls(batch, singles)
+
+    def test_batch_without_every_successor_rejected(self):
+        # one row's nxt is another boundary state's successor
+        spec = make_m3(d=1)
+        *_, prev, level = filter_levels(spec, spec.d + 2)
+        up, width = level.parent, spec.d + 2
+        state = PosteriorState(spec.d + 1, prev.paths[up, -width:], prev.unchanged[up], prev.changed[up])
+        swap = np.arange(len(up))
+        swap[[0, -1]] = swap[[-1, 0]]
+        assert up[0] != up[-1]
+        nxt = PosteriorState(spec.d + 2, level.paths[swap, -width:], level.unchanged[swap], level.changed[swap])
+        with pytest.raises(ValueError, match="^nxt must be the one-step successor of state$"):
+            stop_decision(ValueTable(spec), state, ValueIterConfig(k_max=4), nxt)
+
+
+def recorded_decisions(monkeypatch):
+    """The list that every later stop_decision call in stopping appends its decision to."""
+    made, decide = [], stopping.stop_decision
+    monkeypatch.setattr(stopping, "stop_decision", lambda *args: made.append(decide(*args)) or made[-1])
+    return made
+
+
+class TestSlowChange:
+    """The slow-change configs: rare changes, deep K and decisions unproved at k_max 10."""
+
+    @pytest.mark.parametrize(
+        "name, horizon, unproved, decided", [("m4_slow", 6, 68, 360), ("m1_d1_slow", 8, 40, 212)]
+    )
+    def test_unproved_decision_counts(self, name, horizon, unproved, decided, monkeypatch):
+        # every live path in one batch: each tree node decided once, one
+        # stop_decision call per grown level
+        spec = load_spec(CONFIGS_DIR / f"{name}.json")
+        made = recorded_decisions(monkeypatch)
+        *_, level = filter_levels(spec, horizon)
+        OptimalStoppingRule(spec, ValueIterConfig(k_max=10)).stop_times(level.paths)
+        assert [dec.n for dec in made] == list(range(spec.d + 1, horizon + 1))
+        converged = np.concatenate([dec.converged for dec in made])
+        assert (np.count_nonzero(~converged), len(converged)) == (unproved, decided)
+
+    @pytest.mark.parametrize("variant", ["expected", "literal"])
+    def test_one_call_per_grown_batch(self, variant, monkeypatch):
+        # the literal boundary takes two calls at the nodes of time d + 2:
+        # the boundary at d + 1, then the region on the rows it does not stop
+        spec, horizon = make_m3(d=1), 6
+        made = recorded_decisions(monkeypatch)
+        *_, level = filter_levels(spec, horizon)
+        OptimalStoppingRule(spec, ValueIterConfig(k_max=5), variant=variant).stop_times(level.paths)
+        assert [dec.n for dec in made] == list(range(spec.d + 1, horizon + 1))
+        if variant == "literal":
+            assert len(made[1].stop) == np.count_nonzero(~made[0].stop) < len(made[0].stop)
+
+
 def run_rule(rule, path):
     """The rule along one stream: stop time, decision trace and final filter state.
 
@@ -534,21 +640,23 @@ class TestRuleRunner:
             next(OptimalStoppingRule(m2, ValueIterConfig()).decisions((1, 0)))
 
     def test_readings_follow_reference(self):
+        # every path to horizon 6 (4 at alphabet 3), the slow-change configs included
         cfg = ValueIterConfig(k_max=5)
-        for spec in (make_m2(d=1), make_m3(d=1)):
-            for variant in ("expected", "literal"):
-                traces = reference_stops(spec, cfg, 6, variant)
-                rule = OptimalStoppingRule(spec, cfg, variant=variant)
-                for tail in itertools.product(range(spec.alphabet_size), repeat=6):
-                    path = (spec.x0,) + tail
-                    ref = reference_trace(traces, path)
-                    stop, trace, final = run_rule(rule, path)
-                    assert tuple((dec.n, dec.stop) for dec in trace) == ref
-                    assert stop == stop_of(ref)
-                    end = 7 if stop is None else stop + 1
-                    want = filter_through(spec, path[:end])
-                    assert final.n == end - 1
-                    assert np.array_equal(final.change_prob, want.change_prob)
+        slow = [load_spec(CONFIGS_DIR / f"{name}.json") for name in ("m1_d1_slow", "m4_slow")]
+        for spec, variant in itertools.product([make_m2(d=1), make_m3(d=1), *slow], ("expected", "literal")):
+            horizon = 6 if spec.alphabet_size == 2 else 4
+            traces = reference_stops(spec, cfg, horizon, variant)
+            rule = OptimalStoppingRule(spec, cfg, variant=variant)
+            for tail in itertools.product(range(spec.alphabet_size), repeat=horizon):
+                path = (spec.x0,) + tail
+                ref = reference_trace(traces, path)
+                stop, trace, final = run_rule(rule, path)
+                assert tuple((dec.n, dec.stop) for dec in trace) == ref
+                assert stop == stop_of(ref)
+                end = horizon + 1 if stop is None else stop + 1
+                want = filter_through(spec, path[:end])
+                assert final.n == end - 1
+                assert np.array_equal(final.change_prob, want.change_prob)
 
 
 class TestRuleShape:
