@@ -179,6 +179,8 @@ def _cmd_evaluate(spec, args) -> int:
             f"{name}: estimate={stats.estimate:.6f} se={stats.std_error:.6f} "
             f"mean_stop={stats.mean_stop_time:.3f} censored={stats.censored_rate:.4f}"
         )
+    if "optimal" in rules:
+        print(f"optimal: {rules['optimal'].explain()}")
     print(f"wrote report to {out}")
     return EXIT_OK
 

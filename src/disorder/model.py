@@ -35,6 +35,15 @@ ROW_SUM_TOL = 1e-12
 CONFIG_KEYS = ("alphabet_size", "pre_kernels", "post_kernels", "b", "pi", "p", "d", "x0")
 
 
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    # Cumulative sums along the last axis, raised to inf from the first entry
+    # that reaches the row total on: the first column whose entry exceeds u
+    # is then the inverse-cdf index, and never one of a zero-weight tail.
+    cum = np.cumsum(weights, axis=-1)
+    cum[cum >= cum[..., -1:]] = np.inf
+    return cum
+
+
 def pair_matrix(values, l0: int, l1: int) -> np.ndarray:
     """Coerce `values` to a read-only float64 array of shape (l0, l1)."""
     arr = np.asarray(values, dtype=np.float64)
@@ -125,6 +134,16 @@ class ModelSpec:
         # config_digest's value, computed once: the fields are frozen and the arrays read-only
         canonical = json.dumps(spec_to_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+    @cached_property
+    def _cdfs(self) -> tuple[np.ndarray, np.ndarray]:
+        # the sampler's inverse-cdf tables, computed once and read-only: the
+        # flattened pair prior's, and each kernel row's, pre kernels 0 .. l0 - 1
+        # then post kernels l0 .. l0 + l1 - 1
+        tables = _cdf(self.b.ravel()), _cdf(np.concatenate([self.pre_kernels, self.post_kernels]))
+        for table in tables:
+            table.setflags(write=False)
+        return tables
 
 
 def validate(spec: ModelSpec) -> list[str]:

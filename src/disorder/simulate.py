@@ -134,15 +134,6 @@ def _philox(key0, key1, counter) -> np.ndarray:
     return np.stack([mult[0], other[1], mult[1], other[0]], axis=-1)
 
 
-def _cdf(weights: np.ndarray) -> np.ndarray:
-    # Cumulative sums along the last axis, raised to inf from the first entry
-    # that reaches the row total on: the first column whose entry exceeds u
-    # is then the inverse-cdf index, and never one of a zero-weight tail.
-    cum = np.cumsum(weights, axis=-1)
-    cum[cum >= cum[..., -1:]] = np.inf
-    return cum
-
-
 @dataclass(frozen=True)
 class Trajectory:
     latent: LatentState
@@ -160,16 +151,15 @@ class TrajectoryBatch(NamedTuple):
 
 
 class TrajectorySampler:
-    """Samples trajectories from one instance with cached row cumulatives."""
+    """Samples trajectories from one instance with its row cumulatives, computed once per spec."""
 
     def __init__(self, spec: ModelSpec, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         self.spec = spec
         self.horizon = horizon
-        self._b_cum = _cdf(spec.b.ravel())
         # pre kernels 0 .. l0 - 1, then post kernels l0 .. l0 + l1 - 1
-        self._kernel_cum = _cdf(np.concatenate([spec.pre_kernels, spec.post_kernels]))
+        self._b_cum, self._kernel_cum = spec._cdfs
         # the blocks of one seed: (stream 0, counter 1) for the latent draw,
         # then (stream 1, counters 1 .. ceil(horizon / 4)) for the path
         blocks = -(-horizon // 4)

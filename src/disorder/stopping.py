@@ -34,6 +34,15 @@ of stopping or continuing one step ahead: the next symbol y has
 pred_y h_y = c_y . u and pred_y u_y = D_y o u.  "literal" waits for the
 next symbol and compares against the continuation value at the realised
 next state; on a stop it reports d + 1 retroactively.
+
+From d + 2 on, the stop payoff c_w . u, with c_w = coeff_w / p, is linear in
+the same u as every alpha-vector, so each window w of d + 2 symbols has a
+cone as its stop set.  ValueTable.region(k) certifies a window as stopping
+or continuing for every posterior by two entrywise tests against Gamma_k of
+its tail, and leaves it open otherwise.  Where every live window is
+certified the rule is a window automaton, a finitely transient policy
+(Sondik 1978): OptimalStoppingRule then reads the filter only up to its
+first decision time and decides every later step by the window alone.
 """
 
 from __future__ import annotations
@@ -41,12 +50,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from itertools import product, takewhile
 
 import numpy as np
 
 from .errors import BudgetError
-from .likelihood import Window, _check_window
+from .likelihood import _DENOM_FLOOR, Window, _check_window
 from .model import ModelSpec
 from .payoff import detection_coeff_matrix, stop_payoff
 from .posterior import _STOPPED, PosteriorState, PrefixTree
@@ -59,6 +69,16 @@ CANDIDATE_BUDGET = 2_000_000
 # Relative rounding bound of the two-term orientation test in _envelope:
 # eight float64 machine epsilons.
 _EPS8 = 8.0 * 2.0**-52
+
+# Relative slack of the window tests in ValueTable.region: a window is
+# certified only when its entrywise gap clears this share of the terms, far
+# above the rounding of the payoff and of s_k + b_k sum(u) (a few ulp per
+# term) that the decision compares.
+_MARGIN = 1e-12
+
+# The unchanged mass below which OptimalStoppingRule does not scan: far above
+# the subnormal range, so the decision's dot products keep their precision.
+_TINY = 1e-250
 
 
 @dataclass(frozen=True)
@@ -233,6 +253,36 @@ class ValueTable:
             self._bounds[k] = hit
         return hit
 
+    @cached_property
+    def windows(self) -> np.ndarray:
+        """The live windows of d + 2 symbols, each transition possible, one per row in base-A rank order."""
+        spec = self.spec
+        every = np.array(list(product(range(spec.alphabet_size), repeat=spec.d + 2)))
+        return every[self._live[every[:, :-1], every[:, 1:]].all(axis=1)]
+
+    def region(self, k: int) -> np.ndarray:
+        """The class at level k >= 1 of each live window (see `windows`): 1 stop, 0 continue, -1 open.
+
+        From d + 2 on the stop payoff is c_w . u, with c_w = coeff_w / p, and
+        s* lies in [s_k, s_k + b_k sum(u)], so two entrywise tests against
+        Gamma_k of the window's tail decide every posterior with u != 0 at
+        once.  Stop: c_w - g - b_k clears the margin in every entry for every
+        g.  Continue: c_w - g falls below minus the margin in every entry for
+        some g.  The margin is _MARGIN of the entries' terms.  Where the
+        masses leave u = 0, the tie stops, so no window continues.
+        """
+        spec, b = self.spec, self.bound(k)
+        coeff = (detection_coeff_matrix(spec, self.windows) / spec.p).reshape(len(self.windows), -1)
+        moves = bool((spec.b * (1.0 - spec.pi) > 0.0).any())  # some pair keeps U > 0 past time 1
+        out = np.full(len(coeff), -1, dtype=np.int8)
+        for row, (window, c) in enumerate(zip(self.windows.tolist(), coeff)):
+            g = self.vectors(k, tuple(window[1:]))
+            if (c - g - b >= _MARGIN * (c + g + b)).all():
+                out[row] = 1
+            elif moves and (c - g < -_MARGIN * (c + g)).all(axis=1).any():
+                out[row] = 0
+        return out
+
     def _branch(self, tail: Window) -> list[tuple[int, np.ndarray, np.ndarray]]:
         # Per next symbol y that can follow the tail: y, c_y and the gain D_y.
         hit = self._branches.get(tail)
@@ -324,17 +374,60 @@ def stop_decision(
     return _row(dec) if np.ndim(state.window) == 1 else dec
 
 
+@dataclass(frozen=True)
+class WindowTable:
+    """The classes of the live windows (ValueTable.windows) certified through level k: 1 stop, 0 continue, -1 open."""
+
+    k: int
+    windows: np.ndarray
+    classes: np.ndarray
+
+    def __str__(self) -> str:
+        def show(rows):
+            return " ".join(f"({','.join(map(str, w))})" for w in rows.tolist()) or "none"
+
+        open_ = self.classes < 0
+        if open_.any():
+            return f"{open_.sum()} of {len(open_)} windows open at K={self.k}: {show(self.windows[open_])}"
+        return f"windows certified at K={self.k}, stop after {show(self.windows[self.classes == 1])}"
+
+
+def _scan_horizon(spec: ModelSpec) -> int:
+    # The longest path on which some pair's unchanged mass stays above _TINY.
+    # On a live transition the masses' total is at most the largest kernel
+    # entry M, so pair (i, j) keeps at least rho_i = min f0_i / M of its mass
+    # per step, times p (1 - pi on the first step): U_n >= b (1 - pi) rho (p rho)^(n - 1).
+    top = np.maximum(spec.pre_kernels.max(axis=0), spec.post_kernels.max(axis=0))
+    rho = (spec.pre_kernels[:, top > 0.0] / top[top > 0.0]).min(axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = (np.log(spec.b * (1.0 - spec.pi) * rho) - math.log(_TINY)) / -np.log(spec.p * rho)
+    return math.floor(np.fmax(steps, -1.0).max()) + 1
+
+
 class OptimalStoppingRule:
     """The optimal stopping rule on a prefix tree, for simulation and exact evaluation.
 
     Decisions depend on the observed prefix only, so the rule keeps a
     posterior.PrefixTree: each prefix is filtered and decided once, when a
     path first reaches it, all that one walk step grows in one stop_decision
-    call, and `decisions` recomputes a path's.  The batch form `stop_times`
-    walks the tree.  The per-path call `stop_time`, as the simulate rules
-    build it, is the batch form on one row and carries it, and both are
-    instance attributes, so a functools.wraps copy of the rule keeps them
-    too.  The rule keeps one ValueTable for its lifetime.
+    call, and `decisions` recomputes a path's.  The rule keeps one
+    ValueTable for its lifetime.
+
+    It also certifies the live windows lazily, one level at a time at the
+    start of a batch, up to one level past the deepest its decisions have
+    reached (those are formed already) and at most k_max; a level that would
+    exceed the candidate budget is left as it was, and certification stops
+    below it.  Once every live window is certified (`windows`), every
+    decision from the first decision time on is the window's class, so the
+    batch form walks the tree only up to that time (d + 1, or d + 2 in the
+    literal reading) and decides each later step by one scan of the rows'
+    windows against the stop class.  A batch with a symbol outside the
+    alphabet or a transition outside the support, or longer than the
+    unchanged mass is safe from underflow, is walked on the tree, so every
+    error is the tree's.  The per-path call `stop_time`, as the simulate
+    rules build it, is the batch form `stop_times` on one row and carries
+    it, and both are instance attributes, so a functools.wraps copy of the
+    rule keeps them too.
     """
 
     def __init__(self, spec: ModelSpec, cfg: ValueIterConfig, variant: str = "expected"):
@@ -347,8 +440,74 @@ class OptimalStoppingRule:
         # the first time decided: the literal boundary at d + 1 reads one symbol more
         self._start = spec.d + 1 + (variant == "literal")
         self._tree = PrefixTree(spec, lambda n, new: self._decide(n, np.arange(new.start, new.stop))[0], self._start)
-        self.stop_times = self._tree.stop_times
+        # the window table so far (at level 0 every window is open), the
+        # deepest K a decision has used, the deepest level certification may
+        # try, and, once every window is certified, the stop class by window rank
+        windows = self._table.windows
+        self._region = WindowTable(0, windows, np.full(len(windows), -1, dtype=np.int8))
+        self._reach, self._top = 0, cfg.k_max
+        self._stop_at: np.ndarray | None = None
+        self._horizon = _scan_horizon(spec)
+        # transitions whose every kernel entry keeps the filter's total above its floor, wherever the mass lies
+        self._safe = np.minimum(spec.pre_kernels.min(axis=0), spec.post_kernels.min(axis=0)) >= 2.0 * _DENOM_FLOOR
+        self.stop_times = self._stop_times
         self.stop_time = _with_batch_form(self.stop_times)
+
+    @property
+    def windows(self) -> WindowTable | None:
+        """The certified window table, None while a live window is open."""
+        self._certify()
+        return self._region if self._stop_at is not None else None
+
+    def explain(self) -> str:
+        """One line on the window table: the stop windows once certified, else the open ones."""
+        self._certify()
+        return str(self._region)
+
+    def _certify(self) -> None:
+        table = self._table
+        while self._stop_at is None and self._region.k < min(self._reach + 1, self._top):
+            k, saved = self._region.k + 1, (table.formed, dict(table._sets), dict(table._bounds))
+            try:
+                region = table.region(k)
+            except BudgetError:  # left as it was: the tree raises it itself if a decision needs level k
+                table.formed, table._sets, table._bounds = saved
+                self._top = k - 1
+                return
+            classes = np.where(self._region.classes < 0, region, self._region.classes)
+            self._region = WindowTable(k, table.windows, classes)
+            if (classes >= 0).all():
+                self._stop_at = np.zeros(self.spec.alphabet_size ** (self.spec.d + 2), dtype=bool)
+                self._stop_at[self._ranks(table.windows)[:, 0]] = classes == 1
+
+    def _ranks(self, obs: np.ndarray) -> np.ndarray:
+        # base-A rank of each run of d + 2 symbols along the rows, first symbol most significant
+        width, a = self.spec.d + 2, self.spec.alphabet_size
+        span = obs.shape[1] - width + 1
+        return sum(obs[:, i : i + span] * a ** (width - 1 - i) for i in range(width))
+
+    def _stop_times(self, observations) -> np.ndarray:
+        self._certify()
+        spec, obs, n0 = self.spec, np.asarray(observations), self._start
+        if self._stop_at is None or not self._scannable(obs):
+            return self._tree.stop_times(obs)
+        stops = self._tree.stop_times(obs[:, : n0 + 1])
+        # the windows of the times n0 + 1 .. h
+        hit = self._stop_at[self._ranks(obs[:, n0 - spec.d :])]
+        first = hit.argmax(axis=1)
+        return np.where(stops >= 0, stops, np.where(hit.any(axis=1), n0 + 1 + first, -1))
+
+    def _scannable(self, obs: np.ndarray) -> bool:
+        # integer paths from x0 past the first decision time, within the horizon safe
+        # from underflow, their symbols in the alphabet and their transitions safe
+        a = self.spec.alphabet_size
+        return (
+            obs.ndim == 2
+            and obs.dtype.kind in "iu"
+            and self._start + 1 < obs.shape[1] <= self._horizon + 1
+            and bool(((obs >= 0) & (obs < a)).all() and (obs[:, 0] == self.spec.x0).all())
+            and bool(self._safe[obs[:, :-1], obs[:, 1:]].all())
+        )
 
     def _decide(self, n: int, nodes: np.ndarray) -> tuple[np.ndarray, list[StopDecision]]:
         # Stop times of tree nodes of time n and their batch decisions, windows read
@@ -368,6 +527,7 @@ class OptimalStoppingRule:
             region = PosteriorState(n, state.window[rows], state.unchanged[rows], state.changed[rows])
             made.append(stop_decision(self._table, region, self.cfg))
             stops[rows[made[-1].stop]] = n
+        self._reach = max([self._reach, *(int(np.max(dec.k_used)) for dec in made)])
         return stops, made
 
     def decisions(self, observations: Window) -> Iterator[StopDecision]:

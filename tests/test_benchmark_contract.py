@@ -8,7 +8,9 @@ digest to be the one references.json was made for; this runs one rep of
 each Monte Carlo workload at the self-test size, and one traced rep of
 mc_optimal, whose rules the tracer wraps.  The tracer times each
 crosscheck by its function name and reports it by its result name, so
-every name it lists must be both.
+every name it lists must be both.  The optimal rule of mc_optimal takes the
+window scan after its first call, and the one of exact_verify stays on the
+prefix tree, so one workload times each side of that choice.
 """
 
 import importlib.util
@@ -16,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from disorder import build_joint, crosscheck, load_spec
-from disorder.simulate import mix_seed
+from disorder import build_joint, crosscheck, load_spec, oracle
+from disorder.simulate import mix_seed, monte_carlo_eval
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -80,3 +82,25 @@ def test_traced_checks_are_battery_checks():
     for name in checks:
         assert name in names
         assert callable(getattr(crosscheck, f"check_{name}", None))
+
+
+def test_mc_optimal_rule_scans_after_its_first_call(worker):
+    ctx = worker.setup("mc_optimal", "full")
+    params, rule = ctx["params"], worker.make_rules(ctx)["optimal"]
+    assert (ctx["spec"].alphabet_size, params["k_max"]) == (3, 4)
+    assert rule.windows is None  # nothing decided yet: level 1 leaves a window open
+    monte_carlo_eval(ctx["spec"], {"optimal": rule}, params["chunk"], params["horizon"], mix_seed(1, 0))
+    assert str(rule.windows) == "windows certified at K=2, stop after (0,2) (1,2) (2,2)"
+    widths, walk = [], rule._tree.walk
+    rule._tree.walk = lambda obs: widths.append(obs.shape[1]) or walk(obs)
+    monte_carlo_eval(ctx["spec"], {"optimal": rule}, params["chunk"], params["horizon"], mix_seed(1, 1))
+    assert widths == [ctx["spec"].d + 2]  # the tree up to the boundary d + 1, then the scan
+
+
+def test_exact_verify_rule_stays_on_the_tree(worker):
+    ctx = worker.setup("exact_verify", "full")
+    params, rule = ctx["params"], worker.make_rules(ctx)["optimal"]
+    assert params["k_max"] == 5
+    oracle.exact_rule_value(build_joint(ctx["spec"], params["horizon"]), rule)
+    assert rule.windows is None
+    assert rule.explain() == "4 of 8 windows open at K=5: (0,0,1) (0,1,0) (1,0,1) (1,1,0)"

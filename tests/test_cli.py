@@ -184,6 +184,26 @@ class TestEvaluateCommand:
         payload = json.loads(js.read_text())
         assert set(payload["rules"]) == {"optimal", "fixed"}
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--config", "configs/m4.json", "--kmax", "4", "--horizon", "5"],
+             "optimal: windows certified at K=2, stop after (0,2) (1,2) (2,2)"),
+            (["--config", "configs/m3_d1.json", "--variant", "literal", "--kmax", "5", "--horizon", "8"],
+             "optimal: 4 of 8 windows open at K=4: (0,0,1) (0,1,0) (1,0,1) (1,1,0)"),
+        ],
+    )
+    def test_optimal_rule_explains_its_windows(self, argv, line, tmp_path, monkeypatch, capsys):
+        # one stdout line on the window table, after the rules' lines; the report is unchanged
+        monkeypatch.chdir(ROOT)
+        out = tmp_path / "r.csv"
+        assert main(["evaluate", *argv, "--rules", "fixed,optimal", "--n", "200", "--seed", "11", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [text.split(":")[0] for text in lines[:2]] == ["fixed", "optimal"]
+        assert lines[2:] == [line, f"wrote report to {out}"]
+        assert main(["evaluate", *argv, "--rules", "fixed", "--n", "200", "--seed", "11", "--out", str(out)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
     def test_out_dir_override(self, m2_config, tmp_path, monkeypatch):
         monkeypatch.setenv("DISORDER_OUT_DIR", str(tmp_path / "outputs"))
         code = main(

@@ -30,9 +30,9 @@ from disorder import (
     validate,
 )
 from disorder import posterior, simulate
+from disorder.model import _cdf
 from disorder.simulate import (
     TrajectorySampler,
-    _cdf,
     _philox,
     mix_seed,
     mix_seeds,

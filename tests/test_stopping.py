@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import re
+import time
 import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from disorder import (
     BudgetError,
+    ModelSpec,
+    SupportError,
     OptimalStoppingRule,
     PosteriorState,
     StopDecision,
@@ -31,7 +35,7 @@ from disorder.simulate import TrajectorySampler, _stop_times, mix_seeds
 from disorder import stopping
 from disorder.stopping import ValueTable, _prune
 
-from conftest import make_m1, make_m2, make_m3, make_m4, masses, random_spec, state_from
+from conftest import make_m1, make_m2, make_m3, make_m4, masses, random_spec, state_from, with_shared_zero
 
 CONFIGS_DIR = Path(__file__).parents[1] / "configs"
 CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
@@ -668,7 +672,7 @@ class TestRuleShape:
         spec = make(d)
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=4), variant=variant)
         assert not {"stop_times", "stop_time"} & set(vars(OptimalStoppingRule))
-        assert rule.stop_times == rule._tree.stop_times
+        assert rule.stop_times.__self__ is rule  # the rule's own batch form: a tree walk or the window scan
         assert rule.stop_time.stop_times is rule.stop_times
         paths = np.array([(spec.x0,) + tail for tail in itertools.product(range(spec.alphabet_size), repeat=6)])
         assert np.array_equal(_stop_times(rule.stop_time, paths), rule.stop_times(paths))
@@ -726,3 +730,229 @@ class TestBoundaryDecision:
             with pytest.raises(ValueError, match="one-step successor"):
                 stop_decision(table, state, cfg, nxt)
         assert stop_decision(table, state, cfg, state_step(spec, state, 1)).n == spec.d + 1
+
+
+# The first k_max at which each config's live windows are all certified, up to
+# k_max 10 (m4_slow at 30); the others keep windows open.
+SCAN_FROM = {"m1": 1, "m2": 1, "m2_d1": 1, "m1_d1": 4, "m3": 4, "m4": 2, "m4_slow": 30}
+
+
+def every_path(spec, horizon):
+    return np.array([(spec.x0,) + tail for tail in itertools.product(range(spec.alphabet_size), repeat=horizon)])
+
+
+def assert_scan_is_tree_walk(rule, paths):
+    """After a tree walk of `paths`, the rule's batch form and per-path call give the walk's stop times.
+
+    Returns whether the rule scanned, and the widest batch its own calls walked on the tree.
+    """
+    want = rule._tree.stop_times(paths)
+    scans, widths, walk = rule.windows is not None, [], rule._tree.walk
+    with patch.object(rule._tree, "walk", lambda obs: widths.append(np.shape(obs)[1]) or walk(obs)):
+        assert rule.stop_times(paths).tolist() == want.tolist()
+        some = paths[:: max(1, len(paths) // 40)]
+        assert [rule(path) for path in some.tolist()] == [None if tau < 0 else tau for tau in want[:: max(1, len(paths) // 40)].tolist()]
+    return scans, max(widths)
+
+
+class TestWindowScan:
+    """Once every live window is certified, the rule decides from d + 2 on by one scan of the windows."""
+
+    @pytest.mark.parametrize("variant", ["expected", "literal"])
+    @pytest.mark.parametrize("k_max", [1, 2, 4, 10])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_scan_equals_tree_walk(self, config, k_max, variant):
+        # every path to horizon 8 (7 at alphabet 3)
+        spec = load_spec(config)
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=k_max), variant=variant)
+        paths = every_path(spec, 8 if spec.alphabet_size == 2 else 7)
+        scans, width = assert_scan_is_tree_walk(rule, paths)
+        assert scans == (k_max >= SCAN_FROM.get(config.stem, math.inf))
+        # the scan walks the tree up to the first decision time only
+        assert width == (rule._start + 1 if scans else paths.shape[1])
+
+    def test_slow_change_scans_at_depth(self):
+        # every path to horizon 7 leaves windows open; long sampled paths reach the depth that certifies them
+        spec = load_spec(CONFIGS_DIR / "m4_slow.json")
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=30))
+        assert assert_scan_is_tree_walk(rule, every_path(spec, 7)) == (False, 8)
+        paths = TrajectorySampler(spec, 40).sample_batch(mix_seeds(1, np.arange(2000))).observations
+        assert assert_scan_is_tree_walk(rule, paths) == (True, 2)
+        assert str(rule.windows).startswith("windows certified at K=")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        alphabet=st.integers(2, 3),
+        l0=st.integers(1, 2),
+        l1=st.integers(1, 2),
+        d=st.integers(0, 1),
+        k_max=st.sampled_from([1, 2, 4]),
+        variant=st.sampled_from(["expected", "literal"]),
+        zero=st.booleans(),
+    )
+    def test_random_specs(self, seed, alphabet, l0, l1, d, k_max, variant, zero):
+        # the live paths to horizon d + 4, with and without a transition outside the support
+        spec = random_spec(np.random.default_rng(seed), alphabet, l0, l1, d)
+        if zero:
+            spec = with_shared_zero(spec, 0, alphabet - 1)
+        *_, level = filter_levels(spec, d + 4)
+        assert_scan_is_tree_walk(OptimalStoppingRule(spec, ValueIterConfig(k_max=k_max), variant=variant), level.paths)
+
+    @staticmethod
+    def raised(call, *args):
+        try:
+            call(*args)
+        except Exception as exc:  # noqa: BLE001 - the type and text are compared
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("variant", ["expected", "literal"])
+    def test_faults_raise_as_the_tree(self, variant):
+        # m4 with 0 -> 1 and 2 -> 1 outside the support, where every stop
+        # reads a 2: a wrong x0, a symbol outside the alphabet or a dead
+        # transition before the stop raise the tree's exception; after the
+        # stop they are not read
+        spec = with_shared_zero(with_shared_zero(make_m4(), 0, 1), 2, 1)
+        horizon, cfg = 7, ValueIterConfig(k_max=4)
+        *_, level = filter_levels(spec, horizon)
+        paths = level.paths
+        rule = OptimalStoppingRule(spec, cfg, variant=variant)
+        stops = rule.stop_times(paths)
+        assert rule.windows is not None
+        late = (stops > rule._start) & (stops < horizon)
+        dead_before = int(np.flatnonzero(late & (paths[np.arange(len(paths)), stops - 1] == 0))[0])
+        dead_after = int(np.flatnonzero(late & (paths[np.arange(len(paths)), stops] == 2))[0])
+        row = int(np.flatnonzero(late)[0])
+        faults = []
+        for bad in (-1, spec.alphabet_size):
+            faults += [(row, int(stops[row]), bad, True), (row, int(stops[row]) + 1, bad, False)]
+        faults += [(dead_before, int(stops[dead_before]), 1, True), (dead_after, int(stops[dead_after]) + 1, 1, False)]
+        for row, at, symbol, read in faults:
+            batch = paths.copy()
+            batch[row, at] = symbol
+            fresh = OptimalStoppingRule(spec, cfg, variant=variant)._tree.stop_times
+            want = self.raised(fresh, batch)
+            assert (want is not None) == read
+            assert self.raised(rule.stop_times, batch) == want
+            if not read:
+                assert rule.stop_times(batch).tolist() == stops.tolist()
+        wrong = paths.copy()
+        wrong[-1, 0] = 1
+        want = self.raised(OptimalStoppingRule(spec, cfg, variant=variant)._tree.stop_times, wrong)
+        assert want == (ValueError, f"stream must start at x0={spec.x0}")
+        assert self.raised(rule.stop_times, wrong) == want
+        # the scan read none of the faulty batches on the tree past the boundary
+        assert rule.stop_times(paths).tolist() == stops.tolist()
+
+    @pytest.mark.parametrize("eps, horizon", [(1e-30, 8), (1e-60, 4), (1e-100, 2)])
+    def test_scan_horizon_bounds_underflow(self, eps, horizon):
+        # 0 -> 0 all but ruled out before the change: the unchanged mass
+        # shrinks about eps per step, stays above _TINY on every path of the
+        # scan's horizon and falls below it two steps later
+        spec = ModelSpec(2, [[[eps, 1 - eps], [0.5, 0.5]]], [[[0.5, 0.5]] * 2], [[1.0]], [[0.0]], [[0.5]], 0, 0)
+        assert stopping._scan_horizon(spec) == horizon
+        *_, level = filter_levels(spec, horizon)
+        assert level.unchanged.max(axis=(1, 2)).min() >= stopping._TINY
+        assert filter_through(spec, (0,) * (horizon + 3)).unchanged.max() < stopping._TINY
+
+    def test_batch_past_the_scan_horizon_walks_the_tree(self):
+        spec = make_m4()
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=4))
+        paths = every_path(spec, 6)
+        assert assert_scan_is_tree_walk(rule, paths) == (True, 2)
+        rule._horizon = 5
+        assert assert_scan_is_tree_walk(rule, paths) == (True, 7)
+
+    def test_budget_is_never_spent_past_the_tree(self, monkeypatch):
+        # a random spec whose decisions need level 2 at k_max 8: certification
+        # tries level 3 at most, and a level past the budget is rolled back
+        rng = np.random.default_rng(0)
+        alphabet = int(rng.integers(2, 4))
+        l0, l1 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        d = int(rng.integers(0, 2))
+        spec = with_shared_zero(random_spec(rng, alphabet, l0, l1, d), 0, alphabet - 1)
+        *_, level = filter_levels(spec, 5)
+        started = time.perf_counter()
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
+        assert not assert_scan_is_tree_walk(rule, level.paths)[0]
+        assert time.perf_counter() - started < 1.0
+        assert rule._region.k == rule._reach + 1 < 8
+        tree = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
+        tree._tree.stop_times(level.paths)
+        assert tree._table.formed == 70
+        # with the budget at what the tree forms, certification raises nothing and leaves the table as it was
+        monkeypatch.setattr(stopping, "CANDIDATE_BUDGET", 70)
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
+        assert_scan_is_tree_walk(rule, level.paths)
+        assert rule._table.formed == 70 and rule._region.k == rule._reach
+        assert sorted(rule._table._sets) == sorted(tree._table._sets)
+        assert rule.stop_times(level.paths).tolist() == tree._tree.stop_times(level.paths).tolist()
+
+
+def class_disagreements(spec, k_max=10):
+    """(level, window) of each filter-tree state to horizon 8 (7 at alphabet 3), from d + 2 on,
+    whose window class at that level is not its stop_decision: another stop, or not proved by that level."""
+    table, cfg = ValueTable(spec), ValueIterConfig(k_max=k_max)
+    width = spec.d + 2
+    rank = spec.alphabet_size ** np.arange(width - 1, -1, -1)
+    where = np.full(spec.alphabet_size**width, -1)
+    where[table.windows @ rank] = np.arange(len(table.windows))
+    decided = []
+    for level in filter_levels(spec, 8 if spec.alphabet_size == 2 else 7):
+        if level.n >= width:
+            windows = level.paths[:, -width:]
+            dec = stop_decision(table, PosteriorState(level.n, windows, level.unchanged, level.changed), cfg)
+            decided.append((windows, where[windows @ rank], dec))
+    out = []
+    for k in range(1, k_max + 1):
+        classes = table.region(k)
+        for windows, rows, dec in decided:
+            assert (rows >= 0).all()  # every window read is live
+            cls = classes[rows]
+            bad = (cls >= 0) & ((dec.stop != (cls == 1)) | ~dec.converged | (dec.k_used > k))
+            out += [(k, tuple(w)) for w in windows[bad].tolist()]
+    return out
+
+
+class TestWindowClasses:
+    """Each certified window class is the decision, proved by its level, at every state that reads the window."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_classes_agree_with_stop_decision(self, config):
+        assert class_disagreements(load_spec(config)) == []
+
+    @pytest.mark.parametrize("mutant", ["flipped", "half_bound"])
+    def test_mutants_disagree(self, mutant, monkeypatch):
+        region, bound = ValueTable.region, ValueTable.bound
+
+        def flipped(table, k):
+            classes = region(table, k)
+            return np.where(classes >= 0, 1 - classes, classes)
+
+        def half_bound(table, k):
+            b = bound(table, k)
+            with patch.object(ValueTable, "bound", lambda self, j: b / 2):
+                return region(table, k)
+
+        monkeypatch.setattr(ValueTable, "region", {"flipped": flipped, "half_bound": half_bound}[mutant])
+        assert any(class_disagreements(load_spec(config)) for config in CONFIGS)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_tie_within_rounding_stays_open(self, side, monkeypatch):
+        # Gamma_k one vector a few ulp inside the stop test's edge (side 1) or
+        # the continue test's (side -1): the window stays open, and only the
+        # margin keeps it so
+        spec = make_m2()
+        table = ValueTable(spec)
+        coeff = (detection_coeff_matrix(spec, table.windows) / spec.p).reshape(len(table.windows), -1)
+        b = float(coeff.min()) / 2
+        monkeypatch.setattr(table, "bound", lambda k: b)
+        for row, c in enumerate(coeff):
+            g = c - b - 4 * np.spacing(c - b) if side == 1 else c + 4 * np.spacing(c)
+            assert ((c - g - b >= 0) if side == 1 else (c - g < 0)).all()
+            monkeypatch.setattr(table, "vectors", lambda k, tail: g[None])
+            assert table.region(1)[row] == -1
+            with monkeypatch.context() as mutant:
+                mutant.setattr(stopping, "_MARGIN", 0.0)
+                assert table.region(1)[row] == (1 if side == 1 else 0)
