@@ -271,17 +271,17 @@ class ValueTable:
         some g.  The margin is _MARGIN of the entries' terms.  Where the
         masses leave u = 0, the tie stops, so no window continues.
         """
-        spec, b = self.spec, self.bound(k)
-        coeff = (detection_coeff_matrix(spec, self.windows) / spec.p).reshape(len(self.windows), -1)
-        moves = bool((spec.b * (1.0 - spec.pi) > 0.0).any())  # some pair keeps U > 0 past time 1
-        out = np.full(len(coeff), -1, dtype=np.int8)
-        for row, (window, c) in enumerate(zip(self.windows.tolist(), coeff)):
-            g = self.vectors(k, tuple(window[1:]))
-            if (c - g - b >= _MARGIN * (c + g + b)).all():
-                out[row] = 1
-            elif moves and (c - g < -_MARGIN * (c + g)).all(axis=1).any():
-                out[row] = 0
-        return out
+        spec, b, windows = self.spec, self.bound(k), self.windows
+        # every window's Gamma_k stacked, each row against its window's c_w
+        sets = [self.vectors(k, tuple(window[1:])) for window in windows.tolist()]
+        sizes = [len(g) for g in sets]
+        starts, g = np.cumsum([0] + sizes[:-1]), np.concatenate(sets)
+        c = (detection_coeff_matrix(spec, windows) / spec.p).reshape(len(windows), -1)
+        c = np.repeat(c, sizes, axis=0)
+        stop = np.logical_and.reduceat((c - g - b >= _MARGIN * (c + g + b)).all(axis=1), starts)
+        cont = np.logical_or.reduceat((c - g < -_MARGIN * (c + g)).all(axis=1), starts)
+        cont &= bool((spec.b * (1.0 - spec.pi) > 0.0).any())  # some pair keeps U > 0 past time 1
+        return np.where(stop, 1, np.where(cont, 0, -1)).astype(np.int8)
 
     def _branch(self, tail: Window) -> list[tuple[int, np.ndarray, np.ndarray]]:
         # Per next symbol y that can follow the tail: y, c_y and the gain D_y.
@@ -422,9 +422,10 @@ class OptimalStoppingRule:
     batch form walks the tree only up to that time (d + 1, or d + 2 in the
     literal reading) and decides each later step by one scan of the rows'
     windows against the stop class.  A batch with a symbol outside the
-    alphabet or a transition outside the support, or longer than the
-    unchanged mass is safe from underflow, is walked on the tree, so every
-    error is the tree's.  The per-path call `stop_time`, as the simulate
+    alphabet, a later window that reads a transition outside the support,
+    or more steps than the unchanged mass is safe from underflow for, is
+    walked on the tree, and up to the first decision time the tree reads
+    every row, so every error is the tree's.  The per-path call `stop_time`, as the simulate
     rules build it, is the batch form `stop_times` on one row and carries
     it, and both are instance attributes, so a functools.wraps copy of the
     rule keeps them too.
@@ -442,14 +443,12 @@ class OptimalStoppingRule:
         self._tree = PrefixTree(spec, lambda n, new: self._decide(n, np.arange(new.start, new.stop))[0], self._start)
         # the window table so far (at level 0 every window is open), the
         # deepest K a decision has used, the deepest level certification may
-        # try, and, once every window is certified, the stop class by window rank
+        # try, and, once every window is certified, the class by window rank
         windows = self._table.windows
         self._region = WindowTable(0, windows, np.full(len(windows), -1, dtype=np.int8))
         self._reach, self._top = 0, cfg.k_max
-        self._stop_at: np.ndarray | None = None
+        self._by_rank: np.ndarray | None = None
         self._horizon = _scan_horizon(spec)
-        # transitions whose every kernel entry keeps the filter's total above its floor, wherever the mass lies
-        self._safe = np.minimum(spec.pre_kernels.min(axis=0), spec.post_kernels.min(axis=0)) >= 2.0 * _DENOM_FLOOR
         self.stop_times = self._stop_times
         self.stop_time = _with_batch_form(self.stop_times)
 
@@ -457,7 +456,7 @@ class OptimalStoppingRule:
     def windows(self) -> WindowTable | None:
         """The certified window table, None while a live window is open."""
         self._certify()
-        return self._region if self._stop_at is not None else None
+        return self._region if self._by_rank is not None else None
 
     def explain(self) -> str:
         """One line on the window table: the stop windows once certified, else the open ones."""
@@ -465,8 +464,8 @@ class OptimalStoppingRule:
         return str(self._region)
 
     def _certify(self) -> None:
-        table = self._table
-        while self._stop_at is None and self._region.k < min(self._reach + 1, self._top):
+        spec, table = self.spec, self._table
+        while self._by_rank is None and self._region.k < min(self._reach + 1, self._top):
             k, saved = self._region.k + 1, (table.formed, dict(table._sets), dict(table._bounds))
             try:
                 region = table.region(k)
@@ -477,8 +476,12 @@ class OptimalStoppingRule:
             classes = np.where(self._region.classes < 0, region, self._region.classes)
             self._region = WindowTable(k, table.windows, classes)
             if (classes >= 0).all():
-                self._stop_at = np.zeros(self.spec.alphabet_size ** (self.spec.d + 2), dtype=bool)
-                self._stop_at[self._ranks(table.windows)[:, 0]] = classes == 1
+                # -1 also where a transition's kernel entries could take the filter's
+                # total below its floor (or are 0): a batch that reads one is walked on the tree
+                safe = np.minimum(spec.pre_kernels.min(axis=0), spec.post_kernels.min(axis=0)) >= 2.0 * _DENOM_FLOOR
+                self._by_rank = np.full(spec.alphabet_size ** (spec.d + 2), -1, dtype=np.int8)
+                ok = safe[table.windows[:, :-1], table.windows[:, 1:]].all(axis=1)
+                self._by_rank[self._ranks(table.windows)[:, 0]] = np.where(ok, classes, -1)
 
     def _ranks(self, obs: np.ndarray) -> np.ndarray:
         # base-A rank of each run of d + 2 symbols along the rows, first symbol most significant
@@ -489,25 +492,23 @@ class OptimalStoppingRule:
     def _stop_times(self, observations) -> np.ndarray:
         self._certify()
         spec, obs, n0 = self.spec, np.asarray(observations), self._start
-        if self._stop_at is None or not self._scannable(obs):
-            return self._tree.stop_times(obs)
-        stops = self._tree.stop_times(obs[:, : n0 + 1])
-        # the windows of the times n0 + 1 .. h
-        hit = self._stop_at[self._ranks(obs[:, n0 - spec.d :])]
-        first = hit.argmax(axis=1)
-        return np.where(stops >= 0, stops, np.where(hit.any(axis=1), n0 + 1 + first, -1))
-
-    def _scannable(self, obs: np.ndarray) -> bool:
-        # integer paths from x0 past the first decision time, within the horizon safe
-        # from underflow, their symbols in the alphabet and their transitions safe
-        a = self.spec.alphabet_size
-        return (
-            obs.ndim == 2
+        # integer paths past the first decision time, within the horizon safe from
+        # underflow, their symbols in the alphabet, then their windows safe
+        if not (
+            self._by_rank is not None
+            and obs.ndim == 2
             and obs.dtype.kind in "iu"
-            and self._start + 1 < obs.shape[1] <= self._horizon + 1
-            and bool(((obs >= 0) & (obs < a)).all() and (obs[:, 0] == self.spec.x0).all())
-            and bool(self._safe[obs[:, :-1], obs[:, 1:]].all())
-        )
+            and len(obs)
+            and n0 + 1 < obs.shape[1] <= self._horizon + 1
+            and obs.min() >= 0
+            and obs.max() < spec.alphabet_size
+        ):
+            return self._tree.stop_times(obs)
+        classes = self._by_rank[self._ranks(obs[:, n0 - spec.d :])]  # the windows of times n0 + 1 .. h
+        if (classes < 0).any():
+            return self._tree.stop_times(obs)
+        stops, hit = self._tree.stop_times(obs[:, : n0 + 1]), classes == 1
+        return np.where(stops >= 0, stops, np.where(hit.any(axis=1), n0 + 1 + hit.argmax(axis=1), -1))
 
     def _decide(self, n: int, nodes: np.ndarray) -> tuple[np.ndarray, list[StopDecision]]:
         # Stop times of tree nodes of time n and their batch decisions, windows read
