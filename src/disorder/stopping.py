@@ -39,10 +39,11 @@ From d + 2 on, the stop payoff c_w . u, with c_w = coeff_w / p, is linear in
 the same u as every alpha-vector, so each window w of d + 2 symbols has a
 cone as its stop set.  ValueTable.region(k) certifies a window as stopping
 or continuing for every posterior by two entrywise tests against Gamma_k of
-its tail, and leaves it open otherwise.  Where every live window is
-certified the rule is a window automaton, a finitely transient policy
-(Sondik 1978): OptimalStoppingRule then reads the filter only up to its
-first decision time and decides every later step by the window alone.
+its tail, and leaves it open otherwise.  A rule that depends on the window
+alone is a finitely transient policy (Sondik 1978): OptimalStoppingRule
+decides a node of time d + 2 on by its window's certified class, one
+lookup, and runs the K loop only for open windows, the boundary d + 1 and
+rows whose unchanged mass is within _TINY of 0.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from itertools import product, takewhile
 import numpy as np
 
 from .errors import BudgetError
-from .likelihood import _DENOM_FLOOR, Window, _check_window
+from .likelihood import Window, _check_window
 from .model import ModelSpec
 from .payoff import detection_coeff_matrix, stop_payoff
 from .posterior import _STOPPED, PosteriorState, PrefixTree
@@ -76,8 +77,10 @@ _EPS8 = 8.0 * 2.0**-52
 # term) that the decision compares.
 _MARGIN = 1e-12
 
-# The unchanged mass below which OptimalStoppingRule does not scan: far above
-# the subnormal range, so the decision's dot products keep their precision.
+# The largest unchanged mass of a row at or below which OptimalStoppingRule
+# does not read the row's window class: far above the subnormal range, so a
+# class is read only where the decision's dot products keep their precision,
+# and a row near u = 0, where a tie stops, takes the K loop.
 _TINY = 1e-250
 
 
@@ -269,11 +272,18 @@ class ValueTable:
         once.  Stop: c_w - g - b_k clears the margin in every entry for every
         g.  Continue: c_w - g falls below minus the margin in every entry for
         some g.  The margin is _MARGIN of the entries' terms.  Where the
-        masses leave u = 0, the tie stops, so no window continues.
+        masses leave u = 0, the tie stops, so no window continues.  A level
+        past the candidate budget raises BudgetError and leaves the table as
+        it was.
         """
-        spec, b, windows = self.spec, self.bound(k), self.windows
+        spec, windows = self.spec, self.windows
         # every window's Gamma_k stacked, each row against its window's c_w
-        sets = [self.vectors(k, tuple(window[1:])) for window in windows.tolist()]
+        saved = self.formed, dict(self._sets), dict(self._bounds)
+        try:
+            b, sets = self.bound(k), [self.vectors(k, tuple(window[1:])) for window in windows.tolist()]
+        except BudgetError:
+            self.formed, self._sets, self._bounds = saved
+            raise
         sizes = [len(g) for g in sets]
         starts, g = np.cumsum([0] + sizes[:-1]), np.concatenate(sets)
         c = (detection_coeff_matrix(spec, windows) / spec.p).reshape(len(windows), -1)
@@ -392,43 +402,28 @@ class WindowTable:
         return f"windows certified at K={self.k}, stop after {show(self.windows[self.classes == 1])}"
 
 
-def _scan_horizon(spec: ModelSpec) -> int:
-    # The longest path on which some pair's unchanged mass stays above _TINY.
-    # On a live transition the masses' total is at most the largest kernel
-    # entry M, so pair (i, j) keeps at least rho_i = min f0_i / M of its mass
-    # per step, times p (1 - pi on the first step): U_n >= b (1 - pi) rho (p rho)^(n - 1).
-    top = np.maximum(spec.pre_kernels.max(axis=0), spec.post_kernels.max(axis=0))
-    rho = (spec.pre_kernels[:, top > 0.0] / top[top > 0.0]).min(axis=1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = (np.log(spec.b * (1.0 - spec.pi) * rho) - math.log(_TINY)) / -np.log(spec.p * rho)
-    return math.floor(np.fmax(steps, -1.0).max()) + 1
-
-
 class OptimalStoppingRule:
     """The optimal stopping rule on a prefix tree, for simulation and exact evaluation.
 
     Decisions depend on the observed prefix only, so the rule keeps a
     posterior.PrefixTree: each prefix is filtered and decided once, when a
-    path first reaches it, all that one walk step grows in one stop_decision
-    call, and `decisions` recomputes a path's.  The rule keeps one
+    path first reaches it, all that one walk step grows in one batch, and
+    `decisions` recomputes a path's by the K loop.  The rule keeps one
     ValueTable for its lifetime.
 
     It also certifies the live windows lazily, one level at a time at the
-    start of a batch, up to one level past the deepest its decisions have
-    reached (those are formed already) and at most k_max; a level that would
-    exceed the candidate budget is left as it was, and certification stops
-    below it.  Once every live window is certified (`windows`), every
-    decision from the first decision time on is the window's class, so the
-    batch form walks the tree only up to that time (d + 1, or d + 2 in the
-    literal reading) and decides each later step by one scan of the rows'
-    windows against the stop class.  A batch with a symbol outside the
-    alphabet, a later window that reads a transition outside the support,
-    or more steps than the unchanged mass is safe from underflow for, is
-    walked on the tree, and up to the first decision time the tree reads
-    every row, so every error is the tree's.  The per-path call `stop_time`, as the simulate
-    rules build it, is the batch form `stop_times` on one row and carries
-    it, and both are instance attributes, so a functools.wraps copy of the
-    rule keeps them too.
+    start of a batch and when `windows` or `explain` is read, up to one
+    level past the deepest its decisions have reached (those are formed
+    already) and at most k_max; a level that would exceed the candidate
+    budget is left out, and certification stops below it.  From d + 2 on a
+    node whose window has a certified class is decided by it: stop on 1,
+    continue on 0.  The rest of the batch, and every row whose largest
+    unchanged mass is at most _TINY, goes to one stop_decision call.  The
+    tree is the only path to a stop time, so every error is the tree's.
+    The per-path call `stop_time`, as the simulate rules build it, is the
+    batch form `stop_times` on one row and carries it, and both are
+    instance attributes, so a functools.wraps copy of the rule keeps them
+    too.
     """
 
     def __init__(self, spec: ModelSpec, cfg: ValueIterConfig, variant: str = "expected"):
@@ -441,14 +436,14 @@ class OptimalStoppingRule:
         # the first time decided: the literal boundary at d + 1 reads one symbol more
         self._start = spec.d + 1 + (variant == "literal")
         self._tree = PrefixTree(spec, lambda n, new: self._decide(n, np.arange(new.start, new.stop))[0], self._start)
-        # the window table so far (at level 0 every window is open), the
-        # deepest K a decision has used, the deepest level certification may
-        # try, and, once every window is certified, the class by window rank
+        # the window table so far (at level 0 every window is open), its
+        # classes by base-A window rank, the deepest K a decision has used
+        # and the deepest level certification may try
         windows = self._table.windows
         self._region = WindowTable(0, windows, np.full(len(windows), -1, dtype=np.int8))
+        self._rank = spec.alphabet_size ** np.arange(spec.d + 1, -1, -1)
+        self._by_rank = np.full(spec.alphabet_size ** (spec.d + 2), -1, dtype=np.int8)
         self._reach, self._top = 0, cfg.k_max
-        self._by_rank: np.ndarray | None = None
-        self._horizon = _scan_horizon(spec)
         self.stop_times = self._stop_times
         self.stop_time = _with_batch_form(self.stop_times)
 
@@ -456,7 +451,7 @@ class OptimalStoppingRule:
     def windows(self) -> WindowTable | None:
         """The certified window table, None while a live window is open."""
         self._certify()
-        return self._region if self._by_rank is not None else None
+        return self._region if (self._region.classes >= 0).all() else None
 
     def explain(self) -> str:
         """One line on the window table: the stop windows once certified, else the open ones."""
@@ -464,56 +459,27 @@ class OptimalStoppingRule:
         return str(self._region)
 
     def _certify(self) -> None:
-        spec, table = self.spec, self._table
-        while self._by_rank is None and self._region.k < min(self._reach + 1, self._top):
-            k, saved = self._region.k + 1, (table.formed, dict(table._sets), dict(table._bounds))
+        table = self._table
+        while (self._region.classes < 0).any() and self._region.k < min(self._reach + 1, self._top):
+            k = self._region.k + 1
             try:
                 region = table.region(k)
-            except BudgetError:  # left as it was: the tree raises it itself if a decision needs level k
-                table.formed, table._sets, table._bounds = saved
+            except BudgetError:  # the tree raises it itself if a decision needs level k
                 self._top = k - 1
                 return
             classes = np.where(self._region.classes < 0, region, self._region.classes)
             self._region = WindowTable(k, table.windows, classes)
-            if (classes >= 0).all():
-                # -1 also where a transition's kernel entries could take the filter's
-                # total below its floor (or are 0): a batch that reads one is walked on the tree
-                safe = np.minimum(spec.pre_kernels.min(axis=0), spec.post_kernels.min(axis=0)) >= 2.0 * _DENOM_FLOOR
-                self._by_rank = np.full(spec.alphabet_size ** (spec.d + 2), -1, dtype=np.int8)
-                ok = safe[table.windows[:, :-1], table.windows[:, 1:]].all(axis=1)
-                self._by_rank[self._ranks(table.windows)[:, 0]] = np.where(ok, classes, -1)
-
-    def _ranks(self, obs: np.ndarray) -> np.ndarray:
-        # base-A rank of each run of d + 2 symbols along the rows, first symbol most significant
-        width, a = self.spec.d + 2, self.spec.alphabet_size
-        span = obs.shape[1] - width + 1
-        return sum(obs[:, i : i + span] * a ** (width - 1 - i) for i in range(width))
+            self._by_rank[table.windows @ self._rank] = classes
 
     def _stop_times(self, observations) -> np.ndarray:
         self._certify()
-        spec, obs, n0 = self.spec, np.asarray(observations), self._start
-        # integer paths past the first decision time, within the horizon safe from
-        # underflow, their symbols in the alphabet, then their windows safe
-        if not (
-            self._by_rank is not None
-            and obs.ndim == 2
-            and obs.dtype.kind in "iu"
-            and len(obs)
-            and n0 + 1 < obs.shape[1] <= self._horizon + 1
-            and obs.min() >= 0
-            and obs.max() < spec.alphabet_size
-        ):
-            return self._tree.stop_times(obs)
-        classes = self._by_rank[self._ranks(obs[:, n0 - spec.d :])]  # the windows of times n0 + 1 .. h
-        if (classes < 0).any():
-            return self._tree.stop_times(obs)
-        stops, hit = self._tree.stop_times(obs[:, : n0 + 1]), classes == 1
-        return np.where(stops >= 0, stops, np.where(hit.any(axis=1), n0 + 1 + hit.argmax(axis=1), -1))
+        return self._tree.stop_times(observations)
 
-    def _decide(self, n: int, nodes: np.ndarray) -> tuple[np.ndarray, list[StopDecision]]:
+    def _decide(self, n: int, nodes: np.ndarray, lookups: bool = True) -> tuple[np.ndarray, list[StopDecision]]:
         # Stop times of tree nodes of time n and their batch decisions, windows read
         # up the parent links: the literal reading decides the boundary d + 1 at the
-        # nodes of time d + 2, then the region on the rows the boundary does not stop.
+        # nodes of time d + 2, then the region on the rows the boundary does not stop,
+        # by their window classes where `lookups` and the K loop for the rest.
         tree, climb, stops, made = self._tree, [nodes], np.full(len(nodes), -1), []
         for _ in range(self.spec.d + 2):
             climb.insert(0, tree.up[climb[0]])
@@ -524,6 +490,10 @@ class OptimalStoppingRule:
             prev = PosteriorState(n - 1, last[:, :-1], tree.unchanged[climb[-2]], tree.changed[climb[-2]])
             made.append(stop_decision(self._table, prev, self.cfg, state))
             stops[made[0].stop], rows = n - 1, rows[~made[0].stop]
+        if lookups and n >= self.spec.d + 2 and len(rows):
+            classes = self._by_rank[state.window[rows] @ self._rank]
+            classes[state.unchanged[rows].max(axis=(1, 2)) <= _TINY] = -1
+            stops[rows[classes == 1]], rows = n, rows[classes < 0]
         if len(rows):
             region = PosteriorState(n, state.window[rows], state.unchanged[rows], state.changed[rows])
             made.append(stop_decision(self._table, region, self.cfg))
@@ -535,7 +505,7 @@ class OptimalStoppingRule:
         """The decisions along a path, up to and including the first stop, recomputed node by node."""
         visits = self._tree.walk(np.array([tuple(observations)], dtype=np.int64))[0].tolist()
         for n, node in enumerate(takewhile(lambda node: node != _STOPPED, visits)):
-            yield from map(_row, self._decide(n, np.array([node]))[1])
+            yield from map(_row, self._decide(n, np.array([node]), lookups=False)[1])
 
     def __call__(self, observations: Window) -> int | None:
         return self.stop_time(observations)

@@ -8,9 +8,10 @@ digest to be the one references.json was made for; this runs one rep of
 each Monte Carlo workload at the self-test size, and one traced rep of
 mc_optimal, whose rules the tracer wraps.  The tracer times each
 crosscheck by its function name and reports it by its result name, so
-every name it lists must be both.  The optimal rule of mc_optimal takes the
-window scan after its first call, and the one of exact_verify stays on the
-prefix tree, so one workload times each side of that choice.
+every name it lists must be both.  After its first call the optimal rule of
+mc_optimal decides every new node by its certified window class, with no
+K loop, while the one of exact_verify keeps windows open and runs the K
+loop on them, so one workload times each kind of decision.
 """
 
 import importlib.util
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from disorder import build_joint, crosscheck, load_spec, oracle
+from disorder import build_joint, crosscheck, load_spec, oracle, stopping
 from disorder.simulate import mix_seed, monte_carlo_eval
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -84,17 +85,18 @@ def test_traced_checks_are_battery_checks():
         assert callable(getattr(crosscheck, f"check_{name}", None))
 
 
-def test_mc_optimal_rule_scans_after_its_first_call(worker):
+def test_mc_optimal_rule_looks_up_after_its_first_call(worker, monkeypatch):
     ctx = worker.setup("mc_optimal", "full")
     params, rule = ctx["params"], worker.make_rules(ctx)["optimal"]
     assert (ctx["spec"].alphabet_size, params["k_max"]) == (3, 4)
     assert rule.windows is None  # nothing decided yet: level 1 leaves a window open
     monte_carlo_eval(ctx["spec"], {"optimal": rule}, params["chunk"], params["horizon"], mix_seed(1, 0))
     assert str(rule.windows) == "windows certified at K=2, stop after (0,2) (1,2) (2,2)"
-    widths, walk = [], rule._tree.walk
-    rule._tree.walk = lambda obs: widths.append(obs.shape[1]) or walk(obs)
-    monte_carlo_eval(ctx["spec"], {"optimal": rule}, params["chunk"], params["horizon"], mix_seed(1, 1))
-    assert widths == [ctx["spec"].d + 2]  # the tree up to the boundary d + 1, then the scan
+    made, decide = [], stopping.stop_decision
+    monkeypatch.setattr(stopping, "stop_decision", lambda *args: made.append(args) or decide(*args))
+    for b in range(1, params["calls"]):
+        monte_carlo_eval(ctx["spec"], {"optimal": rule}, params["chunk"], params["horizon"], mix_seed(1, b))
+    assert made == []  # the boundary nodes all grew in the first call, every later node is a lookup
 
 
 def test_exact_verify_rule_stays_on_the_tree(worker):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from disorder import (
     BudgetError,
-    ModelSpec,
     SupportError,
     OptimalStoppingRule,
     PosteriorState,
@@ -30,7 +29,7 @@ from disorder import (
 )
 from disorder.likelihood import likelihood_ratio_chain
 from disorder.payoff import detection_coeff_matrix
-from disorder.posterior import filter_levels
+from disorder.posterior import _STOPPED, filter_levels
 from disorder.simulate import TrajectorySampler, _stop_times, mix_seeds
 from disorder import stopping
 from disorder.stopping import ValueTable, _prune
@@ -556,6 +555,16 @@ def recorded_decisions(monkeypatch):
     return made
 
 
+def no_lookups():
+    """Every window open at every level: a rule built under it decides every node by the K loop."""
+    return patch.object(ValueTable, "region", lambda table, k: np.full(len(table.windows), -1, dtype=np.int8))
+
+
+def fields(dec):
+    """A decision's fields as lists, for comparing batch decisions."""
+    return {name: np.asarray(value).tolist() for name, value in vars(dec).items()}
+
+
 class TestSlowChange:
     """The slow-change configs: rare changes, deep K and decisions unproved at k_max 10."""
 
@@ -563,24 +572,48 @@ class TestSlowChange:
         "name, horizon, unproved, decided", [("m4_slow", 6, 68, 360), ("m1_d1_slow", 8, 40, 212)]
     )
     def test_unproved_decision_counts(self, name, horizon, unproved, decided, monkeypatch):
-        # every live path in one batch: each tree node decided once, one
-        # stop_decision call per grown level
+        # every live path in one batch with class lookups off: each tree node
+        # decided once by the K loop, one stop_decision call per grown level
         spec = load_spec(CONFIGS_DIR / f"{name}.json")
         made = recorded_decisions(monkeypatch)
         *_, level = filter_levels(spec, horizon)
-        OptimalStoppingRule(spec, ValueIterConfig(k_max=10)).stop_times(level.paths)
+        with no_lookups():
+            OptimalStoppingRule(spec, ValueIterConfig(k_max=10)).stop_times(level.paths)
         assert [dec.n for dec in made] == list(range(spec.d + 1, horizon + 1))
         converged = np.concatenate([dec.converged for dec in made])
         assert (np.count_nonzero(~converged), len(converged)) == (unproved, decided)
 
+    @pytest.mark.parametrize("name, horizon, sent", [("m4_slow", 6, 122), ("m1_d1_slow", 8, 108)])
+    def test_lookups_send_the_open_windows(self, name, horizon, sent, monkeypatch):
+        # with lookups on, stop_decision receives the boundary nodes and, from
+        # d + 2 on, exactly the nodes whose window class is -1 (no row here
+        # is near u = 0); certification runs at the start of the call only
+        spec = load_spec(CONFIGS_DIR / f"{name}.json")
+        seen, decide = [], stopping.stop_decision
+        monkeypatch.setattr(stopping, "stop_decision", lambda table, state, *rest: seen.append(state) or decide(table, state, *rest))
+        *_, level = filter_levels(spec, horizon)
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=10))
+        rule.stop_times(level.paths)
+        visits, want = rule._tree.walk(level.paths), []
+        for n in range(spec.d + 1, horizon + 1):
+            nodes, first = np.unique(visits[:, n], return_index=True)
+            windows = level.paths[first[nodes != _STOPPED], n - spec.d - 1 : n + 1]
+            if n >= spec.d + 2:
+                windows = windows[rule._by_rank[windows @ rule._rank] < 0]
+            want += [(n, window) for window in windows.tolist()]
+        got = [(state.n, window) for state in seen for window in state.window.tolist()]
+        assert sorted(got) == sorted(want)
+        assert len(got) == sent
+
     @pytest.mark.parametrize("variant", ["expected", "literal"])
     def test_one_call_per_grown_batch(self, variant, monkeypatch):
-        # the literal boundary takes two calls at the nodes of time d + 2:
-        # the boundary at d + 1, then the region on the rows it does not stop
+        # with lookups off, the literal boundary takes two calls at the nodes of
+        # time d + 2: the boundary at d + 1, then the region on the rows it does not stop
         spec, horizon = make_m3(d=1), 6
         made = recorded_decisions(monkeypatch)
         *_, level = filter_levels(spec, horizon)
-        OptimalStoppingRule(spec, ValueIterConfig(k_max=5), variant=variant).stop_times(level.paths)
+        with no_lookups():
+            OptimalStoppingRule(spec, ValueIterConfig(k_max=5), variant=variant).stop_times(level.paths)
         assert [dec.n for dec in made] == list(range(spec.d + 1, horizon + 1))
         if variant == "literal":
             assert len(made[1].stop) == np.count_nonzero(~made[0].stop) < len(made[0].stop)
@@ -672,7 +705,7 @@ class TestRuleShape:
         spec = make(d)
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=4), variant=variant)
         assert not {"stop_times", "stop_time"} & set(vars(OptimalStoppingRule))
-        assert rule.stop_times.__self__ is rule  # the rule's own batch form: a tree walk or the window scan
+        assert rule.stop_times.__self__ is rule  # the rule's own batch form: a tree walk
         assert rule.stop_time.stop_times is rule.stop_times
         paths = np.array([(spec.x0,) + tail for tail in itertools.product(range(spec.alphabet_size), repeat=6)])
         assert np.array_equal(_stop_times(rule.stop_time, paths), rule.stop_times(paths))
@@ -732,31 +765,31 @@ class TestBoundaryDecision:
         assert stop_decision(table, state, cfg, state_step(spec, state, 1)).n == spec.d + 1
 
 
-# The first k_max at which each config's live windows are all certified, up to
+# The first k_max at which each config's live windows all end certified, up to
 # k_max 10 (m4_slow at 30); the others keep windows open.
-SCAN_FROM = {"m1": 1, "m2": 1, "m2_d1": 1, "m1_d1": 4, "m3": 4, "m4": 2, "m4_slow": 30}
+CERTIFIED_FROM = {"m1": 1, "m2": 1, "m2_d1": 1, "m1_d1": 4, "m3": 4, "m4": 2, "m4_slow": 30}
 
 
 def every_path(spec, horizon):
     return np.array([(spec.x0,) + tail for tail in itertools.product(range(spec.alphabet_size), repeat=horizon)])
 
 
-def assert_scan_is_tree_walk(rule, paths):
-    """After a tree walk of `paths`, the rule's batch form and per-path call give the walk's stop times.
+def assert_lookups_change_nothing(rule, paths):
+    """The rule's batch form and per-path call, each called twice, give the stop times of the same rule with class lookups off.
 
-    Returns whether the rule scanned, and the widest batch its own calls walked on the tree.
+    Returns whether the rule ends with every live window certified.
     """
-    want = rule._tree.stop_times(paths)
-    scans, widths, walk = rule.windows is not None, [], rule._tree.walk
-    with patch.object(rule._tree, "walk", lambda obs: widths.append(np.shape(obs)[1]) or walk(obs)):
-        assert rule.stop_times(paths).tolist() == want.tolist()
-        some = paths[:: max(1, len(paths) // 40)]
-        assert [rule(path) for path in some.tolist()] == [None if tau < 0 else tau for tau in want[:: max(1, len(paths) // 40)].tolist()]
-    return scans, max(widths)
+    with no_lookups():
+        want = OptimalStoppingRule(rule.spec, rule.cfg, rule.variant).stop_times(paths).tolist()
+    some = slice(None, None, max(1, len(paths) // 40))
+    for _ in range(2):
+        assert rule.stop_times(paths).tolist() == want
+        assert [rule(path) for path in paths[some].tolist()] == [None if tau < 0 else tau for tau in want[some]]
+    return rule.windows is not None
 
 
 class TestWindowScan:
-    """Once every live window is certified, the rule decides from d + 2 on by one scan of the windows."""
+    """The tree walk reads each new node's certified window class from d + 2 on, and walks as with lookups off."""
 
     @pytest.mark.parametrize("variant", ["expected", "literal"])
     @pytest.mark.parametrize("k_max", [1, 2, 4, 10])
@@ -766,19 +799,18 @@ class TestWindowScan:
         spec = load_spec(config)
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=k_max), variant=variant)
         paths = every_path(spec, 8 if spec.alphabet_size == 2 else 7)
-        scans, width = assert_scan_is_tree_walk(rule, paths)
-        assert scans == (k_max >= SCAN_FROM.get(config.stem, math.inf))
-        # the scan walks the tree up to the first decision time only
-        assert width == (rule._start + 1 if scans else paths.shape[1])
+        assert assert_lookups_change_nothing(rule, paths) == (k_max >= CERTIFIED_FROM.get(config.stem, math.inf))
 
     def test_slow_change_scans_at_depth(self):
-        # every path to horizon 7 leaves windows open; long sampled paths reach the depth that certifies them
-        spec = load_spec(CONFIGS_DIR / "m4_slow.json")
-        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=30))
-        assert assert_scan_is_tree_walk(rule, every_path(spec, 7)) == (False, 8)
-        paths = TrajectorySampler(spec, 40).sample_batch(mix_seeds(1, np.arange(2000))).observations
-        assert assert_scan_is_tree_walk(rule, paths) == (True, 2)
-        assert str(rule.windows).startswith("windows certified at K=")
+        # every path to horizon 7 (8 at alphabet 2) leaves windows open; long
+        # sampled paths take decisions deep enough to certify m4_slow's
+        for name, certified in [("m4_slow", True), ("m1_d1_slow", False)]:
+            spec = load_spec(CONFIGS_DIR / f"{name}.json")
+            rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=30))
+            assert not assert_lookups_change_nothing(rule, every_path(spec, 7 if spec.alphabet_size == 3 else 8))
+            paths = TrajectorySampler(spec, 80).sample_batch(mix_seeds(1, np.arange(1000))).observations
+            assert assert_lookups_change_nothing(rule, paths) == certified
+            assert rule.explain().startswith("windows certified at K=" if certified else "2 of 8 windows open at K=30")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -797,7 +829,8 @@ class TestWindowScan:
         if zero:
             spec = with_shared_zero(spec, 0, alphabet - 1)
         *_, level = filter_levels(spec, d + 4)
-        assert_scan_is_tree_walk(OptimalStoppingRule(spec, ValueIterConfig(k_max=k_max), variant=variant), level.paths)
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=k_max), variant=variant)
+        assert_lookups_change_nothing(rule, level.paths)
 
     @staticmethod
     def raised(call, *args):
@@ -842,27 +875,31 @@ class TestWindowScan:
         want = self.raised(OptimalStoppingRule(spec, cfg, variant=variant)._tree.stop_times, wrong)
         assert want == (ValueError, f"stream must start at x0={spec.x0}")
         assert self.raised(rule.stop_times, wrong) == want
-        # the scan read none of the faulty batches on the tree past the boundary
+        # the faulty batches moved no stop time
         assert rule.stop_times(paths).tolist() == stops.tolist()
 
-    @pytest.mark.parametrize("eps, horizon", [(1e-30, 8), (1e-60, 4), (1e-100, 2)])
-    def test_scan_horizon_bounds_underflow(self, eps, horizon):
-        # 0 -> 0 all but ruled out before the change: the unchanged mass
-        # shrinks about eps per step, stays above _TINY on every path of the
-        # scan's horizon and falls below it two steps later
-        spec = ModelSpec(2, [[[eps, 1 - eps], [0.5, 0.5]]], [[[0.5, 0.5]] * 2], [[1.0]], [[0.0]], [[0.5]], 0, 0)
-        assert stopping._scan_horizon(spec) == horizon
-        *_, level = filter_levels(spec, horizon)
-        assert level.unchanged.max(axis=(1, 2)).min() >= stopping._TINY
-        assert filter_through(spec, (0,) * (horizon + 3)).unchanged.max() < stopping._TINY
-
-    def test_batch_past_the_scan_horizon_walks_the_tree(self):
-        spec = make_m4()
-        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=4))
-        paths = every_path(spec, 6)
-        assert assert_scan_is_tree_walk(rule, paths) == (True, 2)
-        rule._horizon = 5
-        assert assert_scan_is_tree_walk(rule, paths) == (True, 7)
+    @pytest.mark.parametrize("variant", ["expected", "literal"])
+    def test_rows_near_zero_mass_take_the_k_loop(self, variant, monkeypatch):
+        # with the floor at 1 every row counts as near u = 0: every node goes
+        # to stop_decision, as with lookups off, and no stop time moves
+        spec, cfg = make_m2(d=1), ValueIterConfig(k_max=4)
+        paths = every_path(spec, 8)
+        rule = OptimalStoppingRule(spec, cfg, variant=variant)
+        stops = rule.stop_times(paths).tolist()
+        assert rule.windows is not None
+        made = recorded_decisions(monkeypatch)
+        with no_lookups():
+            OptimalStoppingRule(spec, cfg, variant=variant).stop_times(paths)
+        plain, made[:] = list(made), []
+        OptimalStoppingRule(spec, cfg, variant=variant).stop_times(paths)
+        looked_up, made[:] = list(made), []
+        monkeypatch.setattr(stopping, "_TINY", 1.0)
+        floored = OptimalStoppingRule(spec, cfg, variant=variant)
+        assert floored.stop_times(paths).tolist() == stops
+        assert floored.windows is not None
+        rows = [sum(len(dec.stop) for dec in decs) for decs in (plain, looked_up, made)]
+        assert rows[0] == rows[2] > rows[1]
+        assert list(map(fields, made)) == list(map(fields, plain))
 
     def test_budget_is_never_spent_past_the_tree(self, monkeypatch):
         # a random spec whose decisions need level 2 at k_max 8: certification
@@ -875,7 +912,7 @@ class TestWindowScan:
         *_, level = filter_levels(spec, 5)
         started = time.perf_counter()
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
-        assert not assert_scan_is_tree_walk(rule, level.paths)[0]
+        assert not assert_lookups_change_nothing(rule, level.paths)
         assert time.perf_counter() - started < 1.0
         assert rule._region.k == rule._reach + 1 < 8
         tree = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
@@ -884,7 +921,7 @@ class TestWindowScan:
         # with the budget at what the tree forms, certification raises nothing and leaves the table as it was
         monkeypatch.setattr(stopping, "CANDIDATE_BUDGET", 70)
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
-        assert_scan_is_tree_walk(rule, level.paths)
+        assert_lookups_change_nothing(rule, level.paths)
         assert rule._table.formed == 70 and rule._region.k == rule._reach
         assert sorted(rule._table._sets) == sorted(tree._table._sets)
         assert rule.stop_times(level.paths).tolist() == tree._tree.stop_times(level.paths).tolist()
