@@ -11,7 +11,6 @@ Carlo harness verify every recursion at desk scale.
 
 from .errors import BudgetError, ConfigError, DisorderError, RuleError, SupportError
 from .model import (
-    LatentState,
     ModelSpec,
     change_time_pmf,
     config_digest,
@@ -62,7 +61,6 @@ from .oracle import (
 from .simulate import (
     ExperimentReport,
     RuleStats,
-    Trajectory,
     TrajectorySampler,
     fixed_time_rule,
     monte_carlo_eval,

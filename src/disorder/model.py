@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,6 +32,12 @@ import numpy as np
 from .errors import ConfigError
 
 ROW_SUM_TOL = 1e-12
+# The most grid cells validate's payoff-coefficient check builds; past them it is skipped.
+_COEFF_CELLS = 1_000_000
+# The largest payoff coefficient validate accepts, in units of p_min (1 - p_max):
+# the stopping layer divides coefficients by p and by 1 - p, and multiplies two
+# differences of them, so they stay 2^12 below the square root of the float range.
+_COEFF_MAX = 2.0**500
 
 CONFIG_KEYS = ("alphabet_size", "pre_kernels", "post_kernels", "b", "pi", "p", "d", "x0")
 
@@ -54,15 +61,6 @@ def pair_matrix(values, l0: int, l1: int) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class LatentState:
-    """A realisation of the unobserved triple (change time, kernel pair)."""
-
-    theta: int
-    beta1: int
-    beta2: int
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,6 @@ class ModelSpec:
     @property
     def l1(self) -> int:
         return self.post_kernels.shape[0]
-
-    def pairs(self):
-        """Iterate over all kernel pair indices (i, j)."""
-        for i in range(self.l0):
-            for j in range(self.l1):
-                yield i, j
 
     @cached_property
     def _digest(self) -> str:
@@ -191,6 +183,24 @@ def validate(spec: ModelSpec) -> list[str]:
         support = rows > 0
         if np.any(support != support[0]):
             report.append("kernel supports differ across candidates")
+
+    # The stop payoff's per-pair coefficients must stay in range (_COEFF_MAX) on
+    # every window of d + 2 symbols the chain can show, or payoffs and values
+    # overflow; checked while the windows' ratio grids fit in _COEFF_CELLS cells.
+    small = not report and spec.d + 2 <= math.log2(_COEFF_CELLS)  # a guard on the power below
+    if small and e ** (spec.d + 2) * (spec.d + 1) * spec.l0 * spec.l1 <= _COEFF_CELLS:
+        from .likelihood import _DENOM_FLOOR  # these modules import this one
+        from .payoff import detection_coeff_matrix
+        from .stopping import ValueTable
+
+        # a pre density under the floor raises SupportError wherever it is read
+        windows = ValueTable(spec).windows
+        windows = windows[(spec.pre_kernels[:, windows[:, :-1], windows[:, 1:]] >= _DENOM_FLOOR).all(axis=(0, 2))]
+        top = _COEFF_MAX * spec.p.min() * (1.0 - spec.p.max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = (detection_coeff_matrix(spec, windows) <= top).all(axis=(1, 2))
+        if not fits.all():
+            report.append(f"payoff coefficients overflow on window {tuple(windows[~fits][0].tolist())}")
     return report
 
 

@@ -114,16 +114,6 @@ def _paths(spec: ModelSpec, n: int) -> np.ndarray:
     return np.column_stack((np.full(len(digits), spec.x0), digits % spec.alphabet_size))
 
 
-def _joint(table: JointTable, path) -> np.ndarray:
-    # the joint row of a path, or the rows of an (N, n + 1) batch of paths
-    return table.arrays[np.shape(path)[-1] - 1][path_rank(table.spec, path)]
-
-
-def path_prob(table: JointTable, path: Window) -> float:
-    """Exact probability of the path, summed over all latent buckets."""
-    return float(table.mass[np.shape(path)[-1] - 1][path_rank(table.spec, path)])
-
-
 def exact_posterior(table: JointTable, path: Window) -> tuple[np.ndarray, np.ndarray]:
     """Definition-level posteriors (change grid, pair grid) given the path, per row of a batch."""
     change, per_pair = _change_cdf(table, path, np.shape(path)[-1] - 1)
@@ -142,20 +132,16 @@ def change_cdf_given_pair(table: JointTable, path: Window, m: int) -> np.ndarray
 
 def _change_cdf(table: JointTable, path, m: int) -> tuple[np.ndarray, np.ndarray]:
     # one gather and bucket sum: the cdf at m (0 on zero-mass pairs) and the per-pair masses
-    joint = _joint(table, path)
+    joint = table.arrays[np.shape(path)[-1] - 1][path_rank(table.spec, path)]
     per_pair = joint.sum(axis=-3)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(per_pair > 0.0, joint[..., :m, :, :].sum(axis=-3) / per_pair, 0.0), per_pair
 
 
-def detection_mass(table: JointTable, path: Window, n: int) -> float:
-    """Unnormalised joint weight of the path and {|theta - n| <= d}."""
-    return float(_detection_masses(table.spec, _joint(table, path)[None], n)[0])
-
-
 def _detection_masses(spec: ModelSpec, joint: np.ndarray, n) -> np.ndarray:
-    # detection_mass of each row of joint, (rows, max_theta + 1, l0, l1), at
-    # time n or at one time per row; the tail bucket never counts
+    # the joint weight of each row of joint, (rows, max_theta + 1, l0, l1),
+    # and {|theta - n| <= d}, at time n or at one time per row; the tail
+    # bucket never counts
     near = np.abs(np.arange(1, joint.shape[1]) - np.reshape(n, (-1, 1))) <= spec.d
     return _fsum_grids(joint[:, :-1] * near[:, :, None, None], 3)
 
@@ -177,29 +163,16 @@ def exact_rule_value(table: JointTable, rule: Callable[[Window], Optional[int]])
 
 
 @dataclass(frozen=True)
-class NodeValue:
-    """Backward-induction record for one path node."""
-
-    z: float
-    continuation: float | None
-    value: float
-    stop: bool
-
-
-@dataclass(frozen=True)
 class HistoryTreeValue:
     """Per-path stop payoff, continuation and optimal action, all normalised.
 
     levels[n] is a record array over the paths of depth n in joint-table
-    order, with fields z, continuation (NaN at the horizon), value and stop.
+    order, with fields z, continuation (NaN at the horizon), value and stop;
+    the node of a path of n steps is levels[n][path_rank(spec, path)].
     """
 
     spec: ModelSpec
     levels: tuple[np.recarray, ...]
-
-    def node(self, path: Window) -> NodeValue:
-        z, cont, value, stop = self.levels[len(path) - 1][path_rank(self.spec, path)].tolist()
-        return NodeValue(z, None if math.isnan(cont) else cont, value, stop)
 
 
 def exact_optimal_rule(

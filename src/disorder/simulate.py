@@ -15,7 +15,8 @@ Per-trajectory seeds in an experiment derive from
 generators, so adding rules cannot perturb trajectories.
 
 `TrajectorySampler.sample_batch` draws many seeds in one pass and returns
-arrays, one row per seed; `sample` is its one-row case.
+arrays, one row per seed; the trajectory of one seed is row 0 of
+`sample_batch([seed])`, which `sample(seed)` returns.
 
 Rules are callables mapping a full observation path to an int stop time (or
 None when it never fires); they must only read the prefix up to their stop.
@@ -41,7 +42,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import RuleError
-from .model import LatentState, ModelSpec, config_digest
+from .model import ModelSpec, config_digest
 from .posterior import PrefixTree, _check_read
 
 _MASK64 = (1 << 64) - 1
@@ -134,13 +135,6 @@ def _philox(key0, key1, counter) -> np.ndarray:
     return np.stack([mult[0], other[1], mult[1], other[0]], axis=-1)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    latent: LatentState
-    observations: tuple[int, ...]
-    seed: int
-
-
 class TrajectoryBatch(NamedTuple):
     """Trajectories drawn by one sample_batch call, one row per seed."""
 
@@ -167,7 +161,7 @@ class TrajectorySampler:
         self._counter = np.array([1] + list(range(1, blocks + 1)), dtype=np.uint64)
 
     def sample_batch(self, seeds) -> TrajectoryBatch:
-        """One trajectory per seed, row by row the trajectory `sample` gives.
+        """One trajectory per seed, each row the same whatever batch its seed is drawn in.
 
         Seeds are drawn in chunks of fixed size, so the working memory beyond
         the returned arrays does not grow with their number.
@@ -212,15 +206,9 @@ class TrajectorySampler:
             obs[:, n] = (steps[:, n - 1] < rows).argmax(axis=1)
         return TrajectoryBatch(obs, theta, beta1, beta2)
 
-    def sample(self, seed: int) -> Trajectory:
-        batch = self.sample_batch([seed])
-        return Trajectory(
-            latent=LatentState(
-                theta=int(batch.theta[0]), beta1=int(batch.beta1[0]), beta2=int(batch.beta2[0])
-            ),
-            observations=tuple(batch.observations[0].tolist()),
-            seed=seed,
-        )
+    def sample(self, seed: int) -> TrajectoryBatch:
+        """sample_batch([seed]), under the name perfbench's tracer wraps."""
+        return self.sample_batch([seed])
 
 
 @dataclass(frozen=True)
@@ -393,33 +381,6 @@ def report_to_csv(report: ExperimentReport, path) -> None:
             lines.append(f"{name},{metric},{getattr(stats, metric):.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def report_from_csv(path) -> ExperimentReport:
-    """Round-trip parser for report_to_csv output."""
-    meta: dict[str, str] = {}
-    per_rule: dict[str, dict[str, float]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "rule,metric,value":
-            raise ValueError(f"unexpected report header: {header!r}")
-        for line in fh:
-            rule, metric, value = line.rstrip("\n").split(",", 2)
-            if rule == "_meta":
-                meta[metric] = value
-            else:
-                per_rule.setdefault(rule, {})[metric] = float(value)
-    rules = {
-        name: RuleStats(**{metric: vals[metric] for metric in _METRICS})
-        for name, vals in per_rule.items()
-    }
-    return ExperimentReport(
-        config_digest=meta["config_digest"],
-        base_seed=int(meta["base_seed"]),
-        n_trajectories=int(meta["n_trajectories"]),
-        horizon=int(meta["horizon"]),
-        rules=rules,
-    )
 
 
 def report_to_json(report: ExperimentReport, path) -> None:

@@ -9,10 +9,18 @@ from its children's unnormalised values in symbol order.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from disorder.oracle import NodeValue
+
+class Node(NamedTuple):
+    """Backward-induction record for one path node; continuation is None at the horizon."""
+
+    z: float
+    continuation: float | None
+    value: float
+    stop: bool
 
 
 def build_joint(spec, horizon, max_theta):
@@ -41,7 +49,7 @@ def build_joint(spec, horizon, max_theta):
 
 
 def exact_optimal_rule(spec, levels, restrict_after_d=True):
-    """(optimal value, levels of path -> NodeValue) by induction over the dict tree."""
+    """(optimal value, levels of path -> Node) by induction over the dict tree."""
     h = len(levels) - 1
     max_theta = next(iter(levels[0].values())).shape[0] - 1
     w_levels = [dict() for _ in range(h + 1)]
@@ -53,7 +61,7 @@ def exact_optimal_rule(spec, levels, restrict_after_d=True):
             uz = math.fsum(joint[lo - 1 : hi].ravel())
             if n == h:
                 w_levels[n][path] = uz
-                out_levels[n][path] = NodeValue(
+                out_levels[n][path] = Node(
                     z=uz / pp if pp > 0 else 0.0, continuation=None, value=uz / pp if pp > 0 else 0.0, stop=True
                 )
                 continue
@@ -62,9 +70,9 @@ def exact_optimal_rule(spec, levels, restrict_after_d=True):
             w = max(uz, uc) if allowed else uc
             w_levels[n][path] = w
             if pp > 0:
-                out_levels[n][path] = NodeValue(
+                out_levels[n][path] = Node(
                     z=uz / pp, continuation=uc / pp, value=w / pp, stop=bool(allowed and uz >= uc)
                 )
             else:
-                out_levels[n][path] = NodeValue(z=0.0, continuation=0.0, value=0.0, stop=False)
+                out_levels[n][path] = Node(z=0.0, continuation=0.0, value=0.0, stop=False)
     return w_levels[0][(spec.x0,)], out_levels

@@ -72,7 +72,7 @@ def change_step(spec, i, j, prev, x_prev, x_next, n):
 def pair_step(spec, x_prev, x_next, prev_pair, prev_change, n):
     """One-step update of the pair posterior grid, one pair at a time."""
     num = np.empty((spec.l0, spec.l1))
-    for i, j in spec.pairs():
+    for i, j in np.ndindex(spec.l0, spec.l1):
         if n == 1:
             alpha, weight = float(spec.pi[i, j]), float(spec.b[i, j])
         else:
@@ -84,7 +84,7 @@ def pair_step(spec, x_prev, x_next, prev_pair, prev_change, n):
 def conditional_step(spec, x_prev, x_next, prev_change, prev_pair, n):
     """The (change, pair) grids at time n from those at n - 1, through the updates above."""
     change = np.empty((spec.l0, spec.l1))
-    for i, j in spec.pairs():
+    for i, j in np.ndindex(spec.l0, spec.l1):
         change[i, j] = change_step(spec, i, j, float(prev_change[i, j]), x_prev, x_next, n)
     return change, pair_step(spec, x_prev, x_next, prev_pair, prev_change, n)
 
@@ -106,7 +106,7 @@ def state_step(spec, state, x_next):
     x_prev = state.window[-1]
     unchanged = np.empty((spec.l0, spec.l1))
     changed = np.empty((spec.l0, spec.l1))
-    for i, j in spec.pairs():
+    for i, j in np.ndindex(spec.l0, spec.l1):
         u, c = float(state.unchanged[i, j]), float(state.changed[i, j])
         unchanged[i, j], changed[i, j] = mass_step(spec, i, j, u, c, x_prev, x_next, n)
     total = float((unchanged + changed).sum())
@@ -118,7 +118,7 @@ def mixture(spec, window, gamma, delta, origin=False):
     """fsum over pairs of gamma[i, j] * window_marginal(window, delta[i, j])."""
     return math.fsum(
         float(gamma[i, j]) * window_marginal(spec, i, j, window, float(delta[i, j]), origin)
-        for i, j in spec.pairs()
+        for i, j in np.ndindex(spec.l0, spec.l1)
     )
 
 
@@ -128,7 +128,7 @@ def predictive(spec, state):
     law = []
     for y in range(spec.alphabet_size):
         terms = []
-        for i, j in spec.pairs():
+        for i, j in np.ndindex(spec.l0, spec.l1):
             u, c = float(state.unchanged[i, j]), float(state.changed[i, j])
             terms.append(sum(mass_step(spec, i, j, u, c, x, y, state.n + 1)))
         law.append(math.fsum(terms))

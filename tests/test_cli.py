@@ -5,7 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disorder import ValueIterConfig, build_joint, load_spec, save_spec, spec_to_dict, state_init, state_step
+from disorder import (
+    ModelSpec,
+    ValueIterConfig,
+    build_joint,
+    load_spec,
+    save_spec,
+    spec_to_dict,
+    state_init,
+    state_step,
+)
 from disorder.cli import main
 from disorder.simulate import TrajectorySampler, mix_seeds
 from disorder.stopping import ValueTable, stop_decision
@@ -64,6 +73,17 @@ class TestValidateCommand:
         assert main(["validate", bad_config]) == 2
         captured = capsys.readouterr()
         assert "VIOLATION" in captured.out
+        record = json.loads(captured.err.splitlines()[0])
+        assert record["error"] == "validation"
+
+    def test_overflowing_payoff_exit_2(self, tmp_path, capsys):
+        # pre 0 -> 0 at 1e-160: the window (0, 0, 0)'s payoff coefficient overflows
+        spec = ModelSpec(2, [[[1e-160, 1 - 1e-160], [0.5, 0.5]]], [[[0.5, 0.5], [0.5, 0.5]]], [[1.0]], [[0.0]], [[0.5]], 1, 0)
+        path = tmp_path / "overflow.json"
+        save_spec(spec, path)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "VIOLATION" in captured.out and "payoff coefficients overflow" in captured.out
         record = json.loads(captured.err.splitlines()[0])
         assert record["error"] == "validation"
 

@@ -123,7 +123,7 @@ class TestWindowMarginals:
             grid = split_likelihoods(m4, window)
             total = window_mixture(m4, window, alpha)[1]
             total_t = window_mixture(m4, window, alpha, origin=True)[1]
-            for i, j in m4.pairs():
+            for i, j in np.ndindex(m4.l0, m4.l1):
                 p = float(m4.p[i, j])
                 q = 1 - p
                 splits = grid[i, j]
@@ -189,7 +189,7 @@ class TestMixtures:
         for n in (1, 2, 3):
             for path in all_paths(m3, n):
                 total = window_mixture(m3, path, m3.pi, origin=True)[1]
-                direct = sum(float(m3.b[i, j]) * float(total[i, j]) for i, j in m3.pairs())
+                direct = sum(float(m3.b[i, j]) * float(total[i, j]) for i, j in np.ndindex(m3.l0, m3.l1))
                 got = path_probability(m3, path)
                 assert got == pytest.approx(direct, abs=1e-14)
 
@@ -218,7 +218,7 @@ class TestPathProbability:
         for path in all_paths(m3, 3):
             n = len(path) - 1
             total = 0.0
-            for i, j in m3.pairs():
+            for i, j in np.ndindex(m3.l0, m3.l1):
                 pi, p = float(m3.pi[i, j]), float(m3.p[i, j])
                 for theta in range(1, n + 2):  # change inside path or anywhere later
                     if theta == 1:
@@ -283,7 +283,7 @@ class TestRatioChain:
         window = (0, 1, 2, 0)
         chain = likelihood_ratio_chain(m4, window, 3)
         grid = split_likelihoods(m4, window)
-        for i, j in m4.pairs():
+        for i, j in np.ndindex(m4.l0, m4.l1):
             splits = grid[i, j]
             p = float(m4.p[i, j])
             expected = sum(splits[t] / (p**t * splits[0]) for t in range(1, 4))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,7 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disorder import (
+    BudgetError,
     ConfigError,
+    ModelSpec,
+    OptimalStoppingRule,
+    ValueIterConfig,
     change_time_pmf,
     config_digest,
     load_spec,
@@ -20,6 +25,10 @@ from disorder import (
     spec_to_dict,
     validate,
 )
+
+from disorder import stopping
+from disorder.payoff import level_payoff
+from disorder.posterior import filter_levels
 
 from conftest import make_m1, make_m3, make_m4, random_spec
 
@@ -115,6 +124,50 @@ class TestValidate:
         for make in (make_m1, make_m3, make_m4):
             assert validate(make(d=1)) == []
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+    def test_committed_configs_valid(self, path):
+        assert validate(load_spec(path)) == []
+
+    def test_overflowing_payoff_coefficients_rejected(self):
+        # pre 0 -> 0 at 1e-160: two post/pre ratios of 5e159 over p^2 overflow
+        spec = ModelSpec(2, [[[1e-160, 1 - 1e-160], [0.5, 0.5]]], [[[0.5, 0.5], [0.5, 0.5]]], [[1.0]], [[0.0]], [[0.5]], 1, 0)
+        assert validate(spec) == ["payoff coefficients overflow on window (0, 0, 0)"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        alphabet=st.integers(2, 3),
+        l0=st.integers(1, 2),
+        l1=st.integers(1, 2),
+        d=st.integers(0, 2),
+        e=st.integers(1, 300),
+        at=st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)),
+    )
+    def test_tiny_kernel_entry_rejected_or_finite(self, seed, alphabet, l0, l1, d, e, at):
+        # one pre-kernel entry scaled to 10^-e, its row renormalised: either
+        # validate rejects the spec, or payoffs and the optimal rule on every
+        # level to horizon 4 stay finite and warn of nothing
+        payload = spec_to_dict(random_spec(np.random.default_rng(seed), alphabet, l0, l1, d))
+        kernel = payload["pre_kernels"][at[0] % l0]
+        row = kernel[at[1] % alphabet]
+        row[at[2] % alphabet] = 10.0**-e
+        kernel[at[1] % alphabet] = [v / sum(row) for v in row]
+        spec = spec_from_dict(payload)
+        if validate(spec):
+            return
+        for level in filter_levels(spec, 4):
+            if level.n > d:
+                assert np.isfinite(level_payoff(spec, level)).all()
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=4))
+        # a small candidate budget bounds the time (2 x 2 grids at alphabet 3
+        # can take minutes); running out of it is the rule's own error, not an
+        # overflow, and a warning before it still fails the test
+        with patch.object(stopping, "CANDIDATE_BUDGET", 20_000):
+            try:
+                assert (rule.stop_times(level.paths) >= -1).all()
+            except BudgetError:
+                pass
+
 
 class TestChangeTimePmf:
     def test_first_step_mass(self):
@@ -144,7 +197,7 @@ class TestChangeTimePmf:
         # brute force: P(theta = k) = sum_ij b_ij P(theta = k | ij)
         for k in range(1, 9):
             total = 0.0
-            for i, j in spec.pairs():
+            for i, j in np.ndindex(spec.l0, spec.l1):
                 pi, p = float(spec.pi[i, j]), float(spec.p[i, j])
                 cond = pi if k == 1 else (1 - pi) * p ** (k - 2) * (1 - p)
                 total += float(spec.b[i, j]) * cond

@@ -21,10 +21,9 @@ from disorder import (
 from disorder import oracle
 from disorder.oracle import (
     change_cdf_given_pair,
-    detection_mass,
     dump_joint,
     dump_tree,
-    path_prob,
+    path_rank,
 )
 
 from disorder import (
@@ -89,19 +88,17 @@ class TestBuildJoint:
         spec = make(d=1)
         table = build_joint(spec, 5)
         for n in range(1, 6):
-            for path in all_paths(spec, n):
-                assert abs(
-                    path_prob(table, path) - path_probability(spec, path)
-                ) <= 1e-12
+            for path, mass in zip(all_paths(spec, n), table.mass[n].tolist(), strict=True):
+                assert abs(mass - path_probability(spec, path)) <= 1e-12
 
     def test_m1_first_step_law(self, m1):
         table = build_joint(m1, 1)
-        assert path_prob(table, (0, 1)) == pytest.approx(0.2, abs=1e-15)
+        assert table.mass[1][path_rank(m1, (0, 1))] == pytest.approx(0.2, abs=1e-15)
 
     def test_total_mass_per_depth(self, m4):
         table = build_joint(m4, 4)
-        for level in table.levels:
-            total = math.fsum(path_prob(table, path) for path in level)
+        for mass in table.mass:
+            total = math.fsum(mass.tolist())
             assert abs(total - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("make", [make_m3, make_m4])
@@ -267,7 +264,8 @@ class TestExactRuleValue:
         # one batch-form call over the live paths, and the per-path value bit for bit
         spec = load_spec(config)
         table = build_joint(spec, 6)
-        live = [path for path in table.levels[6] if path_prob(table, path) > 0.0]
+        alive = table.mass[6] > 0.0
+        live = [path for path, keep in zip(table.levels[6], alive.tolist()) if keep]
         for rule in (fixed_time_rule(spec), posterior_threshold_rule(spec)):
             calls = []
 
@@ -278,9 +276,8 @@ class TestExactRuleValue:
             batched = lambda path, rule=rule: rule(path)  # noqa: E731
             batched.stop_times = counted
             per_path = [rule(path) for path in live]
-            expected = math.fsum(
-                detection_mass(table, path, 6 if tau is None else tau) for path, tau in zip(live, per_path)
-            )
+            taus = [6 if tau is None else tau for tau in per_path]
+            expected = math.fsum(oracle._detection_masses(spec, table.arrays[6][alive], taus).tolist())
             assert repr(exact_rule_value(table, batched)) == repr(expected)
             assert calls == [len(live)]
 
@@ -319,20 +316,15 @@ class TestExactOptimalRule:
     def test_tree_invariants(self, m2):
         table = build_joint(m2, 5)
         value, tree = exact_optimal_rule(table)
-        for n in range(6):
-            for path in all_paths(m2, n):
-                node = tree.node(path)
-                if n == 5:
-                    assert node.continuation is None
-                    assert node.value == node.z
-                else:
-                    assert node.value == pytest.approx(
-                        max(node.z, node.continuation)
-                        if n >= m2.d + 1
-                        else node.continuation,
-                        abs=1e-15,
-                    )
-        assert value == pytest.approx(tree.node((0,)).value, abs=1e-15)
+        assert [len(level) for level in tree.levels] == [m2.alphabet_size**n for n in range(6)]
+        for n, level in enumerate(tree.levels):
+            if n == 5:
+                assert np.isnan(level.continuation).all()
+                assert np.array_equal(level.value, level.z)
+            else:
+                expected = np.maximum(level.z, level.continuation) if n >= m2.d + 1 else level.continuation
+                assert np.abs(level.value - expected).max() <= 1e-15
+        assert value == pytest.approx(tree.levels[0].value[0], abs=1e-15)
 
     def test_monotone_in_horizon_with_tail_bound(self, m2):
         values = []
@@ -354,7 +346,7 @@ class TestExactOptimalRule:
 
         def rule(path):
             for n in range(m3.d + 1, 6):
-                if tree.node(path[: n + 1]).stop:
+                if tree.levels[n].stop[path_rank(m3, path[: n + 1])]:
                     return n
             return None
 
@@ -397,18 +389,18 @@ class TestDumps:
 
     @pytest.mark.parametrize("name", ["m3_d1", "m4"])
     def test_tree_dump_is_per_node_rendering(self, name, tmp_path):
-        # the file as rendered node by node through HistoryTreeValue.node
+        # the file as rendered node by node, each read at its path's rank
         spec = load_spec(CONFIGS_DIR / f"{name}.json")
         _, tree = exact_optimal_rule(build_joint(spec, 6))
         lines = ["path,z,continuation,value,action\n"]
         for n in range(len(tree.levels)):
             for tail in itertools.product(range(spec.alphabet_size), repeat=n):
                 path = (spec.x0,) + tail
-                node = tree.node(path)
+                z, cont, value, stop = tree.levels[n][path_rank(spec, path)].tolist()
                 pstr = "-".join(str(s) for s in path)
-                cont = "" if node.continuation is None else f"{node.continuation:.17g}"
-                action = "stop" if node.stop else "continue"
-                lines.append(f"{pstr},{node.z:.17g},{cont},{node.value:.17g},{action}\n")
+                cstr = "" if math.isnan(cont) else f"{cont:.17g}"
+                action = "stop" if stop else "continue"
+                lines.append(f"{pstr},{z:.17g},{cstr},{value:.17g},{action}\n")
         assert dump_tree(tree, tmp_path).read_bytes() == "".join(lines).encode()
 
 
@@ -416,14 +408,12 @@ class TestDetectionMass:
     def test_matches_direct_window_sum(self, m3):
         spec = make_m3(d=1)
         table = build_joint(spec, 4)
-        for path in all_paths(spec, 4):
-            joint = table.levels[4][path]
-            for n in range(0, 5):
-                lo = max(1, n - spec.d)
-                expected = math.fsum(joint[lo - 1 : n + spec.d].ravel().tolist())
-                assert detection_mass(table, path, n) == pytest.approx(
-                    expected, abs=1e-15
-                )
+        for n in range(0, 5):
+            masses = oracle._detection_masses(spec, table.arrays[4], n)
+            lo = max(1, n - spec.d)
+            for path, mass in zip(all_paths(spec, 4), masses.tolist(), strict=True):
+                expected = math.fsum(table.levels[4][path][lo - 1 : n + spec.d].ravel().tolist())
+                assert mass == pytest.approx(expected, abs=1e-15)
 
 
 class TestZeroSupport:
@@ -449,7 +439,7 @@ class TestZeroSupport:
         table = build_joint(spec, 4)
         asked = []
         exact_rule_value(table, lambda path: asked.append(path) or spec.d + 1)
-        assert asked and all(path_prob(table, path) > 0.0 for path in asked)
+        assert asked and (table.mass[4][path_rank(spec, asked)] > 0.0).all()
         assert len(asked) < len(table.levels[4])
 
     def test_monte_carlo_with_optimal_rule(self, spec):
@@ -495,20 +485,20 @@ def assert_matches_dict_oracle(spec, horizon):
     ref_levels = dict_oracle.build_joint(spec, horizon, table.max_theta)
     for joint, ref in zip(table.arrays, ref_levels, strict=True):
         assert joint.tobytes() == np.array(list(ref.values())).tobytes()
-    # per-depth masses: the per-path fsums of each row, and the public per-path calls
+    # per-depth masses: the per-path fsums of each row
     for n, ref in enumerate(ref_levels):
         lo, hi = max(1, n - spec.d), min(n + spec.d, table.max_theta)
         assert table.mass[n].tolist() == [math.fsum(joint.ravel()) for joint in ref.values()]
-        assert table.mass[n].tolist() == [path_prob(table, path) for path in ref]
         assert table.detection[n].tolist() == [math.fsum(joint[lo - 1 : hi].ravel()) for joint in ref.values()]
-        assert table.detection[n].tolist() == [detection_mass(table, path, n) for path in ref]
     for restrict in (True, False):
         value, tree = exact_optimal_rule(table, restrict_after_d=restrict)
         ref_value, ref_tree = dict_oracle.exact_optimal_rule(spec, ref_levels, restrict)
         assert value == ref_value
-        for ref in ref_tree:
+        for level, ref in zip(tree.levels, ref_tree, strict=True):
             for path, node in ref.items():
-                assert tree.node(path) == node
+                # field by field, the horizon's NaN continuation read as None
+                z, cont, val, stop = level[path_rank(spec, path)].tolist()
+                assert dict_oracle.Node(z, None if math.isnan(cont) else cont, val, stop) == node
 
 
 class TestArraysAgainstDictOracle:

@@ -235,7 +235,7 @@ class TestPayoffIsConditionalProbability:
         # h at the filter state must equal the oracle's conditional
         # detection probability on every single path, not just on average
         from disorder import build_joint
-        from disorder.oracle import detection_mass, path_prob
+        from disorder.oracle import path_rank
 
         # the stop payoff at a filter state's own time picks the boundary
         # form at d + 1, the window form later, and rejects earlier states
@@ -248,7 +248,8 @@ class TestPayoffIsConditionalProbability:
             for tail in itertools.product(range(spec.alphabet_size), repeat=n):
                 path = (spec.x0,) + tail
                 state = filter_through(spec, path)
-                z = detection_mass(table, path, n) / path_prob(table, path)
+                rank = path_rank(spec, path)
+                z = table.detection[n][rank] / table.mass[n][rank]
                 if n == d + 1:
                     val = stop_payoff(spec, spec.d + 1, state.window, state.unchanged, state.changed)
                 else:

@@ -280,9 +280,9 @@ class TestFilterTree:
         levels = list(filter_levels(spec, horizon))[1:]
         expected = [
             path
-            for level in table.levels[1:]
-            for path in level
-            if oracle.path_prob(table, path) > 0.0
+            for level, mass in zip(table.levels[1:], table.mass[1:])
+            for path, live in zip(level, (mass > 0.0).tolist())
+            if live
         ]
         assert [tuple(path) for level in levels for path in level.paths.tolist()] == expected
         for level in levels:
@@ -433,7 +433,7 @@ class TestPredictive:
         got = predictive(m3, forced)
         x = state.window[-1]
         expected = np.zeros(2)
-        for i, j in m3.pairs():
+        for i, j in np.ndindex(m3.l0, m3.l1):
             expected += float(state.pair_prob[i, j]) * m3.post_kernels[j, x]
         assert got == pytest.approx(expected, abs=1e-14)
 
@@ -492,7 +492,7 @@ def test_grid_core_equals_scalar_reference(seed, alphabet, l0, l1, d, horizon):
     splits = split_likelihoods(spec, window)
     for origin in (False, True):
         changed, total = window_mixture(spec, window, alpha, origin)
-        for i, j in spec.pairs():
+        for i, j in np.ndindex(spec.l0, spec.l1):
             a = float(alpha[i, j])
             assert list(splits[i, j]) == scalar_filter.splits(spec, i, j, window)
             assert total[i, j] == scalar_filter.window_marginal(spec, i, j, window, a, origin)
