@@ -144,6 +144,10 @@ def validate(spec: ModelSpec) -> list[str]:
     An empty list means the instance is valid.  All other operations in the
     package assume a valid instance; this is the only gatekeeper.
     """
+    from .likelihood import _DENOM_FLOOR  # these modules import this one
+    from .payoff import detection_coeff_matrix
+    from .stopping import ValueTable
+
     report: list[str] = []
     e = spec.alphabet_size
     if not isinstance(e, (int, np.integer)) or e < 1:
@@ -163,6 +167,9 @@ def validate(spec: ModelSpec) -> list[str]:
             continue
         if np.any(kernels < 0):
             report.append(f"{name} kernel has negative entries")
+        # the filter reads a density under the floor as outside the support
+        if np.any((kernels > 0) & (kernels < _DENOM_FLOOR)):
+            report.append(f"{name} kernel has entries in (0, {_DENOM_FLOOR:g})")
         sums = kernels.sum(axis=2)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             report.append(f"{name} kernel row not stochastic")
@@ -189,13 +196,7 @@ def validate(spec: ModelSpec) -> list[str]:
     # overflow; checked while the windows' ratio grids fit in _COEFF_CELLS cells.
     small = not report and spec.d + 2 <= math.log2(_COEFF_CELLS)  # a guard on the power below
     if small and e ** (spec.d + 2) * (spec.d + 1) * spec.l0 * spec.l1 <= _COEFF_CELLS:
-        from .likelihood import _DENOM_FLOOR  # these modules import this one
-        from .payoff import detection_coeff_matrix
-        from .stopping import ValueTable
-
-        # a pre density under the floor raises SupportError wherever it is read
         windows = ValueTable(spec).windows
-        windows = windows[(spec.pre_kernels[:, windows[:, :-1], windows[:, 1:]] >= _DENOM_FLOOR).all(axis=(0, 2))]
         top = _COEFF_MAX * spec.p.min() * (1.0 - spec.p.max())
         with np.errstate(over="ignore", invalid="ignore"):
             fits = (detection_coeff_matrix(spec, windows) <= top).all(axis=(1, 2))

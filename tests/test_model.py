@@ -133,6 +133,17 @@ class TestValidate:
         spec = ModelSpec(2, [[[1e-160, 1 - 1e-160], [0.5, 0.5]]], [[[0.5, 0.5], [0.5, 0.5]]], [[1.0]], [[0.0]], [[0.5]], 1, 0)
         assert validate(spec) == ["payoff coefficients overflow on window (0, 0, 0)"]
 
+    def test_entries_under_the_density_floor_rejected(self):
+        # the filter reads a density in (0, 1e-300) as outside the support,
+        # so filter_levels and crosscheck raised SupportError on these specs
+        tiny = [[[1.0, 1e-301], [0.5, 0.5]]]
+        spec = ModelSpec(2, tiny, tiny, [[1.0]], [[0.0]], [[0.8]], 0, 0)
+        assert validate(spec) == ["pre kernel has entries in (0, 1e-300)", "post kernel has entries in (0, 1e-300)"]
+        spec = ModelSpec(2, [[[0.5, 0.5], [0.5, 0.5]]], tiny, [[1.0]], [[1.0]], [[0.8]], 0, 0)
+        assert validate(spec) == ["post kernel has entries in (0, 1e-300)"]
+        floor = [[[1.0, 1e-300], [0.5, 0.5]]]
+        assert validate(ModelSpec(2, floor, floor, [[1.0]], [[0.0]], [[0.8]], 0, 0)) == []
+
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),

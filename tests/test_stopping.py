@@ -206,6 +206,9 @@ class TestValueTable:
         u = table.weight(grids[0])
         with pytest.raises(ValueError, match="^symbol 3 outside alphabet$"):
             table.value(1, np.array([[0, 1, 0], [0, 0, 3]]), u)
+        # the one-row call is the batch form on one row: it reads window[0] too
+        with pytest.raises(ValueError, match="^symbol 7 outside alphabet$"):
+            table.value(1, (7, 0, 1), u[0])
 
 
 def _brute_force_survivors(vecs):
@@ -901,30 +904,62 @@ class TestWindowScan:
         assert rows[0] == rows[2] > rows[1]
         assert list(map(fields, made)) == list(map(fields, plain))
 
-    def test_budget_is_never_spent_past_the_tree(self, monkeypatch):
-        # a random spec whose decisions need level 2 at k_max 8: certification
-        # tries level 3 at most, and a level past the budget is rolled back
+    @staticmethod
+    def budget_spec():
+        # a random spec whose decisions on the paths to horizon 5 need level 2
+        # at k_max 8, and whose tree forms 70 candidates to reach it
         rng = np.random.default_rng(0)
         alphabet = int(rng.integers(2, 4))
         l0, l1 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         d = int(rng.integers(0, 2))
         spec = with_shared_zero(random_spec(rng, alphabet, l0, l1, d), 0, alphabet - 1)
-        *_, level = filter_levels(spec, 5)
+        return spec, list(filter_levels(spec, 5))
+
+    def test_budget_is_never_spent_past_the_tree(self, monkeypatch):
+        # certification tries one level past the decisions' at most
+        spec, levels = self.budget_spec()
+        paths = levels[-1].paths
         started = time.perf_counter()
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
-        assert not assert_lookups_change_nothing(rule, level.paths)
+        assert not assert_lookups_change_nothing(rule, paths)
         assert time.perf_counter() - started < 1.0
-        assert rule._region.k == rule._reach + 1 < 8
+        assert rule._k == rule._reach + 1 < 8
         tree = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
-        tree._tree.stop_times(level.paths)
+        tree._tree.stop_times(paths)
         assert tree._table.formed == 70
-        # with the budget at what the tree forms, certification raises nothing and leaves the table as it was
+        # with the budget at what the tree forms, certification raises nothing and stops below the failed level
         monkeypatch.setattr(stopping, "CANDIDATE_BUDGET", 70)
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
-        assert_lookups_change_nothing(rule, level.paths)
-        assert rule._table.formed == 70 and rule._region.k == rule._reach
-        assert sorted(rule._table._sets) == sorted(tree._table._sets)
-        assert rule.stop_times(level.paths).tolist() == tree._tree.stop_times(level.paths).tolist()
+        assert_lookups_change_nothing(rule, paths)
+        assert rule._k == rule._top == rule._reach
+        assert rule.stop_times(paths).tolist() == tree._tree.stop_times(paths).tolist()
+
+    def test_failed_level_fails_for_every_reader(self, monkeypatch):
+        # certification fails at level reach + 1 and keeps what it formed:
+        # the rule reads as one that never tried the level, and a decision
+        # that needs the level raises on its table as on a fresh one
+        spec, levels = self.budget_spec()
+        paths, cfg = levels[-1].paths, ValueIterConfig(k_max=8)
+        reach = 2
+        below = OptimalStoppingRule(spec, ValueIterConfig(k_max=reach))
+        want = below.stop_times(paths).tolist()
+        # the states of time 3 whose decisions are not proved by level reach
+        level = levels[3]
+        state = PosteriorState(3, level.paths[:, -(spec.d + 2) :], level.unchanged, level.changed)
+        deep = stop_decision(ValueTable(spec), state, cfg).k_used > reach
+        assert deep.any()
+        state = PosteriorState(3, state.window[deep], state.unchanged[deep], state.changed[deep])
+        monkeypatch.setattr(stopping, "CANDIDATE_BUDGET", 70)
+        rule = OptimalStoppingRule(spec, cfg)
+        for _ in range(2):  # the second batch starts by trying level reach + 1
+            assert rule.stop_times(paths).tolist() == want
+        assert rule._reach == rule._top == rule._k == reach and rule._table.formed > 70
+        assert rule.explain() == below.explain() and "open at K=2" in rule.explain()
+        for path in paths[::7].tolist():
+            assert list(map(fields, rule.decisions(path))) == list(map(fields, below.decisions(path)))
+        for table in (rule._table, ValueTable(spec)):
+            with pytest.raises(BudgetError):
+                stop_decision(table, state, cfg)
 
 
 def class_disagreements(spec, k_max=10):
