@@ -41,6 +41,11 @@ class CheckResult:
     tol: float
 
 
+def _worse(worst: float, err: float) -> float:
+    # a check's running maximum error, NaN from the first NaN error on (max(0.0, nan) is 0.0)
+    return float(np.maximum(worst, err))
+
+
 def _result(name: str, max_err: float, tol: float) -> CheckResult:
     return CheckResult(name=name, passed=max_err <= tol, max_err=max_err, tol=tol)
 
@@ -50,7 +55,7 @@ def check_path_unity(spec: ModelSpec, horizon: int) -> CheckResult:
     worst = 0.0
     for n in range(1, horizon + 1):
         total = math.fsum(path_probability(spec, oracle._paths(spec, n)).tolist())
-        worst = max(worst, abs(total - 1.0))
+        worst = _worse(worst, abs(total - 1.0))
     return _result("path_unity", worst, 1e-12)
 
 
@@ -58,16 +63,16 @@ def check_joint_consistency(spec: ModelSpec, table: oracle.JointTable) -> CheckR
     """Table mass, marginalisation across depths and the change-time marginal."""
     worst = 0.0
     for mass in table.mass:
-        worst = max(worst, abs(math.fsum(mass.tolist()) - 1.0))
+        worst = _worse(worst, abs(math.fsum(mass.tolist()) - 1.0))
     for joint, children in zip(table.arrays, table.arrays[1:]):
         merged = children.reshape((len(joint), spec.alphabet_size) + joint.shape[1:]).sum(axis=1)
-        worst = max(worst, float(np.max(np.abs(merged - joint))))
+        worst = _worse(worst, float(np.max(np.abs(merged - joint))))
     deep = table.arrays[table.horizon]
     masses = _fsum_grids(deep[:, :-1].sum(axis=(2, 3)).T, 1)
     pmf = [change_time_pmf(spec, t) for t in range(1, table.max_theta + 1)]
-    worst = max(worst, float(np.max(np.abs(masses - pmf))))
+    worst = _worse(worst, float(np.max(np.abs(masses - pmf))))
     paths = oracle._paths(spec, table.horizon)
-    worst = max(worst, float(np.max(np.abs(table.mass[table.horizon] - path_probability(spec, paths)))))
+    worst = _worse(worst, float(np.max(np.abs(table.mass[table.horizon] - path_probability(spec, paths)))))
     return _result("joint_consistency", worst, 1e-12)
 
 
@@ -77,8 +82,8 @@ def check_filter_vs_oracle(spec: ModelSpec, table: oracle.JointTable, levels: li
     for level in levels[1:]:
         change, pair = oracle.exact_posterior(table, level.paths)
         live = level.pair > 1e-15
-        worst = max(worst, float(np.max(np.abs(pair - level.pair))))
-        worst = max(worst, float(np.max(np.abs(change - level.change)[live], initial=0.0)))
+        worst = _worse(worst, float(np.max(np.abs(pair - level.pair))))
+        worst = _worse(worst, float(np.max(np.abs(change - level.change)[live], initial=0.0)))
     return _result("filter_vs_oracle", worst, 1e-10)
 
 
@@ -90,7 +95,7 @@ def check_survival_projection(spec: ModelSpec, table: oracle.JointTable, levels:
         for k in range(1, min(_LAG_MAX, table.max_theta - level.n) + 1):
             expected = 1.0 - spec.p**k * survival
             got = oracle.change_cdf_given_pair(table, level.paths, level.n + k)
-            worst = max(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
+            worst = _worse(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
     return _result("survival_projection", worst, 1e-10)
 
 
@@ -103,7 +108,7 @@ def check_lagged_change(spec: ModelSpec, table: oracle.JointTable, levels: list)
         for k in range(0, min(_LAG_MAX, n - 2) + 1):
             got = oracle.change_cdf_given_pair(table, level.paths, n - k - 1)
             expected = posterior.change_lagged(spec, k, level.paths, survival)
-            worst = max(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
+            worst = _worse(worst, float(np.max(np.abs(got - expected)[live], initial=0.0)))
     return _result("lagged_change", worst, 1e-10)
 
 
@@ -112,7 +117,7 @@ def check_payoff_criterion(spec: ModelSpec, levels: list) -> CheckResult:
     worst = 0.0
     for level in levels[spec.d + 1 :]:
         chk = payoff._criterion(spec, level)
-        worst = max(worst, abs(chk.prior_value - chk.payoff_value))
+        worst = _worse(worst, abs(chk.prior_value - chk.payoff_value))
     return _result("payoff_criterion", worst, 1e-10)
 
 
@@ -122,7 +127,7 @@ def check_payoff_window(spec: ModelSpec, table: oracle.JointTable, levels: list)
     for level in levels[spec.d + 1 :]:
         rank = oracle.path_rank(spec, level.paths)
         exact = table.detection[level.n][rank] / table.mass[level.n][rank]
-        worst = max(worst, float(np.max(np.abs(payoff.level_payoff(spec, level) - exact))))
+        worst = _worse(worst, float(np.max(np.abs(payoff.level_payoff(spec, level) - exact))))
     return _result("payoff_window", worst, 1e-12)
 
 
@@ -136,9 +141,9 @@ def check_multistep_composition(spec: ModelSpec, levels: list) -> CheckResult:
             # the anchor is the filter row of the path's prefix of m steps, one parent link up
             row = levels[m + 1].parent[row]
             multi = posterior.change_multistep(spec, level.paths[:, m:], levels[m].change[row])
-            worst = max(worst, float(np.max(np.abs(multi - change)[live], initial=0.0)))
+            worst = _worse(worst, float(np.max(np.abs(multi - change)[live], initial=0.0)))
         from_origin = posterior.change_from_origin(spec, level.paths)
-        worst = max(worst, float(np.max(np.abs(from_origin - change)[live], initial=0.0)))
+        worst = _worse(worst, float(np.max(np.abs(from_origin - change)[live], initial=0.0)))
     return _result("multistep_composition", worst, 1e-12)
 
 
@@ -178,7 +183,7 @@ def check_continuation_normalization(values: stopping.ValueTable, levels: list) 
         windows = np.tile(level.paths[:, -(spec.d + 2) :], (2, 1))
         for k in _NORM_LEVELS:
             s_state, s_prev = values.value(k, windows, u).reshape(2, -1)
-            worst = max(worst, float(np.max(np.abs(s_state * norm - s_prev))))
+            worst = _worse(worst, float(np.max(np.abs(s_state * norm - s_prev))))
     return _result("continuation_normalization", worst, 1e-9)
 
 
@@ -193,7 +198,7 @@ def check_continuation_vs_oracle(
         u = values.weight(level.unchanged)
         s_k = values.value(table.horizon - level.n - 1, level.paths[:, -(spec.d + 2) :], u)
         cont = tree.levels[level.n].continuation[oracle.path_rank(spec, level.paths)]
-        worst = max(worst, float(np.max(np.abs(cont - s_k))))
+        worst = _worse(worst, float(np.max(np.abs(cont - s_k))))
     return _result("continuation_vs_oracle", worst, 1e-12)
 
 
@@ -206,7 +211,7 @@ def check_predictive_chain(spec: ModelSpec, levels: list) -> CheckResult:
         ys = np.tile(np.arange(a), len(base))
         children = np.column_stack((level.paths.repeat(a, axis=0), ys))
         ratio = path_probability(spec, children).reshape(-1, a) / base[:, None]
-        worst = max(worst, float(np.max(np.abs(level.pred - ratio))))
+        worst = _worse(worst, float(np.max(np.abs(level.pred - ratio))))
     return _result("predictive_chain", worst, 1e-12)
 
 

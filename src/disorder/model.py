@@ -145,7 +145,6 @@ def validate(spec: ModelSpec) -> list[str]:
     package assume a valid instance; this is the only gatekeeper.
     """
     from .likelihood import _DENOM_FLOOR  # these modules import this one
-    from .payoff import detection_coeff_matrix
     from .stopping import ValueTable
 
     report: list[str] = []
@@ -196,12 +195,12 @@ def validate(spec: ModelSpec) -> list[str]:
     # overflow; checked while the windows' ratio grids fit in _COEFF_CELLS cells.
     small = not report and spec.d + 2 <= math.log2(_COEFF_CELLS)  # a guard on the power below
     if small and e ** (spec.d + 2) * (spec.d + 1) * spec.l0 * spec.l1 <= _COEFF_CELLS:
-        windows = ValueTable(spec).windows
+        table = ValueTable(spec)
         top = _COEFF_MAX * spec.p.min() * (1.0 - spec.p.max())
         with np.errstate(over="ignore", invalid="ignore"):
-            fits = (detection_coeff_matrix(spec, windows) <= top).all(axis=(1, 2))
+            fits = (table.coeff <= top).all(axis=(1, 2))
         if not fits.all():
-            report.append(f"payoff coefficients overflow on window {tuple(windows[~fits][0].tolist())}")
+            report.append(f"payoff coefficients overflow on window {tuple(table.windows[~fits][0].tolist())}")
     return report
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, SupportError
 from .likelihood import _DENOM_FLOOR, Window, _check_window, _fsum_grids
 from .model import ModelSpec
 from .payoff import level_payoff
@@ -115,11 +115,14 @@ def _paths(spec: ModelSpec, n: int) -> np.ndarray:
 
 
 def exact_posterior(table: JointTable, path: Window) -> tuple[np.ndarray, np.ndarray]:
-    """Definition-level posteriors (change grid, pair grid) given the path, per row of a batch."""
+    """Definition-level posteriors (change grid, pair grid) given the path, per row of a batch.
+
+    A path whose probability lies under the density floor raises SupportError.
+    """
     change, per_pair = _change_cdf(table, path, np.shape(path)[-1] - 1)
     total = _fsum_grids(per_pair)
     if np.any(total < _DENOM_FLOOR):
-        raise ValueError("path has zero probability")
+        raise SupportError("path has zero probability")
     return change, per_pair / total[..., None, None]
 
 

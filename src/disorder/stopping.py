@@ -17,8 +17,8 @@ functions
 (the alpha-vector form of POMDP value functions).  Gamma_k(w') is the
 cross-sum over y of {c_y} u {D_y o g : g in Gamma_{k-1}(w' + (y,))}, with
 D_y = p o f0(x_last, y) and no continuation sets at k = 0.  ValueTable builds
-these sets on demand, prunes dominated vectors and keeps them for its
-lifetime, so one table serves every state of a spec.
+these sets a level at a time, prunes dominated vectors and keeps them for
+its lifetime, so one table serves every state of a spec.
 
 s_k increases pointwise in k; its limit s* defines the stopping region
 { h >= s* }.  A decision raises K up to the cap k_max until h < s_K proves
@@ -49,14 +49,14 @@ rows whose unchanged mass is within _TINY of 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import product, takewhile
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, SupportError
 from .likelihood import Window, _check_window
 from .model import ModelSpec
 from .payoff import detection_coeff_matrix, stop_payoff
@@ -66,6 +66,11 @@ from .simulate import _with_batch_form
 # Hard cap on candidate vectors formed in cross-sums per table, a guard
 # against runaway configs.
 CANDIDATE_BUDGET = 2_000_000
+
+# Hard cap on the rows that _prune's pairwise scan compares per table: a
+# scan's time grows with its candidates times its survivors, which the
+# candidate budget does not bound.
+COMPARE_BUDGET = 100_000_000
 
 # Relative rounding bound of the two-term orientation test in _envelope:
 # eight float64 machine epsilons.
@@ -124,13 +129,15 @@ class ValueIterResult:
     converged: bool
 
 
-def _prune(vecs: np.ndarray) -> np.ndarray:
+def _prune(vecs: np.ndarray, charge: Callable[[int], None]) -> np.ndarray:
     """Remove vectors that cannot raise max(vecs @ u) for any u >= 0.
 
     A vector goes only when it is proven dominated: pointwise by another one
     (of equal copies the first stays; survivors keep their order) or, in two
     dimensions, by the segment between its neighbours on the upper envelope.
-    Whatever survives, the maximum of the dot products is unchanged.
+    Whatever survives, the maximum of the dot products is unchanged.  Outside
+    two dimensions a pairwise scan compares the candidates left with each
+    survivor in turn, and `charge` is told each step's row count first.
     """
     if vecs.shape[1] == 2:
         return _envelope(vecs)
@@ -141,6 +148,7 @@ def _prune(vecs: np.ndarray) -> np.ndarray:
     rest = vecs[order]
     keep = []
     while len(order):
+        charge(len(order) - 1)
         keep.append(order[0])
         live = ~(rest[1:] <= rest[0]).all(axis=1)
         order, rest = order[1:][live], rest[1:][live]
@@ -175,22 +183,25 @@ class ValueTable:
     """Alpha-vector sets Gamma_k of the continuation values for one spec.
 
     s_k at a state is max(Gamma_k(w') @ u) with u = p o unchanged and w' the
-    last d + 1 symbols of the window.  Each set is built when it is first
-    asked for and kept for the table's lifetime.  CANDIDATE_BUDGET caps the
-    candidate vectors formed in cross-sums over that lifetime.  The table is
+    last d + 1 symbols of the window.  Level k, Gamma_k of every live w' and
+    b_k, is built from level k - 1 when first read and kept for the table's
+    lifetime.  CANDIDATE_BUDGET caps the candidate vectors formed in
+    cross-sums and COMPARE_BUDGET the rows the prune scan compares over that
+    lifetime; the level being built when either is passed fails, and every
+    read of it or a deeper level raises BudgetError at once.  The table is
     the handle that value_iterate and stop_decision take: they read the spec
-    from it and share its sets across calls.  Confine one table per worker,
-    it is not synchronised.
+    from it and share its levels.  Confine one table per worker, it is not
+    synchronised.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.formed = 0
-        self._sets: dict[tuple[int, Window], np.ndarray] = {}
-        self._branches: dict[Window, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        self._bounds: dict[int, float] = {0: math.inf}
+        self.compared = 0
         # transitions a -> b that can occur; validated kernels share zeros
         self._live = spec.pre_kernels.any(axis=0)
+        # (Gamma_k by base-A tail rank, b_k) for k = 0, 1, ...
+        self._levels: list[tuple[dict[int, np.ndarray], float]] = []
 
     def weight(self, unchanged: np.ndarray) -> np.ndarray:
         """The flattened u = p o unchanged that the sets act on, per (l0, l1) grid."""
@@ -202,8 +213,6 @@ class ValueTable:
 
         Batches of windows (N, d + 2) and weights give s_k per row, each the one-row float bit for bit.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
         if np.shape(window)[-1] != self.spec.d + 2:
             raise ValueError(f"window must have length {self.spec.d + 2}")
         if np.ndim(u) == 1:
@@ -212,30 +221,20 @@ class ValueTable:
         tails = _check_window(self.spec, window)[:, 1:]
         ranks = tails @ self.spec.alphabet_size ** np.arange(self.spec.d, -1, -1)
         order = np.argsort(ranks, kind="stable")
-        tails, u = tails[order], u[order, :, None]
-        cuts = [0, *(np.flatnonzero(np.diff(ranks[order])) + 1).tolist(), len(order)]
+        tails, ranks, u = tails[order], ranks[order], u[order, :, None]
+        dead = np.argwhere(~self._live[tails[:, :-1], tails[:, 1:]])
+        if len(dead):  # the lowest-ranked tail that cannot occur, at its first impossible transition
+            row, at = dead[0]
+            raise SupportError(f"transition {tails[row, at]}->{tails[row, at + 1]} outside common support")
+        sets = self._level(k)[0]
+        cuts = [0, *(np.flatnonzero(np.diff(ranks)) + 1).tolist(), len(order)]
         s_k = np.empty(len(order))
         for lo, hi in zip(cuts, cuts[1:]):
-            s_k[order[lo:hi]] = np.max(self.vectors(k, tuple(tails[lo].tolist())) @ u[lo:hi], axis=(1, 2))
+            s_k[order[lo:hi]] = np.max(sets[int(ranks[lo])] @ u[lo:hi], axis=(1, 2))
         return s_k
 
-    def vectors(self, k: int, tail: Window) -> np.ndarray:
-        """Gamma_k for the d + 1 trailing symbols `tail`, one vector per row."""
-        key = (k, tail)
-        hit = self._sets.get(key)
-        if hit is not None:
-            return hit
-        out = None
-        for y, opts, gain in self._branch(tail):
-            if k:
-                cont = self.vectors(k - 1, tail[1:] + (y,)) * gain
-                opts = _prune(np.concatenate((opts, cont)))
-            out = opts if out is None else self._cross_sum(out, opts)
-        self._sets[key] = out
-        return out
-
     def bound(self, k: int) -> float:
-        """b_k with s* - s_k <= b_k * sum(u) at every window and u >= 0.
+        """b_k with s* - s_k <= b_k * sum(u) at every window and u >= 0; b_0 is infinite.
 
         The D_y sum to diag(p), so the growth s_k - s_{k-1} shrinks by
         p_max = max p per level, and b_k = M_k p_max / (1 - p_max).  M_k bounds
@@ -243,18 +242,7 @@ class ValueTable:
         largest max_e (g - h)_e from a g in Gamma_k to its nearest h in
         Gamma_{k-1}, over the tails that can occur.
         """
-        hit = self._bounds.get(k)
-        if hit is None:
-            spec = self.spec
-            p_max = float(spec.p.max())
-            growth = 0.0
-            for tail in product(range(spec.alphabet_size), repeat=spec.d + 1):
-                if all(self._live[a, b] for a, b in zip(tail, tail[1:])):
-                    gap = self.vectors(k, tail)[:, None, :] - self.vectors(k - 1, tail)[None, :, :]
-                    growth = max(growth, float(gap.max(axis=2).min(axis=1).max()))
-            hit = min(growth * p_max / (1.0 - p_max), p_max * self.bound(k - 1))
-            self._bounds[k] = hit
-        return hit
+        return self._level(k)[1]
 
     @cached_property
     def windows(self) -> np.ndarray:
@@ -262,6 +250,11 @@ class ValueTable:
         spec = self.spec
         every = np.array(list(product(range(spec.alphabet_size), repeat=spec.d + 2)))
         return every[self._live[every[:, :-1], every[:, 1:]].all(axis=1)]
+
+    @cached_property
+    def coeff(self) -> np.ndarray:
+        """The stop payoff's per-pair coefficients coeff_w of the live windows (see `windows`), (W, l0, l1)."""
+        return detection_coeff_matrix(self.spec, self.windows)
 
     def region(self, k: int) -> np.ndarray:
         """The class at level k >= 1 of each live window (see `windows`): 1 stop, 0 continue, -1 open.
@@ -272,49 +265,72 @@ class ValueTable:
         once.  Stop: c_w - g - b_k clears the margin in every entry for every
         g.  Continue: c_w - g falls below minus the margin in every entry for
         some g.  The margin is _MARGIN of the entries' terms.  Where the
-        masses leave u = 0, the tie stops, so no window continues.
-
-        A level past the candidate budget raises BudgetError and keeps what
-        it formed, as a level succeeds or fails as a whole: region(k) forms
-        no set that bound(k) does not (a window's tail is live), and every
-        K-loop decision reaching level k calls bound(k), which forms Gamma_k
-        of every live tail.  So every later reader of a failed level raises
-        BudgetError too, and no reader below it forms a new set.
+        masses leave u = 0, the tie stops, so no window continues.  Like
+        every K-loop decision that reaches level k, it reads the level whole.
         """
         spec, windows = self.spec, self.windows
         # every window's Gamma_k stacked, each row against its window's c_w
-        b, sets = self.bound(k), [self.vectors(k, tuple(window[1:])) for window in windows.tolist()]
+        b, sets = self.bound(k), self._level(k)[0]
+        sets = [sets[tail] for tail in self._branch_table[1]]
         sizes = [len(g) for g in sets]
         starts, g = np.cumsum([0] + sizes[:-1]), np.concatenate(sets)
-        c = (detection_coeff_matrix(spec, windows) / spec.p).reshape(len(windows), -1)
-        c = np.repeat(c, sizes, axis=0)
+        c = np.repeat((self.coeff / spec.p).reshape(len(windows), -1), sizes, axis=0)
         stop = np.logical_and.reduceat((c - g - b >= _MARGIN * (c + g + b)).all(axis=1), starts)
         cont = np.logical_or.reduceat((c - g < -_MARGIN * (c + g)).all(axis=1), starts)
         cont &= bool((spec.b * (1.0 - spec.pi) > 0.0).any())  # some pair keeps U > 0 past time 1
         return np.where(stop, 1, np.where(cont, 0, -1)).astype(np.int8)
 
-    def _branch(self, tail: Window) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        # Per next symbol y that can follow the tail: y, c_y and the gain D_y.
-        hit = self._branches.get(tail)
-        if hit is not None:
-            return hit
-        spec = self.spec
-        out = []
-        for y in np.flatnonzero(self._live[tail[-1]]).tolist():
-            f0 = spec.pre_kernels[:, tail[-1], y][:, None]
-            stop = detection_coeff_matrix(spec, tail + (y,)) * f0
-            out.append((y, stop.reshape(1, -1), (spec.p * f0).ravel()))
-        self._branches[tail] = out
-        return out
+    @cached_property
+    def _branch_table(self) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+        # per live window tail + (y,), in `windows` order: the base-A ranks of its first and
+        # last d + 1 symbols, c_y = coeff_w o f0(x_last, y) and D_y = p o f0(x_last, y), flat
+        spec, windows = self.spec, self.windows
+        rank = spec.alphabet_size ** np.arange(spec.d, -1, -1)
+        f0 = spec.pre_kernels[:, windows[:, -2], windows[:, -1]].T[:, :, None]
+        stop, gain = (self.coeff * f0).reshape(len(windows), -1), (spec.p * f0).reshape(len(windows), -1)
+        return (windows[:, :-1] @ rank).tolist(), (windows[:, 1:] @ rank).tolist(), stop, gain
+
+    def _level(self, k: int) -> tuple[dict[int, np.ndarray], float]:
+        # Gamma_k by tail rank and b_k, the levels to k built in order: per live tail, the cross-sum
+        # over its next symbols y of {c_y} and D_y o Gamma_{k-1}(next tail) pruned; then b_k
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        head, nxt, stop, gain = self._branch_table
+        while len(self._levels) <= k:
+            self._check_budgets()  # past a budget the level being built failed, and no level follows
+            below, bound = self._levels[-1] if self._levels else (None, math.inf)
+            sets: dict[int, np.ndarray] = {}
+            for w, (tail, succ) in enumerate(zip(head, nxt)):
+                opts = stop[w : w + 1]
+                if below:
+                    opts = _prune(np.concatenate((opts, below[succ] * gain[w])), self._charge)
+                sets[tail] = self._cross_sum(sets[tail], opts) if tail in sets else opts
+            if below:
+                p_max = float(self.spec.p.max())
+                growth = 0.0
+                for g, h in zip(sets.values(), below.values()):
+                    growth = max(growth, float((g[:, None, :] - h[None, :, :]).max(axis=2).min(axis=1).max()))
+                bound = min(growth * p_max / (1.0 - p_max), p_max * bound)
+            self._levels.append((sets, bound))
+        return self._levels[k]
 
     def _cross_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.formed += len(a) * len(b)
-        if self.formed > CANDIDATE_BUDGET:
-            raise BudgetError(f"value iteration exceeded {CANDIDATE_BUDGET} candidate vectors")
+        self._check_budgets()
         if len(a) == 1 or len(b) == 1:
             # a translate of a pruned set is pruned
             return a + b
-        return _prune((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
+        return _prune((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]), self._charge)
+
+    def _charge(self, rows: int) -> None:
+        self.compared += rows
+        self._check_budgets()
+
+    def _check_budgets(self) -> None:
+        if self.formed > CANDIDATE_BUDGET:
+            raise BudgetError(f"value iteration exceeded {CANDIDATE_BUDGET} candidate vectors")
+        if self.compared > COMPARE_BUDGET:
+            raise BudgetError(f"value iteration exceeded {COMPARE_BUDGET} compared rows")
 
 
 def _iterate(table: ValueTable, window: np.ndarray, u: np.ndarray, cfg: ValueIterConfig, stop_value: np.ndarray):
@@ -414,8 +430,8 @@ class OptimalStoppingRule:
     It also certifies the live windows lazily, one level at a time at the
     start of a batch and when `windows` or `explain` is read, up to one
     level past the deepest its decisions have reached (those are formed
-    already) and at most k_max; a level that would exceed the candidate
-    budget is left out, and certification stops below it.  From d + 2 on a
+    already) and at most k_max; a level past the budget fails in the table,
+    which records it, and certification stops below it.  From d + 2 on a
     node whose window has a certified class is decided by it: stop on 1,
     continue on 0.  The rest of the batch, and every row whose largest
     unchanged mass is at most _TINY, goes to one stop_decision call.  The
@@ -437,10 +453,10 @@ class OptimalStoppingRule:
         self._start = spec.d + 1 + (variant == "literal")
         self._tree = PrefixTree(spec, lambda n, new: self._decide(n, np.arange(new.start, new.stop))[0], self._start)
         # the certified window classes by base-A window rank (all open at level 0), their
-        # level, the deepest K a decision has used and the deepest level certification may try
+        # level and the deepest K a decision has used
         self._rank = spec.alphabet_size ** np.arange(spec.d + 1, -1, -1)
         self._by_rank = np.full(spec.alphabet_size ** (spec.d + 2), -1, dtype=np.int8)
-        self._k, self._reach, self._top = 0, 0, cfg.k_max
+        self._k, self._reach = 0, 0
         self.stop_times = self._stop_times
         self.stop_time = _with_batch_form(self.stop_times)
 
@@ -460,14 +476,13 @@ class OptimalStoppingRule:
         return WindowTable(self._k, windows, self._by_rank[windows @ self._rank])
 
     def _certify(self) -> None:
-        while self._k < min(self._reach + 1, self._top):
+        while self._k < min(self._reach + 1, self.cfg.k_max):
             live = self._table.windows @ self._rank
             if (self._by_rank[live] >= 0).all():
                 return
             try:
                 region = self._table.region(self._k + 1)
-            except BudgetError:  # the tree raises it itself if a decision needs the level
-                self._top = self._k
+            except BudgetError:  # the table keeps the failure; the tree raises it if a decision needs the level
                 return
             self._k += 1
             self._by_rank[live] = np.where(self._by_rank[live] < 0, region, self._by_rank[live])

@@ -401,6 +401,20 @@ class TestCrosscheckCommand:
 
 
 class TestZeroSupport:
+    def test_crosscheck_on_a_path_under_the_density_floor(self, tmp_path, capsys):
+        # valid, but a path taking the 1e-290 transition twice has probability
+        # under the floor: the oracle's SupportError is one runtime record
+        tiny = [[[1.0, 1e-290], [0.5, 0.5]]]
+        path = tmp_path / "tiny.json"
+        save_spec(ModelSpec(2, tiny, tiny, [[1.0]], [[0.0]], [[0.8]], 0, 0), path)
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["crosscheck", "--config", str(path), "--horizon", "4"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err + captured.out
+        assert json.loads(lines[0]) == {"error": "runtime", "detail": "path has zero probability"}
+
     def test_evaluate_all_rules(self, zero_support_config, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main(

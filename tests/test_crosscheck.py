@@ -112,6 +112,19 @@ class TestPayoffWindow:
         monkeypatch.setattr(payoff, "level_payoff", first_symbols)
         assert "payoff_window" in [result.name for result in run_crosscheck(spec, 5) if not result.passed]
 
+    def test_nan_in_the_last_level_fails(self, monkeypatch):
+        # a check's running maximum keeps a NaN error: max(worst, nan) would drop it
+        spec = load_spec(CONFIGS_DIR / "m3.json")
+        level_payoff = payoff.level_payoff
+
+        def nan_at_the_end(spec, level):
+            values = level_payoff(spec, level)
+            return np.where(level.n == 5, np.nan, values)
+
+        monkeypatch.setattr(payoff, "level_payoff", nan_at_the_end)
+        result = check_payoff_window(spec, oracle.build_joint(spec, 5), list(posterior.filter_levels(spec, 5)))
+        assert not result.passed and math.isnan(result.max_err)
+
 
 class TestOneFilterPass:
     """The battery walks the filter tree once and reads every check's levels off that pass."""

@@ -19,6 +19,7 @@ from disorder import (
     path_probability,
 )
 from disorder import oracle
+from disorder.errors import SupportError
 from disorder.oracle import (
     change_cdf_given_pair,
     dump_joint,
@@ -177,7 +178,7 @@ class TestExactPosterior:
             x0=0,
         )
         table = build_joint(spec, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(SupportError, match="^path has zero probability$"):
             exact_posterior(table, (0, 1, 0))
 
     def test_path_outside_table_rejected(self, m3):

@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from disorder import (
@@ -230,14 +230,17 @@ class TestPrune:
         vecs = rng.uniform(0, 1, (4500, 4))
         # exact copies, so which copy survives, and where, is checked too
         vecs = np.concatenate([vecs, vecs[rng.integers(0, 4500, 500)]])[rng.permutation(5000)]
+        rows = []
         tracemalloc.start()
         try:
-            got = _prune(vecs)
+            got = _prune(vecs, rows.append)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, vecs[_brute_force_survivors(vecs)])
         assert peak < 8 * 2**20
+        # the scan charges each survivor's step the candidates left after it
+        assert len(rows) == len(got) and rows[0] == len(vecs) - 1 and sum(rows) < len(vecs) * len(got)
 
 
 class TestBaseLevel:
@@ -348,6 +351,53 @@ class TestRecursion:
         table = ValueTable(m1)
         with pytest.raises(ValueError):
             table.value(-1, (0, 1), table.weight(masses(np.zeros((1, 1)), np.ones((1, 1)))[0]))
+
+
+class TestLevels:
+    """The table builds whole levels in order and records the first one past a budget."""
+
+    def test_formed_does_not_depend_on_the_reading_order(self):
+        spec = make_m3(d=1)
+        window, unchanged = random_state_inputs(spec, np.random.default_rng(5))
+        counts = []
+        for value_first in (True, False):
+            table = ValueTable(spec)
+            reads = [lambda: table.value(4, window, table.weight(unchanged)), lambda: table.bound(4)]
+            for read in reads if value_first else reads[::-1]:
+                read()
+            counts.append((table.formed, table.compared, len(table._levels)))
+        assert counts[0] == counts[1] and counts[0][0] > 0
+
+    @pytest.mark.parametrize("budget, message", [("CANDIDATE_BUDGET", "candidate vectors"), ("COMPARE_BUDGET", "compared rows")])
+    def test_failed_level_raises_again_without_forming(self, m3, budget, message, monkeypatch):
+        # m3's 2 x 2 grid prunes by the pairwise scan, which the compare budget counts
+        monkeypatch.setattr(stopping, budget, 50)
+        table = ValueTable(m3)
+        u = table.weight(masses(np.zeros((2, 2)), np.full((2, 2), 0.25))[0])
+        with pytest.raises(BudgetError, match=f"^value iteration exceeded 50 {message}$"):
+            table.value(40, (0, 1), u)
+        failed, spent = len(table._levels), (table.formed, table.compared)
+        for read in (lambda: table.value(failed, (0, 1), u), lambda: table.bound(40), lambda: table.region(failed)):
+            with pytest.raises(BudgetError, match=f"^value iteration exceeded 50 {message}$"):
+                read()
+            assert (table.formed, table.compared) == spent
+        # the levels below stay readable
+        assert table.value(failed - 1, (0, 1), u) == ValueTable(m3).value(failed - 1, (0, 1), u)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_impossible_tail_raises_support_error(self, d):
+        # 0 -> 1 and 2 -> 1 outside the support: the batch names the lowest-ranked
+        # tail that cannot occur, as the one-row call does
+        spec = with_shared_zero(with_shared_zero(make_m4(d), 0, 1), 2, 1)
+        table = ValueTable(spec)
+        good, first, second = (2,) * (d + 2), (2,) * d + (0, 1), (2,) * d + (2, 1)
+        u = np.ones(spec.l0 * spec.l1)
+        for window, message in ((first, "0->1"), (second, "2->1")):
+            with pytest.raises(SupportError, match=f"^transition {message} outside common support$"):
+                table.value(2, window, u)
+        with pytest.raises(SupportError, match="^transition 0->1 outside common support$"):
+            table.value(2, np.array([good, second, first]), np.ones((3, len(u))))
+        assert np.isfinite(table.value(2, np.array([good]), u[None])).all()
 
 
 class TestValueIterate:
@@ -791,6 +841,10 @@ def assert_lookups_change_nothing(rule, paths):
     return rule.windows is not None
 
 
+# A test_random_specs example whose tables outgrow the prune scan's compare budget.
+STALL = dict(seed=19670, alphabet=3, l0=2, l1=2, d=0, k_max=4, variant="expected", zero=False)
+
+
 class TestWindowScan:
     """The tree walk reads each new node's certified window class from d + 2 on, and walks as with lookups off."""
 
@@ -826,14 +880,37 @@ class TestWindowScan:
         variant=st.sampled_from(["expected", "literal"]),
         zero=st.booleans(),
     )
+    @example(**STALL)
     def test_random_specs(self, seed, alphabet, l0, l1, d, k_max, variant, zero):
-        # the live paths to horizon d + 4, with and without a transition outside the support
+        # the live paths to horizon d + 4, with and without a transition outside the support;
+        # where the rule with lookups off runs out of budget there is nothing to compare
         spec = random_spec(np.random.default_rng(seed), alphabet, l0, l1, d)
         if zero:
             spec = with_shared_zero(spec, 0, alphabet - 1)
         *_, level = filter_levels(spec, d + 4)
-        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=k_max), variant=variant)
-        assert_lookups_change_nothing(rule, level.paths)
+        cfg = ValueIterConfig(k_max=k_max)
+        with no_lookups():
+            try:
+                OptimalStoppingRule(spec, cfg, variant=variant).stop_times(level.paths)
+            except BudgetError:
+                assume(False)
+        assert_lookups_change_nothing(OptimalStoppingRule(spec, cfg, variant=variant), level.paths)
+
+    @pytest.mark.parametrize("lookups", [True, False])
+    def test_stall_example_fails_fast(self, lookups):
+        # the example whose prune scans once ran for minutes before the candidate
+        # budget: the compare budget stops it, with class lookups on and off
+        spec = random_spec(np.random.default_rng(STALL["seed"]), STALL["alphabet"], STALL["l0"], STALL["l1"], STALL["d"])
+        *_, level = filter_levels(spec, STALL["d"] + 4)
+        started = time.perf_counter()
+        rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=STALL["k_max"]))
+        with pytest.raises(BudgetError, match="compared rows$"):
+            if lookups:
+                rule.stop_times(level.paths)
+            else:
+                with no_lookups():
+                    rule.stop_times(level.paths)
+        assert time.perf_counter() - started < 20.0
 
     @staticmethod
     def raised(call, *args):
@@ -927,15 +1004,16 @@ class TestWindowScan:
         tree = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
         tree._tree.stop_times(paths)
         assert tree._table.formed == 70
-        # with the budget at what the tree forms, certification raises nothing and stops below the failed level
+        # with the budget at what the tree forms, certification raises nothing and stops below
+        # the failed level, which the table records
         monkeypatch.setattr(stopping, "CANDIDATE_BUDGET", 70)
         rule = OptimalStoppingRule(spec, ValueIterConfig(k_max=8))
         assert_lookups_change_nothing(rule, paths)
-        assert rule._k == rule._top == rule._reach
+        assert rule._k == rule._reach == len(rule._table._levels) - 1 and rule._table.formed > 70
         assert rule.stop_times(paths).tolist() == tree._tree.stop_times(paths).tolist()
 
     def test_failed_level_fails_for_every_reader(self, monkeypatch):
-        # certification fails at level reach + 1 and keeps what it formed:
+        # certification fails at level reach + 1, and the table records it:
         # the rule reads as one that never tried the level, and a decision
         # that needs the level raises on its table as on a fresh one
         spec, levels = self.budget_spec()
@@ -951,9 +1029,11 @@ class TestWindowScan:
         state = PosteriorState(3, state.window[deep], state.unchanged[deep], state.changed[deep])
         monkeypatch.setattr(stopping, "CANDIDATE_BUDGET", 70)
         rule = OptimalStoppingRule(spec, cfg)
-        for _ in range(2):  # the second batch starts by trying level reach + 1
+        spent = []
+        for _ in range(3):  # the second batch starts by trying level reach + 1, the third fails it at once
             assert rule.stop_times(paths).tolist() == want
-        assert rule._reach == rule._top == rule._k == reach and rule._table.formed > 70
+            spent.append(rule._table.formed)
+        assert rule._reach == rule._k == reach == len(rule._table._levels) - 1 and spent[1] == spent[2] > 70
         assert rule.explain() == below.explain() and "open at K=2" in rule.explain()
         for path in paths[::7].tolist():
             assert list(map(fields, rule.decisions(path))) == list(map(fields, below.decisions(path)))
@@ -1023,7 +1103,7 @@ class TestWindowClasses:
         for row, c in enumerate(coeff):
             g = c - b - 4 * np.spacing(c - b) if side == 1 else c + 4 * np.spacing(c)
             assert ((c - g - b >= 0) if side == 1 else (c - g < 0)).all()
-            monkeypatch.setattr(table, "vectors", lambda k, tail: g[None])
+            monkeypatch.setattr(table, "_level", lambda k: (dict.fromkeys(range(spec.alphabet_size ** (spec.d + 1)), g[None]), b))
             assert table.region(1)[row] == -1
             with monkeypatch.context() as mutant:
                 mutant.setattr(stopping, "_MARGIN", 0.0)
